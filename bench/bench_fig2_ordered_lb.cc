@@ -12,7 +12,10 @@
 //
 // Part 2 (JoinEngine facade): the same ordered-vs-lifted comparison on a
 // join instance — the MSB-complement triangle, whose empty output has a
-// six-box certificate — with engines selected by --engines.
+// six-box certificate in the relation-order index layout — with engines
+// selected by --engines. Plain Tetris lays its indexes out for its SAO,
+// where that certificate does not exist (about 2N resolutions); the
+// Balance-lifted engines keep relation order and stay certificate-sized.
 
 #include <cinttypes>
 #include <cstdio>

@@ -5,9 +5,11 @@
 // gap boxes), perturbs it, and decides coverage with Tetris-LB; it then
 // shows the certificate-sensitivity that distinguishes the paper's bound
 // O~(|C|^{n/2}) from Chan's O(|B|^{n/2}). The closing section runs the
-// join whose gap boxes *are* the Figure 5 cover — the MSB-complement
-// triangle — through the JoinEngine facade with the engines selected by
-// `--engine`/`--engines`.
+// join whose relation-order gap boxes *are* the Figure 5 cover — the
+// MSB-complement triangle — through the JoinEngine facade with the
+// engines selected by `--engine`/`--engines`. Only the Balance-lifted
+// engines keep that index layout; plain Tetris lays its indexes out for
+// its SAO and does about 2N resolutions on this instance.
 
 #include <cstdio>
 #include <string>

@@ -44,43 +44,21 @@ std::string PlanSignature(const JoinQuery& query, int depth) {
   });
 }
 
-// Mirrors RunJoin's order validation (join_engine.cc) so a bad hint
-// fails the same way batched or not.
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
-}
-
-bool IsPermutation(const std::vector<int>& order, int n) {
-  if (order.size() != static_cast<size_t>(n)) return false;
-  std::vector<bool> seen(n, false);
-  for (int v : order) {
-    if (v < 0 || v >= n || seen[v]) return false;
-    seen[v] = true;
-  }
-  return true;
-}
-
-// The index layout an atom wants under an order hint: the atom's
-// columns sorted by SAO position (join_runner's MakeSaoConsistentIndexes
-// derivation), normalized to the empty layout when that comes out as the
-// relation's own column order — so hinted and unhinted queries share the
-// default-layout entry.
-IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao_pos,
+// The index layout an atom wants under `sao`: SaoConsistentColumns,
+// normalized to the empty layout when that comes out as the relation's
+// own column order — so every SAO that agrees with relation order shares
+// one entry.
+IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao,
                       int depth) {
   IndexLayout layout;
   layout.depth = depth;
-  if (sao_pos.empty()) return layout;
-  std::vector<int> cols(atom.var_ids.size());
-  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
-  std::sort(cols.begin(), cols.end(), [&](int x, int y) {
-    return sao_pos[atom.var_ids[x]] < sao_pos[atom.var_ids[y]];
-  });
-  bool identity = true;
+  std::vector<int> cols = SaoConsistentColumns(atom, sao);
   for (size_t c = 0; c < cols.size(); ++c) {
-    if (cols[c] != static_cast<int>(c)) identity = false;
+    if (cols[c] != static_cast<int>(c)) {
+      layout.columns = std::move(cols);
+      break;
+    }
   }
-  if (!identity) layout.columns = std::move(cols);
   return layout;
 }
 
@@ -178,7 +156,7 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
     }
     query_opts[q].depth = depth;
     if (!options.orders.empty() && !options.orders[q].empty()) {
-      if (ChoosesOwnSao(kind)) {
+      if (algo.has_value() && ChoosesOwnSao(*algo)) {
         batch.results[q].error =
             "order: Balance-lifted variants choose their own SAO";
         continue;
@@ -212,19 +190,15 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
   if (algo.has_value()) {
     for (size_t q = 0; q < queries.size(); ++q) {
       if (!supported[q]) continue;
-      std::vector<int> sao_pos;
-      if (!query_opts[q].order.empty()) {
-        sao_pos.resize(queries[q].num_attrs());
-        for (size_t i = 0; i < query_opts[q].order.size(); ++i) {
-          sao_pos[query_opts[q].order[i]] = static_cast<int>(i);
-        }
-      }
+      std::vector<int> sao = query_opts[q].order.empty()
+                                 ? DefaultSao(queries[q], *algo)
+                                 : query_opts[q].order;
       std::vector<const Index*> base;
       base.reserve(queries[q].atoms().size());
       for (const Atom& atom : queries[q].atoms()) {
         bool built = false;
         std::shared_ptr<const SortedIndex> ix =
-            cache.Get(atom.rel, LayoutFor(atom, sao_pos, depth), &built);
+            cache.Get(atom.rel, LayoutFor(atom, sao, depth), &built);
         if (built) ++batch.stats.indexes_built;
         else ++batch.stats.index_cache_hits;
         if (counted.insert(ix.get()).second) {
@@ -234,8 +208,7 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
         pinned.push_back(std::move(ix));
       }
       contexts[q] = MakeTetrisShardContext(queries[q], *algo, depth,
-                                           query_opts[q].order,
-                                           std::move(base));
+                                           std::move(sao), std::move(base));
     }
   }
 

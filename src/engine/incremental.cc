@@ -13,21 +13,6 @@ namespace tetris {
 
 namespace {
 
-bool IsPermutation(const std::vector<int>& order, int n) {
-  if (order.size() != static_cast<size_t>(n)) return false;
-  std::vector<bool> seen(n, false);
-  for (int v : order) {
-    if (v < 0 || v >= n || seen[v]) return false;
-    seen[v] = true;
-  }
-  return true;
-}
-
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
-}
-
 EngineResult Failed(EngineKind kind, std::string error) {
   EngineResult r;
   r.stats.engine = kind;
@@ -109,8 +94,9 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     out.full_recompute = true;
     return finish();
   }
+  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
   if (!options.order.empty()) {
-    if (ChoosesOwnSao(kind)) {
+    if (algo.has_value() && ChoosesOwnSao(*algo)) {
       out.result =
           Failed(kind, "order: Balance-lifted variants choose their own SAO");
       return finish();
@@ -171,7 +157,6 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   // Fresh evaluation of the re-run shards, exactly the way a full
   // sharded run evaluates all of them: zero-copy IndexViews for the
   // Tetris family, lazily materialized copies for the baselines.
-  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
   TetrisShardContext tctx;
   if (algo.has_value()) {
     std::vector<const Index*> shared_base;

@@ -1,21 +1,22 @@
 // Shared SortedIndex cache keyed by (relation, layout).
 //
-// RunBatch (engine/batch_runner.h) builds each relation's base index
-// once per batch — but only in the default layout. A per-query order
-// hint changes the layout an atom needs (SAO-consistent column orders),
-// and before this cache existed every non-default layout forced a fresh
-// build per query. IndexCache keys built indexes by (relation identity,
-// column order, dyadic depth) so every (query, atom) wanting the same
-// layout shares one build — within one batch through
-// BatchOptions::index_cache, and across calls when a long-lived owner
-// (the server's RelationRegistry, src/server/relation_registry.h) holds
-// the cache for the lifetime of its registered relations.
+// RunBatch (engine/batch_runner.h) lays each atom's base index out for
+// its query's SAO — the caller's hint, else DefaultSao
+// (engine/join_runner.h) — so one relation can need several column
+// orders, one per distinct SAO-consistent layout among the queries that
+// read it. IndexCache keys built indexes by (relation identity, column
+// order, dyadic depth) so every (query, atom) wanting the same layout
+// shares one build — within one batch through BatchOptions::index_cache,
+// and across calls when a long-lived owner (the server's
+// RelationRegistry, src/server/relation_registry.h) holds the cache for
+// the lifetime of its registered relations.
 //
 // Row-level mutations don't evict: Promote carries a retired version's
 // entries to the new version with the effective delta folded into each
 // index's overlay (SortedIndex::Promote) — a 1-row append costs
 // O(log n) per cached layout instead of a rebuild, and the promoted
-// index pins the retired version's buffer alive via shared_ptr.
+// index pins the retired version's buffer alive via shared_ptr. Every
+// write promotes every layout cached for the relation.
 //
 // Lifetime contract: entries are keyed by Relation address, so every
 // relation passed to Get must stay alive until its entries are removed
@@ -42,7 +43,8 @@ namespace tetris {
 /// another: the trie column order and the dyadic depth.
 struct IndexLayout {
   /// `columns[level]` = relation column compared at trie level `level`;
-  /// empty = relation column order (the SortedIndex default).
+  /// empty = relation column order, the one key for every SAO that
+  /// agrees with it (RunBatch normalizes such orders to empty).
   std::vector<int> columns;
   int depth = 0;
 

@@ -41,23 +41,6 @@ std::optional<JoinAlgorithm> TetrisAlgorithmOf(EngineKind kind) {
 
 namespace {
 
-// The Balance-lifted variants choose their own SAO (join_runner asserts
-// sao.empty()), so an explicit order hint must be rejected up front.
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
-}
-
-bool IsPermutation(const std::vector<int>& order, int n) {
-  if (order.size() != static_cast<size_t>(n)) return false;
-  std::vector<bool> seen(n, false);
-  for (int v : order) {
-    if (v < 0 || v >= n || seen[v]) return false;
-    seen[v] = true;
-  }
-  return true;
-}
-
 void Canonicalize(std::vector<Tuple>* tuples) {
   std::sort(tuples->begin(), tuples->end());
   tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
@@ -181,7 +164,7 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
       result.error = "order: not a permutation of the query attribute ids";
       return result;
     }
-    if (ChoosesOwnSao(kind)) {
+    if (tetris_algo.has_value() && ChoosesOwnSao(*tetris_algo)) {
       result.error = "order: Balance-lifted variants choose their own SAO";
       return result;
     }
@@ -226,7 +209,12 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
       return result;
     }
     int depth = options.depth > 0 ? options.depth : query.MinDepth();
-    JoinRunResult run;
+    // The SAO, resolved once: every index built below follows it.
+    std::vector<int> sao = options.order.empty()
+                               ? DefaultSao(query, *tetris_algo)
+                               : options.order;
+    std::vector<std::unique_ptr<Index>> owned;
+    std::vector<const Index*> indexes = options.indexes;
     if (!options.indexes.empty()) {
       // The engine's grid depth and every index's depth must agree, or
       // probes return gap boxes the space cannot split down to and the
@@ -253,25 +241,12 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                        "(need at least query.MinDepth())";
         return result;
       }
-      run = RunTetrisJoin(query, options.indexes, depth, *tetris_algo,
-                          options.order);
-    } else if (options.order.empty() && options.depth == 0) {
-      run = RunTetrisJoinDefaultIndexes(query, *tetris_algo);
-    } else if (options.order.empty()) {
-      // Depth override, default index layout (relation column order) and
-      // variant-appropriate default SAO.
-      std::vector<std::unique_ptr<Index>> owned;
-      std::vector<const Index*> ptrs;
-      for (const Atom& a : query.atoms()) {
-        owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
-        ptrs.push_back(owned.back().get());
-      }
-      run = RunTetrisJoin(query, ptrs, depth, *tetris_algo);
     } else {
-      auto owned = MakeSaoConsistentIndexes(query, options.order, depth);
-      run = RunTetrisJoin(query, IndexPtrs(owned), depth, *tetris_algo,
-                          options.order);
+      owned = MakeSaoConsistentIndexes(query, sao, depth);
+      indexes = IndexPtrs(owned);
     }
+    JoinRunResult run =
+        RunTetrisJoin(query, indexes, depth, *tetris_algo, std::move(sao));
     result.tuples = std::move(run.tuples);
     result.stats.tetris = run.stats;
     result.stats.input_gap_boxes = run.input_gap_boxes;

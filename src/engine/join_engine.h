@@ -143,11 +143,13 @@ inline constexpr int kAutoShards = -1;
 /// Per-run knobs, all optional.
 struct EngineOptions {
   /// Attribute-id order hint: SAO for the Tetris family, GAO for
-  /// Leapfrog / Generic Join. Empty = engine-appropriate default.
+  /// Leapfrog / Generic Join. Empty = engine-appropriate default
+  /// (DefaultSao for the Tetris family). The Tetris family lays the
+  /// indexes it builds out for the SAO it runs under, hinted or not.
   /// Ignored by Yannakakis and the pairwise plans. Non-empty orders
   /// must be a permutation of [0, num_attrs), and are rejected
   /// (`ok == false`) by the Balance-lifted variants, which choose
-  /// their own SAO.
+  /// their own SAO (their indexes keep relation column order).
   std::vector<int> order;
 
   /// Pre-built per-atom indexes (`indexes[i]` serves atom i). The Tetris

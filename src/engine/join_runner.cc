@@ -72,6 +72,27 @@ size_t RelationOracle::CountAllGaps() const {
   return all.size();
 }
 
+bool ChoosesOwnSao(JoinAlgorithm algo) {
+  return algo == JoinAlgorithm::kTetrisPreloadedLB ||
+         algo == JoinAlgorithm::kTetrisReloadedLB;
+}
+
+bool IsPermutation(const std::vector<int>& order, int n) {
+  if (order.size() != static_cast<size_t>(n)) return false;
+  std::vector<bool> seen(n, false);
+  for (int v : order) {
+    if (v < 0 || v >= n || seen[v]) return false;
+    seen[v] = true;
+  }
+  return true;
+}
+
+std::vector<int> DefaultSao(const JoinQuery& query, JoinAlgorithm algo) {
+  if (ChoosesOwnSao(algo)) return {};
+  return algo == JoinAlgorithm::kTetrisReloaded ? query.MinWidthSao()
+                                                : query.AcyclicSao();
+}
+
 JoinRunResult RunTetrisJoin(const JoinQuery& query,
                             const std::vector<const Index*>& indexes,
                             int depth, JoinAlgorithm algo,
@@ -98,11 +119,7 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
       // caching, per-output re-descents from the root would each repeat
       // all resolutions on the path.
       opt.single_pass = algo == JoinAlgorithm::kTetrisPreloadedNoCache;
-      if (sao.empty()) {
-        sao = opt.init == TetrisOptions::Init::kPreloaded
-                  ? query.AcyclicSao()
-                  : query.MinWidthSao();
-      }
+      if (sao.empty()) sao = DefaultSao(query, algo);
       opt.sao = std::move(sao);
       UniformSpace space(n, depth);
       Tetris engine(&oracle, &space, opt);
@@ -132,18 +149,26 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
   return result;
 }
 
+std::vector<int> SaoConsistentColumns(const Atom& a,
+                                      const std::vector<int>& sao) {
+  std::vector<int> cols(a.var_ids.size());
+  for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
+  if (sao.empty()) return cols;
+  auto sao_pos = [&sao](int var) {
+    return std::find(sao.begin(), sao.end(), var) - sao.begin();
+  };
+  std::stable_sort(cols.begin(), cols.end(), [&](int x, int y) {
+    return sao_pos(a.var_ids[x]) < sao_pos(a.var_ids[y]);
+  });
+  return cols;
+}
+
 std::vector<std::unique_ptr<Index>> MakeSaoConsistentIndexes(
     const JoinQuery& query, const std::vector<int>& sao, int depth) {
-  std::vector<int> sao_pos(query.num_attrs());
-  for (size_t i = 0; i < sao.size(); ++i) sao_pos[sao[i]] = static_cast<int>(i);
   std::vector<std::unique_ptr<Index>> owned;
   for (const Atom& a : query.atoms()) {
-    std::vector<int> cols(a.var_ids.size());
-    for (size_t c = 0; c < cols.size(); ++c) cols[c] = static_cast<int>(c);
-    std::sort(cols.begin(), cols.end(), [&](int x, int y) {
-      return sao_pos[a.var_ids[x]] < sao_pos[a.var_ids[y]];
-    });
-    owned.push_back(std::make_unique<SortedIndex>(*a.rel, cols, depth));
+    owned.push_back(std::make_unique<SortedIndex>(
+        *a.rel, SaoConsistentColumns(a, sao), depth));
   }
   return owned;
 }
@@ -159,13 +184,9 @@ std::vector<const Index*> IndexPtrs(
 JoinRunResult RunTetrisJoinDefaultIndexes(const JoinQuery& query,
                                           JoinAlgorithm algo) {
   const int depth = query.MinDepth();
-  std::vector<std::unique_ptr<SortedIndex>> owned;
-  std::vector<const Index*> indexes;
-  for (const Atom& a : query.atoms()) {
-    owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
-    indexes.push_back(owned.back().get());
-  }
-  return RunTetrisJoin(query, indexes, depth, algo);
+  std::vector<int> sao = DefaultSao(query, algo);
+  auto owned = MakeSaoConsistentIndexes(query, sao, depth);
+  return RunTetrisJoin(query, IndexPtrs(owned), depth, algo, std::move(sao));
 }
 
 }  // namespace tetris

@@ -72,21 +72,45 @@ struct JoinRunResult {
   size_t index_bytes = 0;      ///< resident bytes of the per-atom indexes
 };
 
+/// True for the Balance-lifted variants, whose lift defines its own SAO:
+/// they take no SAO hint, and DefaultSao gives them none.
+bool ChoosesOwnSao(JoinAlgorithm algo);
+
+/// True iff `order` is a permutation of [0, n) — the shape every SAO /
+/// GAO hint must have.
+bool IsPermutation(const std::vector<int>& order, int n);
+
+/// The SAO Tetris runs `query` under when the caller gives none: reverse
+/// GYO elimination for the preloaded variants (min-width elimination
+/// when the query is cyclic), min-width elimination for reloaded, and
+/// empty for the variants that choose their own SAO. Every unhinted
+/// Tetris entry point resolves its SAO here once and lays out every
+/// index it builds or fetches for the result (SaoConsistentColumns).
+std::vector<int> DefaultSao(const JoinQuery& query, JoinAlgorithm algo);
+
 /// Evaluates `query` with Tetris. `indexes[i]` serves atom i; `sao` is an
-/// attribute-id permutation (empty = variant-appropriate default: reverse
-/// GYO for preloaded on acyclic queries, min-width elimination otherwise).
+/// attribute-id permutation (empty = DefaultSao(query, algo)). The
+/// worst-case and certificate bounds assume every index's column order
+/// agrees with the SAO (MakeSaoConsistentIndexes).
 JoinRunResult RunTetrisJoin(const JoinQuery& query,
                             const std::vector<const Index*>& indexes,
                             int depth, JoinAlgorithm algo,
                             std::vector<int> sao = {});
 
-/// Owns a default index per atom (a SortedIndex in relation column order)
-/// and runs the join — the "it just works" entry point used by examples.
+/// Owns one SortedIndex per atom, laid out for DefaultSao(query, algo)
+/// (relation column order for the Balance-lifted variants), and runs
+/// the join under that SAO — the "it just works" entry point used by
+/// examples.
 JoinRunResult RunTetrisJoinDefaultIndexes(const JoinQuery& query,
                                           JoinAlgorithm algo);
 
-/// Builds one SortedIndex per atom whose column order follows `sao`
-/// (the σ-consistency precondition of Theorems D.2 / D.8 / 4.6).
+/// The column order atom `a`'s index needs under `sao`: the atom's
+/// columns sorted by SAO position (the σ-consistency precondition of
+/// Theorems D.2 / D.8 / 4.6). An empty `sao` keeps relation column order.
+std::vector<int> SaoConsistentColumns(const Atom& a,
+                                      const std::vector<int>& sao);
+
+/// Builds one SortedIndex per atom with SaoConsistentColumns(atom, sao).
 std::vector<std::unique_ptr<Index>> MakeSaoConsistentIndexes(
     const JoinQuery& query, const std::vector<int>& sao, int depth);
 

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "index/index_view.h"
-#include "index/sorted_index.h"
 
 namespace tetris {
 
@@ -182,14 +181,9 @@ TetrisShardContext MakeTetrisShardContext(
   ctx.query = &query;
   ctx.algo = algo;
   ctx.depth = depth;
-  ctx.order = std::move(order);
+  ctx.order = order.empty() ? DefaultSao(query, algo) : std::move(order);
   if (!shared_base.empty()) {
     ctx.base = std::move(shared_base);
-  } else if (ctx.order.empty()) {
-    for (const Atom& a : query.atoms()) {
-      ctx.owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
-      ctx.base.push_back(ctx.owned.back().get());
-    }
   } else {
     ctx.owned = MakeSaoConsistentIndexes(query, ctx.order, depth);
     ctx.base = IndexPtrs(ctx.owned);

@@ -141,16 +141,17 @@ struct TetrisShardContext {
   const JoinQuery* query = nullptr;
   JoinAlgorithm algo = JoinAlgorithm::kTetrisPreloaded;
   int depth = 0;
-  std::vector<int> order;
+  std::vector<int> order;  ///< the resolved SAO every shard runs under
   std::vector<std::unique_ptr<Index>> owned;  // empty with shared bases
   std::vector<const Index*> base;             // one per atom
   size_t base_index_bytes = 0;
 };
 
-/// Builds the context for `query`: non-empty `shared_base` pointers pass
-/// through un-owned (one per atom, caller keeps them alive); otherwise
-/// the context owns freshly built per-atom indexes (SortedIndexes in
-/// relation column order, or SAO-consistent ones when `order` is set).
+/// Builds the context for `query`: the SAO is `order`, or
+/// DefaultSao(query, algo) when `order` is empty. Non-empty
+/// `shared_base` pointers pass through un-owned (one per atom, caller
+/// keeps them alive); otherwise the context owns freshly built per-atom
+/// SortedIndexes laid out for that SAO (MakeSaoConsistentIndexes).
 TetrisShardContext MakeTetrisShardContext(
     const JoinQuery& query, JoinAlgorithm algo, int depth,
     std::vector<int> order, std::vector<const Index*> shared_base);

@@ -23,11 +23,15 @@ std::vector<Tuple> Relation::ToTuples() const {
 
 void Relation::Add(const Tuple& t) {
   data_.insert(data_.end(), t.begin(), t.end());
+  for (uint64_t v : t) max_value_ = std::max(max_value_, v);
   ++rows_;
 }
 
 void Relation::AddRow(const uint64_t* v) {
   data_.insert(data_.end(), v, v + attrs_.size());
+  for (size_t c = 0; c < attrs_.size(); ++c) {
+    max_value_ = std::max(max_value_, v[c]);
+  }
   ++rows_;
 }
 
@@ -94,12 +98,6 @@ int Relation::AttrIndex(const std::string& name) const {
     if (attrs_[i] == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-uint64_t Relation::MaxValue() const {
-  uint64_t m = 0;
-  for (uint64_t v : data_) m = std::max(m, v);
-  return m;
 }
 
 }  // namespace tetris

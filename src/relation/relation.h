@@ -137,8 +137,10 @@ class Relation {
   /// Index of attribute `name` within this relation, or -1.
   int AttrIndex(const std::string& name) const;
 
-  /// Largest value appearing in any column (used to size domains).
-  uint64_t MaxValue() const;
+  /// Largest value appearing in any column (used to size domains); 0
+  /// for an empty or 0-ary relation. O(1): Add/AddRow maintain it, and
+  /// Canonicalize only drops duplicate rows, so it cannot change it.
+  uint64_t MaxValue() const { return max_value_; }
 
  private:
   std::string name_;
@@ -146,6 +148,7 @@ class Relation {
   /// Row-major flat storage: rows_ * arity() values, stride arity().
   std::vector<uint64_t> data_;
   size_t rows_ = 0;
+  uint64_t max_value_ = 0;
 };
 
 }  // namespace tetris

@@ -250,7 +250,7 @@ void RunRandomizedDifferential(MutableInstance* inst, EngineKind kind,
       if (!rel.empty() && Next(&s) % 4 == 0) {
         t = rel[Next(&s) % rel.size()];  // duplicate: effectively empty
       } else {
-        t = {Next(&s) % (1ull << d), Next(&s) % (1ull << d)};
+        t = Tuple{Next(&s) % (1ull << d), Next(&s) % (1ull << d)};
       }
       changed.push_back(t);
       rel.push_back(t);

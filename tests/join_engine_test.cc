@@ -10,8 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "engine/batch_runner.h"
+#include "engine/incremental.h"
+#include "engine/parallel_executor.h"
 #include "index/dyadic_index.h"
 #include "index/sorted_index.h"
+#include "server/join_service.h"
 #include "workload/generators.h"
 
 namespace tetris {
@@ -358,6 +362,148 @@ TEST(JoinEngineTest, WcojEnginesRejectNonSortedIndexes) {
   // The Tetris family still accepts any Index implementation.
   EngineResult tetris = RunJoin(q.query, EngineKind::kTetrisReloaded, opt);
   EXPECT_TRUE(tetris.ok) << tetris.error;
+}
+
+// The seeded instances of the unhinted-path differentials: a triangle,
+// a 3-hop path and a 4-cycle.
+std::vector<QueryInstance> SaoDifferentialInstances(size_t rows, int d) {
+  std::vector<QueryInstance> out;
+  out.push_back(RandomTriangle(rows, d, /*seed=*/61));
+  out.push_back(RandomPath(/*hops=*/3, rows, d, /*seed=*/62));
+  out.push_back(RandomCycle(/*len=*/4, rows, d, /*seed=*/63));
+  return out;
+}
+
+void ExpectSameRun(const EngineResult& unhinted, const EngineResult& hinted) {
+  ASSERT_TRUE(unhinted.ok) << unhinted.error;
+  ASSERT_TRUE(hinted.ok) << hinted.error;
+  EXPECT_EQ(unhinted.tuples, hinted.tuples);
+  EXPECT_EQ(unhinted.stats.tetris.resolutions,
+            hinted.stats.tetris.resolutions);
+}
+
+// With no order hint, every Tetris entry point runs under DefaultSao
+// over indexes laid out for it: the same tuples and exactly the same
+// resolutions as the same path hinted with that SAO. (Relation-order
+// indexes under the same SAO give the same tuples with far more
+// resolutions, so a path that skips the SAO-consistent layout fails.)
+TEST(JoinEngineTest, UnhintedTetrisPathsRunUnderTheDefaultSao) {
+  WorkStealingPool pool(2);
+  for (const QueryInstance& qi :
+       SaoDifferentialInstances(/*rows=*/200, /*d=*/7)) {
+    const JoinQuery& q = qi.query;
+    for (EngineKind kind :
+         {EngineKind::kTetrisPreloaded, EngineKind::kTetrisReloaded,
+          EngineKind::kTetrisPreloadedNoCache}) {
+      SCOPED_TRACE(std::string(EngineKindName(kind)) + ", " +
+                   std::to_string(q.atoms().size()) + " atoms over " +
+                   std::to_string(q.num_attrs()) + " attributes");
+      const std::vector<int> sao = DefaultSao(q, *TetrisAlgorithmOf(kind));
+      ASSERT_TRUE(IsPermutation(sao, q.num_attrs()));
+
+      {
+        SCOPED_TRACE("plain RunJoin");
+        EngineOptions hinted;
+        hinted.order = sao;
+        ExpectSameRun(RunJoin(q, kind), RunJoin(q, kind, hinted));
+      }
+      {
+        SCOPED_TRACE("sharded RunJoin");
+        EngineOptions sharded;
+        sharded.shards = 4;
+        sharded.executor = &pool;
+        EngineOptions hinted = sharded;
+        hinted.order = sao;
+        ExpectSameRun(RunJoin(q, kind, sharded), RunJoin(q, kind, hinted));
+      }
+      {
+        SCOPED_TRACE("RunBatch");
+        BatchOptions batch;
+        batch.executor = &pool;
+        BatchOptions hinted = batch;
+        hinted.orders = {sao};
+        BatchResult a = RunBatch({}, {q}, kind, batch);
+        BatchResult b = RunBatch({}, {q}, kind, hinted);
+        ASSERT_TRUE(a.ok) << a.error;
+        ASSERT_TRUE(b.ok) << b.error;
+        ExpectSameRun(a.results[0], b.results[0]);
+      }
+      {
+        SCOPED_TRACE("PatchJoin");
+        // The post-delta instance: the first relation gains one row.
+        std::vector<Relation> after;
+        for (const auto& rel : qi.storage) after.push_back(*rel);
+        const Tuple added = {1, 2};
+        after[0].Add(added);
+        after[0].Canonicalize();
+        std::vector<const Relation*> ptrs;
+        for (const Relation& rel : after) ptrs.push_back(&rel);
+        const JoinQuery post = JoinQuery::Build(ptrs);
+        ASSERT_EQ(DefaultSao(post, *TetrisAlgorithmOf(kind)), sao);
+        const std::vector<Tuple> old_tuples =
+            RunJoin(q, EngineKind::kLeapfrog).tuples;
+        const std::vector<DyadicBox> touched =
+            TouchedOutputBoxes(post, qi.depth, after[0].name(), {added});
+        EngineOptions patch;
+        patch.depth = qi.depth;
+        patch.shards = 4;
+        patch.executor = &pool;
+        EngineOptions hinted = patch;
+        hinted.order = sao;
+        PatchResult a = PatchJoin(post, kind, patch, old_tuples, touched);
+        PatchResult b = PatchJoin(post, kind, hinted, old_tuples, touched);
+        EXPECT_FALSE(a.full_recompute) << a.note;
+        ExpectSameRun(a.result, b.result);
+        EXPECT_EQ(a.result.tuples, RunJoin(post, EngineKind::kLeapfrog).tuples);
+      }
+      {
+        SCOPED_TRACE("JoinService cold read");
+        ServiceOptions sopts;
+        sopts.executor = &pool;
+        JoinService service(sopts);
+        QueryRequest request;
+        request.engine = kind;
+        request.use_cache = false;  // both reads run cold
+        std::string error;
+        for (const auto& rel : qi.storage) {
+          ASSERT_TRUE(service.Register(*rel, &error)) << error;
+          request.relations.push_back(rel->name());
+        }
+        QueryRequest hinted = request;
+        hinted.order = sao;
+        ExpectSameRun(*service.Execute(request).result,
+                      *service.Execute(hinted).result);
+      }
+    }
+  }
+}
+
+// The Balance-lifted variants choose their own SAO, so their unhinted
+// runs keep relation-column-order indexes.
+TEST(JoinEngineTest, BalanceLiftedVariantsKeepRelationOrderIndexes) {
+  for (const QueryInstance& qi :
+       SaoDifferentialInstances(/*rows=*/60, /*d=*/5)) {
+    for (EngineKind kind :
+         {EngineKind::kTetrisPreloadedLB, EngineKind::kTetrisReloadedLB}) {
+      SCOPED_TRACE(EngineKindName(kind));
+      const JoinAlgorithm algo = *TetrisAlgorithmOf(kind);
+      EXPECT_TRUE(DefaultSao(qi.query, algo).empty());
+      std::vector<std::unique_ptr<SortedIndex>> owned;
+      std::vector<const Index*> ptrs;
+      for (const Atom& a : qi.query.atoms()) {
+        owned.push_back(std::make_unique<SortedIndex>(*a.rel, qi.depth));
+        ptrs.push_back(owned.back().get());
+      }
+      JoinRunResult want = RunTetrisJoin(qi.query, ptrs, qi.depth, algo);
+      std::sort(want.tuples.begin(), want.tuples.end());
+      want.tuples.erase(std::unique(want.tuples.begin(), want.tuples.end()),
+                        want.tuples.end());
+      EngineResult got = RunJoin(qi.query, kind);
+      ASSERT_TRUE(got.ok) << got.error;
+      EXPECT_EQ(got.tuples, want.tuples);
+      EXPECT_EQ(got.stats.tetris.resolutions, want.stats.resolutions);
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "query/join_query.h"
 #include "relation/relation_view.h"
+#include "server/relation_registry.h"
 #include "util/rng.h"
 
 namespace tetris {
@@ -35,11 +37,76 @@ TEST(Relation, AttrIndex) {
   EXPECT_EQ(r.AttrIndex("Z"), -1);
 }
 
+uint64_t BruteForceMax(const Relation& r) {
+  uint64_t m = 0;
+  for (uint64_t v : r.raw()) m = std::max(m, v);
+  return m;
+}
+
 TEST(Relation, MaxValue) {
   Relation r = Relation::Make("R", {"A"}, {{5}, {17}, {2}});
   EXPECT_EQ(r.MaxValue(), 17u);
   Relation empty("E", {"A"});
   EXPECT_EQ(empty.MaxValue(), 0u);
+  Relation nullary("N", {});
+  EXPECT_EQ(nullary.MaxValue(), 0u);
+  nullary.Add({});
+  nullary.Add({});
+  nullary.Canonicalize();
+  EXPECT_EQ(nullary.size(), 1u);
+  EXPECT_EQ(nullary.MaxValue(), 0u);
+
+  // Maintained on insert: randomized Add / AddRow with duplicates, then
+  // Canonicalize and a copy, always equal to a scan of the buffer.
+  Rng rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    Relation rel("R", {"A", "B", "C"});
+    std::vector<Tuple> added;
+    const uint64_t domain = uint64_t{1} << (1 + trial % 12);
+    for (int i = 0; i < 60; ++i) {
+      Tuple t = Tuple{rng.Below(domain), rng.Below(domain),
+                      rng.Below(domain)};
+      if (!added.empty() && rng.Below(3) == 0) {
+        t = added[rng.Below(added.size())];  // duplicate row
+      }
+      added.push_back(t);
+      if (i % 2 == 0) {
+        rel.Add(t);
+      } else {
+        rel.AddRow(t.data());
+      }
+      ASSERT_EQ(rel.MaxValue(), BruteForceMax(rel)) << "trial " << trial;
+    }
+    rel.Canonicalize();
+    EXPECT_EQ(rel.MaxValue(), BruteForceMax(rel)) << "trial " << trial;
+    const Relation copy = rel;
+    EXPECT_EQ(copy.MaxValue(), BruteForceMax(copy)) << "trial " << trial;
+  }
+
+  // A registry delete that removes the only row holding the max lowers
+  // the new version's MaxValue and the query's MinDepth.
+  RelationRegistry reg;
+  std::string error;
+  ASSERT_TRUE(reg.Register(
+      Relation::Make("R", {"A", "B"}, {{1, 2}, {3, 200}, {7, 5}}), &error))
+      << error;
+  ASSERT_TRUE(
+      reg.Register(Relation::Make("S", {"B", "C"}, {{2, 9}, {5, 4}}), &error))
+      << error;
+  const RegistrySnapshot before = reg.Snap();
+  const Relation* r_before = before.Find("R")->rel.get();
+  EXPECT_EQ(r_before->MaxValue(), 200u);
+  EXPECT_EQ(JoinQuery::Build({r_before, before.Find("S")->rel.get()})
+                .MinDepth(),
+            8);
+  ASSERT_TRUE(reg.DeleteRows("R", {{3, 200}}, &error)) << error;
+  const RegistrySnapshot after = reg.Snap();
+  const Relation* r_after = after.Find("R")->rel.get();
+  EXPECT_EQ(r_after->MaxValue(), 7u);
+  EXPECT_EQ(r_after->MaxValue(), BruteForceMax(*r_after));
+  EXPECT_EQ(
+      JoinQuery::Build({r_after, after.Find("S")->rel.get()}).MinDepth(), 4);
+  EXPECT_EQ(r_before->MaxValue(), 200u);  // the pinned old version
 }
 
 TEST(Relation, IncrementalAddThenCanonicalize) {
