@@ -5,7 +5,8 @@ file, and a ratio-based regression gate.
 Runs bench_micro, bench_sharding, bench_batching, bench_serving, and
 bench_incremental in quick modes, collects per-bench wall time, peak
 resident bytes, batch throughput, service cache-hit rates, and
-incremental patched-vs-scratch ratios into a BENCH JSON file, and
+incremental patched-vs-scratch ratios and patch resolutions into a
+BENCH JSON file, and
 (when given a baseline) fails on any metric that regressed by more than
 --max-regression (default 25%). A metric the baseline tracks but the PR
 run did not produce also fails the gate.
@@ -13,8 +14,8 @@ run did not produce also fails the gate.
 Wall-time metrics are normalized by a fixed CPU calibration loop timed
 on the same machine, so a checked-in baseline transfers between
 machines of different speeds: what is compared is "benchmark time in
-calibration units", not raw seconds. Byte metrics are deterministic and
-compared raw.
+calibration units", not raw seconds. Byte and work-count metrics are
+deterministic and compared raw.
 
 Usage:
   # run the benches and write the result file
@@ -237,7 +238,13 @@ def collect(build_dir, cal):
         "direction": "higher"}
     metrics["bench_incremental.proc_wall"] = {
         "value": wall / cal, "unit": "cal", "direction": "lower"}
+    # Patch work as a deterministic count: the Tetris resolutions of the
+    # tetris-preloaded delta-sweep patches, summed over the sweep rows.
+    patched_resolutions = 0
     for row in jsonl_rows(out):
+        if (row.get("row_type") == "run"
+                and row.get("engine") == "tetris-preloaded"):
+            patched_resolutions += row.get("resolutions", 0)
         if row.get("row_type") != "summary":
             continue
         metric = row.get("metric")
@@ -265,6 +272,8 @@ def collect(build_dir, cal):
             metrics["bench_incremental.index_promotes"] = {
                 "value": row.get("value", 0.0), "unit": "count",
                 "direction": "higher"}
+    metrics["bench_incremental.patched_resolutions"] = {
+        "value": patched_resolutions, "unit": "count", "direction": "lower"}
     return metrics
 
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -147,10 +148,24 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   out.shards_total = plan.shards.size();
 
   // Re-run exactly the shards whose subcube meets a touched box; a
-  // shard disjoint from every touched box is provably unchanged.
+  // shard disjoint from every touched box is provably unchanged. Inside
+  // a met shard only the touched boxes can change, so the Tetris family
+  // re-runs just their hull clipped to the shard (IndexViews restrict to
+  // any dyadic box); the baselines re-run the whole shard.
   std::vector<int> rerun;
+  std::vector<DyadicBox> rerun_box;
   for (const Shard& shard : plan.shards) {
-    if (IntersectsAny(shard.box, touched)) rerun.push_back(shard.id);
+    bool met = false;
+    DyadicBox hull;
+    for (const DyadicBox& b : touched) {
+      DyadicBox clipped;
+      if (!IntersectBoxes(b, shard.box, &clipped)) continue;
+      hull = met ? DyadicHull(hull, clipped) : clipped;
+      met = true;
+    }
+    if (!met) continue;
+    rerun.push_back(shard.id);
+    rerun_box.push_back(algo.has_value() ? hull : shard.box);
   }
   out.shards_rerun = rerun.size();
 
@@ -181,7 +196,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                   return;
                 }
                 fresh[i] = algo.has_value()
-                               ? RunTetrisViewShard(tctx, shard.box, kind)
+                               ? RunTetrisViewShard(tctx, rerun_box[i], kind)
                                : RunMaterializedShard(query, plan, rerun[i],
                                                       kind, shard_opts);
               });
@@ -191,30 +206,38 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
 
   // Splice: keep old tuples outside every re-run box (unchanged by
   // construction), replace everything inside with the fresh outputs.
-  EngineResult& res = out.result;
-  res.ok = true;
-  res.stats.engine = kind;
+  // Each re-run box lies in its own shard, so the fresh outputs are
+  // disjoint from each other and from the kept tuples, and both sides
+  // are sorted: a merge, not a re-sort of the union.
+  std::vector<Tuple> kept;
   for (const Tuple& t : old_tuples) {
     bool in_rerun = false;
-    for (int sid : rerun) {
-      if (plan.shards[sid].box.ContainsPoint(t, depth)) {
+    for (const DyadicBox& box : rerun_box) {
+      if (box.ContainsPoint(t, depth)) {
         in_rerun = true;
         break;
       }
     }
-    if (!in_rerun) res.tuples.push_back(t);
+    if (!in_rerun) kept.push_back(t);
   }
-  out.tuples_kept = res.tuples.size();
+  out.tuples_kept = kept.size();
+  EngineResult& res = out.result;
+  res.ok = true;
+  res.stats.engine = kind;
+  std::vector<Tuple> added;
   for (EngineResult& r : fresh) {
-    out.tuples_patched += r.tuples.size();
-    res.tuples.insert(res.tuples.end(),
-                      std::make_move_iterator(r.tuples.begin()),
-                      std::make_move_iterator(r.tuples.end()));
+    added.insert(added.end(), std::make_move_iterator(r.tuples.begin()),
+                 std::make_move_iterator(r.tuples.end()));
     AccumulateShardStats(&res.stats, r.stats);
   }
-  std::sort(res.tuples.begin(), res.tuples.end());
-  res.tuples.erase(std::unique(res.tuples.begin(), res.tuples.end()),
-                   res.tuples.end());
+  out.tuples_patched = added.size();
+  std::sort(added.begin(), added.end());
+  res.tuples.reserve(kept.size() + added.size());
+  std::merge(std::make_move_iterator(kept.begin()),
+             std::make_move_iterator(kept.end()),
+             std::make_move_iterator(added.begin()),
+             std::make_move_iterator(added.end()),
+             std::back_inserter(res.tuples));
   res.stats.output_tuples = res.tuples.size();
   res.stats.shards = plan.shards.size();
   res.stats.threads = static_cast<size_t>(pool.threads());

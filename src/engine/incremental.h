@@ -14,16 +14,26 @@
 //
 // PatchJoin exploits this through the existing dyadic-prefix shard
 // decomposition (engine/shard_planner.h): plan the output space into
-// disjoint subcubes, re-run ONLY the shards whose box intersects a
-// touched box (through the same shard primitives a full sharded run
-// uses — zero-copy IndexViews for the Tetris family, lazy materialized
-// copies for the baselines, scheduled on the work-stealing executor),
-// and splice the fresh shard outputs into the previous result: old
+// disjoint subcubes and re-run ONLY the shards whose box intersects a
+// touched box, through the same shard primitives a full sharded run
+// uses, scheduled on the work-stealing executor. A met shard re-runs
+// only the hull of its touched boxes: the smallest dyadic box holding
+// every touched box that meets the shard, clipped to it (per dimension,
+// the longest common prefix of the clipped intervals). The Tetris
+// family runs that hull through zero-copy IndexViews — Tetris
+// restricted to a box is Tetris over views clipped to it — so a 1-row
+// delta runs on one line of the output space even when the plan is a
+// single shard. The baselines re-run the whole met shard from a lazily
+// materialized copy. The hull never exceeds the shard, so a patch never
+// re-runs more of the output space than the met shards.
+//
+// The fresh outputs are then spliced into the previous result: old
 // tuples inside a re-run box are dropped (the re-run recomputes that
-// box exactly), old tuples outside every re-run box are kept. The
-// splice is correct for inserts AND deletes, including delete-
-// everything: every destroyed output point lies in a touched box, so
-// its shard is re-run and returns without it.
+// box exactly), old tuples outside every re-run box are kept, and the
+// two sorted, disjoint sides are merged. The splice is correct for
+// inserts AND deletes, including delete-everything: every destroyed
+// output point lies in a touched box, so its re-run box is recomputed
+// without it.
 //
 // The correctness oracle is cheap and the tests lean on it hard
 // (tests/incremental_oracle.h): recompute from scratch and compare
@@ -71,9 +81,12 @@ struct PatchResult {
   /// (same contract as RunJoin). Tuples are sorted and deduplicated.
   EngineResult result;
   size_t shards_total = 0;  ///< shards in the plan
-  size_t shards_rerun = 0;  ///< shards intersecting a touched box
+  /// Shards intersecting a touched box. Each re-runs only its re-run
+  /// box: the hull of its touched boxes for the Tetris family, the
+  /// whole shard for the baselines.
+  size_t shards_rerun = 0;
   size_t tuples_kept = 0;     ///< old tuples outside every re-run box
-  size_t tuples_patched = 0;  ///< fresh tuples from the re-run shards
+  size_t tuples_patched = 0;  ///< fresh tuples from the re-run boxes
   /// True when the patch degenerated to a full RunJoin (a universal
   /// touched box, a shard failure, or a query the planner cannot split).
   bool full_recompute = false;
@@ -82,10 +95,13 @@ struct PatchResult {
 
 /// Patches `old_tuples` — the join of `query`'s relations BEFORE the
 /// delta — into the join of `query`'s (current) relations, re-running
-/// only the shards whose subcube intersects a touched box. `query` must
-/// be built over the post-delta relation versions; `touched` comes from
-/// TouchedOutputBoxes over every delta since `old_tuples` was computed.
-/// An empty `touched` returns `old_tuples` unchanged without planning.
+/// only the shards whose subcube intersects a touched box, each over
+/// its re-run box (PatchResult::shards_rerun). `old_tuples` must be
+/// canonical (sorted, deduplicated), as every EngineResult is. `query`
+/// must be built over the post-delta relation versions; `touched` comes
+/// from TouchedOutputBoxes over every delta since `old_tuples` was
+/// computed. An empty `touched` returns `old_tuples` unchanged without
+/// planning.
 /// Options follow RunJoin semantics (order hint, depth, shard count,
 /// memory budget, executor); engines that cannot evaluate the query
 /// fail the same way RunJoin does. Never throws.

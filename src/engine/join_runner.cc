@@ -39,6 +39,7 @@ void RelationOracle::Probe(const DyadicBox& point,
 }
 
 bool RelationOracle::EnumerateAll(std::vector<DyadicBox>* out) const {
+  const size_t before = out->size();
   std::vector<DyadicBox> gaps;
   for (size_t i = 0; i < query_->atoms().size(); ++i) {
     gaps.clear();
@@ -47,6 +48,7 @@ bool RelationOracle::EnumerateAll(std::vector<DyadicBox>* out) const {
       out->push_back(Embed(query_->atoms()[i], g));
     }
   }
+  enumerated_ += out->size() - before;
   return true;
 }
 
@@ -67,9 +69,14 @@ bool RelationOracle::EnumerateIntersecting(const DyadicBox& box,
 }
 
 size_t RelationOracle::CountAllGaps() const {
-  std::vector<DyadicBox> all;
-  EnumerateAll(&all);
-  return all.size();
+  size_t count = 0;
+  std::vector<DyadicBox> gaps;
+  for (const Index* ix : indexes_) {
+    gaps.clear();
+    ix->AllGaps(&gaps);
+    count += gaps.size();
+  }
+  return count;
 }
 
 bool ChoosesOwnSao(JoinAlgorithm algo) {
@@ -141,11 +148,9 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
   }
   result.oracle_probes = oracle.probe_count();
   for (const Index* ix : indexes) result.index_bytes += ix->MemoryBytes();
-  if (algo == JoinAlgorithm::kTetrisPreloaded ||
-      algo == JoinAlgorithm::kTetrisPreloadedNoCache ||
-      algo == JoinAlgorithm::kTetrisPreloadedLB) {
-    result.input_gap_boxes = oracle.CountAllGaps();
-  }
+  // The preloaded variants enumerate B(Q) exactly once (the reloaded
+  // ones never do, leaving 0): count that pass, not a second one.
+  result.input_gap_boxes = oracle.enumerated_boxes();
   return result;
 }
 

@@ -9,6 +9,7 @@
 #ifndef TETRIS_ENGINE_JOIN_RUNNER_H_
 #define TETRIS_ENGINE_JOIN_RUNNER_H_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -42,8 +43,15 @@ class RelationOracle : public BoxOracle {
   bool EnumerateIntersecting(const DyadicBox& box,
                              std::vector<DyadicBox>* out) const override;
 
-  /// Total number of gap boxes across all indexes (|B(Q)|).
+  /// Total number of gap boxes across all indexes (|B(Q)|), enumerated
+  /// afresh on every call.
   size_t CountAllGaps() const;
+
+  /// Gap boxes appended by EnumerateAll so far: |B(Q)| after the one
+  /// preload of a preloaded run, counted as it streams by.
+  size_t enumerated_boxes() const {
+    return enumerated_.load(std::memory_order_relaxed);
+  }
 
  private:
   // Embeds a k-dim box over atom `a`'s columns into the n-dim query space.
@@ -52,6 +60,7 @@ class RelationOracle : public BoxOracle {
   const JoinQuery* query_;
   std::vector<const Index*> indexes_;
   int d_;
+  mutable std::atomic<size_t> enumerated_{0};
 };
 
 /// Which engine configuration evaluates the join.

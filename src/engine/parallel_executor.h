@@ -158,7 +158,10 @@ TetrisShardContext MakeTetrisShardContext(
 
 /// One shard of a Tetris-family run: per-atom IndexViews confine every
 /// probe and gap scan to the shard's box — no tuple is copied, no index
-/// rebuilt — and are dropped when the shard finishes.
+/// rebuilt — and are dropped when the shard finishes. `shard_box` may be
+/// any dyadic box: PatchJoin (engine/incremental.h) passes the hull of
+/// a shard's touched boxes, a sub-box of the shard, and gets exactly
+/// the join's tuples inside it.
 EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
                                 const DyadicBox& shard_box, EngineKind kind);
 

@@ -31,16 +31,20 @@ inline bool IntersectBoxes(const DyadicBox& a, const DyadicBox& b,
   return true;
 }
 
-/// True iff `box` intersects at least one box of `boxes` — the touched-
-/// subcube test of the incremental layer (engine/incremental.h): a
-/// shard (or a cached result's output space) is affected by a delta iff
-/// it meets one of the delta's touched boxes.
-inline bool IntersectsAny(const DyadicBox& box,
-                          const std::vector<DyadicBox>& boxes) {
-  for (const DyadicBox& b : boxes) {
-    if (box.Intersects(b)) return true;
+/// The smallest dyadic box containing both `a` and `b`: per dimension,
+/// the longest common prefix of the two intervals. The incremental
+/// layer (engine/incremental.h) re-runs the hull of the touched boxes
+/// that meet a shard, clipped to it, instead of the whole shard.
+inline DyadicBox DyadicHull(const DyadicBox& a, const DyadicBox& b) {
+  DyadicBox r = DyadicBox::Universal(a.dims());
+  for (int i = 0; i < a.dims(); ++i) {
+    const int l = a[i].len < b[i].len ? a[i].len : b[i].len;
+    const uint64_t x = a[i].bits >> (a[i].len - l);
+    const uint64_t y = b[i].bits >> (b[i].len - l);
+    const int p = FirstDiffBit(x, y, l);
+    r[i] = DyadicInterval{x >> (l - p), static_cast<uint8_t>(p)};
   }
-  return false;
+  return r;
 }
 
 /// The maximal dyadic interval that contains `probe` and is disjoint from

@@ -24,8 +24,11 @@
 //      which the cache restamps in place (ResultCache::InvalidateDelta).
 //   3b. PATCH — on a miss, a demoted patch base with the same unstamped
 //      signature plus a complete registry delta chain lets the service
-//      re-run only the shards the deltas touch (engine/incremental.h)
+//      re-run only the shards the deltas touch, each over just the hull
+//      of its touched boxes for the Tetris family (engine/incremental.h),
 //      and splice them into the stale result instead of recomputing.
+//      So even a one-shard plan patches a 1-row write on one line of the
+//      output space.
 //   4. POOL — a (patchless) miss runs as a one-query RunBatch on the
 //      configured executor (WorkStealingPool::Global() by default),
 //      drawing shared base indexes from the registry's

@@ -6,6 +6,7 @@
 // service's cached / restamped / patched serving paths.
 #include "engine/incremental.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -355,6 +356,138 @@ TEST(IncrementalDifferentialTest, UniversalTouchedBoxFallsBackToFullRun) {
       {DyadicBox::Universal(inst.query.num_attrs())}, &patched);
   ASSERT_TRUE(verdict.ok) << verdict.message;
   EXPECT_TRUE(patched.full_recompute);
+}
+
+// --- locality: a patch stays inside the touched boxes -----------------
+
+constexpr EngineKind kPatchLocalEngines[] = {
+    EngineKind::kTetrisPreloaded, EngineKind::kTetrisReloaded,
+    EngineKind::kTetrisPreloadedNoCache};
+
+// Appends `rows` fresh random rows to S of `inst` and returns them.
+std::vector<Tuple> AppendFreshRowsToS(MutableInstance* inst, size_t rows,
+                                      int d, uint64_t seed) {
+  std::vector<Tuple>& s_rows = inst->tuples[1];
+  std::vector<Tuple> added;
+  uint64_t s = seed;
+  while (added.size() < rows) {
+    const Tuple t{Next(&s) % (1ull << d), Next(&s) % (1ull << d)};
+    if (std::find(s_rows.begin(), s_rows.end(), t) != s_rows.end()) continue;
+    s_rows.push_back(t);
+    added.push_back(t);
+  }
+  inst->Rebind();
+  return added;
+}
+
+TEST(IncrementalLocalityTest, OneRowAppendOnOneShardReRunsOneLine) {
+  // A 1-worker service plans one shard, which every touched box meets.
+  // The patch must still re-run only the touched line of the output
+  // space, not the whole shard.
+  constexpr int d = 8;
+  for (EngineKind kind : kPatchLocalEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    MutableInstance inst = TriangleInstance(/*n=*/600, d, /*seed=*/83);
+    EngineOptions options;
+    options.depth = d;
+    options.shards = 1;
+    const EngineResult old = RunJoin(inst.query, kind, options);
+    ASSERT_TRUE(old.ok) << old.error;
+    const std::vector<Tuple> added =
+        AppendFreshRowsToS(&inst, /*rows=*/1, d, /*seed=*/89);
+    const PatchResult patched =
+        PatchJoin(inst.query, kind, options, old.tuples,
+                  TouchedOutputBoxes(inst.query, d, "S", added));
+    const EngineResult scratch = RunJoin(inst.query, kind, options);
+    ASSERT_TRUE(patched.result.ok) << patched.result.error;
+    ASSERT_TRUE(scratch.ok) << scratch.error;
+    EXPECT_FALSE(patched.full_recompute);
+    EXPECT_EQ(patched.shards_total, 1u);
+    EXPECT_EQ(patched.shards_rerun, 1u);
+    EXPECT_EQ(patched.result.tuples, scratch.tuples);
+    EXPECT_LE(patched.result.stats.tetris.resolutions * 100,
+              scratch.stats.tetris.resolutions)
+        << "patched " << patched.result.stats.tetris.resolutions
+        << " vs scratch " << scratch.stats.tetris.resolutions;
+  }
+}
+
+TEST(IncrementalLocalityTest, OverlappingTouchedBoxesAcrossAllEngines) {
+  // A base two writes behind: one patch carries an S delete and an R
+  // append that share their B value, so their touched boxes overlap.
+  // The deleted S row carries an output point outside the R box, so a
+  // re-run box that misses either touched box leaves a wrong answer.
+  constexpr int d = 4;
+  for (int shards : {0, 8}) {
+    for (EngineKind kind : AllEngineKinds()) {
+      SCOPED_TRACE(std::string(EngineKindName(kind)) + ", shards " +
+                   std::to_string(shards));
+      MutableInstance inst = TriangleInstance(/*n=*/60, d, /*seed=*/97);
+      ASSERT_EQ(inst.query.attrs(), (std::vector<std::string>{"A", "B", "C"}));
+      EngineOptions options;
+      options.depth = d;
+      options.shards = shards;
+      const EngineResult old = RunJoin(inst.query, kind, options);
+      const std::vector<Tuple> points =
+          RunJoin(inst.query, EngineKind::kLeapfrog).tuples;
+      ASSERT_FALSE(points.empty());
+      const Tuple& p = points.front();  // (A, B, C)
+      const Tuple removed{p[1], p[2]};  // S(B, C)
+      Tuple added{0, p[1]};             // R(A, B), same B, another A
+      while (added[0] == p[0] ||
+             std::find(inst.tuples[0].begin(), inst.tuples[0].end(),
+                       added) != inst.tuples[0].end()) {
+        ++added[0];
+      }
+      std::vector<Tuple>& s_rows = inst.tuples[1];
+      s_rows.erase(std::find(s_rows.begin(), s_rows.end(), removed));
+      inst.tuples[0].push_back(added);
+      inst.Rebind();
+      std::vector<DyadicBox> touched =
+          TouchedOutputBoxes(inst.query, d, "R", {added});
+      const std::vector<DyadicBox> s_boxes =
+          TouchedOutputBoxes(inst.query, d, "S", {removed});
+      ASSERT_EQ(touched.size(), 1u);
+      ASSERT_EQ(s_boxes.size(), 1u);
+      ASSERT_TRUE(touched[0].Intersects(s_boxes[0]));
+      touched.push_back(s_boxes[0]);
+      const OracleVerdict verdict = PatchedEqualsScratch(
+          inst.query, kind, options, old.tuples, touched);
+      EXPECT_TRUE(verdict.ok) << verdict.message;
+    }
+  }
+}
+
+TEST(IncrementalLocalityTest, MultiRowDeltasNeverOutworkScratch) {
+  // The span re-run inside a met shard is never larger than the shard,
+  // so no delta size makes a patch cost more than the from-scratch run.
+  constexpr int d = 8;
+  for (int shards : {1, 32}) {
+    for (size_t rows : {6u, 60u, 600u}) {
+      for (EngineKind kind : kPatchLocalEngines) {
+        SCOPED_TRACE(std::string(EngineKindName(kind)) + ", " +
+                     std::to_string(rows) + " rows, shards " +
+                     std::to_string(shards));
+        MutableInstance inst = TriangleInstance(/*n=*/600, d, /*seed=*/83);
+        EngineOptions options;
+        options.depth = d;
+        options.shards = shards;
+        const EngineResult old = RunJoin(inst.query, kind, options);
+        ASSERT_TRUE(old.ok) << old.error;
+        const std::vector<Tuple> added =
+            AppendFreshRowsToS(&inst, rows, d, /*seed=*/101 + rows);
+        const PatchResult patched =
+            PatchJoin(inst.query, kind, options, old.tuples,
+                      TouchedOutputBoxes(inst.query, d, "S", added));
+        const EngineResult scratch = RunJoin(inst.query, kind, options);
+        ASSERT_TRUE(patched.result.ok) << patched.result.error;
+        ASSERT_TRUE(scratch.ok) << scratch.error;
+        EXPECT_EQ(patched.result.tuples, scratch.tuples);
+        EXPECT_LE(patched.result.stats.tetris.resolutions,
+                  scratch.stats.tetris.resolutions);
+      }
+    }
+  }
 }
 
 // --- service-level differential ----------------------------------------

@@ -255,5 +255,26 @@ TEST(RestrictedOracleTest, MatchesMaterializedRestriction) {
   }
 }
 
+// The patch path re-runs DyadicHull of its touched boxes: it must be the
+// smallest dyadic box holding both inputs, checked per dimension against
+// every dyadic interval of the domain.
+TEST(BoxRestrictTest, DyadicHullIsTheSmallestCommonSuperbox) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    const DyadicBox a = RandomBox2(seed);
+    const DyadicBox b = RandomBox2(seed + 1000);
+    const DyadicBox hull = DyadicHull(a, b);
+    for (int i = 0; i < 2; ++i) {
+      DyadicInterval want = DyadicInterval::Lambda();
+      for (int len = 0; len <= kDepth; ++len) {
+        for (uint64_t bits = 0; bits < (uint64_t{1} << len); ++bits) {
+          const DyadicInterval iv{bits, static_cast<uint8_t>(len)};
+          if (iv.Contains(a[i]) && iv.Contains(b[i])) want = iv;
+        }
+      }
+      EXPECT_EQ(hull[i], want) << a.ToString() << " ∪ " << b.ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tetris

@@ -272,6 +272,16 @@ TEST(JoinEngineTest, ExplicitIndexesAndDepthOptions) {
   EXPECT_NE(mismatched.error.find("depth"), std::string::npos);
 }
 
+// The seeded instances of the per-shape differentials: a triangle, a
+// 3-hop path and a 4-cycle.
+std::vector<QueryInstance> SaoDifferentialInstances(size_t rows, int d) {
+  std::vector<QueryInstance> out;
+  out.push_back(RandomTriangle(rows, d, /*seed=*/61));
+  out.push_back(RandomPath(/*hops=*/3, rows, d, /*seed=*/62));
+  out.push_back(RandomCycle(/*len=*/4, rows, d, /*seed=*/63));
+  return out;
+}
+
 TEST(JoinEngineTest, StatsArePopulatedPerEngineFamily) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/4,
                                    /*seed=*/9);
@@ -280,6 +290,28 @@ TEST(JoinEngineTest, StatsArePopulatedPerEngineFamily) {
   ASSERT_TRUE(pre.ok);
   EXPECT_GT(pre.stats.input_gap_boxes, 0u);
   EXPECT_GT(pre.stats.tetris.skeleton_nodes, 0);
+
+  // input_gap_boxes is |B(Q)|, counted off the run's own preload: it
+  // equals a fresh count over the same indexes on every preloaded variant.
+  for (const QueryInstance& qi :
+       SaoDifferentialInstances(/*rows=*/60, /*d=*/5)) {
+    for (EngineKind kind : {EngineKind::kTetrisPreloaded,
+                            EngineKind::kTetrisPreloadedNoCache,
+                            EngineKind::kTetrisPreloadedLB}) {
+      SCOPED_TRACE(std::string(EngineKindName(kind)) + ", " +
+                   std::to_string(qi.query.atoms().size()) + " atoms");
+      const auto owned = MakeSaoConsistentIndexes(
+          qi.query, DefaultSao(qi.query, *TetrisAlgorithmOf(kind)),
+          qi.depth);
+      EngineOptions opt;
+      opt.indexes = IndexPtrs(owned);
+      const EngineResult r = RunJoin(qi.query, kind, opt);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.stats.input_gap_boxes,
+                RelationOracle(&qi.query, opt.indexes, qi.depth)
+                    .CountAllGaps());
+    }
+  }
 
   EngineResult lf = RunJoin(q.query, EngineKind::kLeapfrog);
   ASSERT_TRUE(lf.ok);
@@ -362,16 +394,6 @@ TEST(JoinEngineTest, WcojEnginesRejectNonSortedIndexes) {
   // The Tetris family still accepts any Index implementation.
   EngineResult tetris = RunJoin(q.query, EngineKind::kTetrisReloaded, opt);
   EXPECT_TRUE(tetris.ok) << tetris.error;
-}
-
-// The seeded instances of the unhinted-path differentials: a triangle,
-// a 3-hop path and a 4-cycle.
-std::vector<QueryInstance> SaoDifferentialInstances(size_t rows, int d) {
-  std::vector<QueryInstance> out;
-  out.push_back(RandomTriangle(rows, d, /*seed=*/61));
-  out.push_back(RandomPath(/*hops=*/3, rows, d, /*seed=*/62));
-  out.push_back(RandomCycle(/*len=*/4, rows, d, /*seed=*/63));
-  return out;
 }
 
 void ExpectSameRun(const EngineResult& unhinted, const EngineResult& hinted) {

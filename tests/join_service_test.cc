@@ -6,6 +6,7 @@
 #include "server/join_service.h"
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,7 +224,14 @@ TEST(JoinServiceTest, AdmissionRejectsOverTheInflightLimit) {
 
   bool saw_rejection = false;
   while (!done.load() && !saw_rejection) {
-    if (service.inflight() == 0) continue;  // worker not admitted yet
+    // inflight() counts a query before it holds the slot, so the probe
+    // could take the slot first; admitted() counts the worker once it
+    // holds it. Nap rather than spin until then, so a loaded host
+    // schedules this thread promptly inside the worker's slot window.
+    if (service.admitted() == 0) {  // worker not admitted yet
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
+    }
     QueryRequest probe = Triangle(EngineKind::kTetrisPreloaded);
     const QueryResponse r = service.Execute(probe);
     if (r.rejected) {
@@ -258,7 +266,9 @@ TEST(JoinServiceTest, QueuedQueriesWaitForASlotInsteadOfRejecting) {
     const QueryResponse r = service.Execute(slow);
     EXPECT_TRUE(r.result->ok) << r.result->error;
   });
-  while (service.inflight() == 0) std::this_thread::yield();
+  // admitted() only grows, and counts the worker once it holds the
+  // slot: a worker that already finished cannot strand this wait.
+  while (service.admitted() == 0) std::this_thread::yield();
 
   // This probe lands while the slot is held: it queues (never a
   // rejection) and completes once the slow query drains.
@@ -287,7 +297,9 @@ TEST(JoinServiceTest, QueuedDeadlineExpiresAsARejection) {
     const QueryResponse r = service.Execute(slow);
     EXPECT_TRUE(r.result->ok) << r.result->error;
   });
-  while (service.inflight() == 0) std::this_thread::yield();
+  // admitted() only grows, and counts the worker once it holds the
+  // slot: a worker that already finished cannot strand this wait.
+  while (service.admitted() == 0) std::this_thread::yield();
 
   // While the slot is held, a tightly-deadlined probe queues and then
   // expires in the queue rather than blocking forever. (If the slow
@@ -327,7 +339,14 @@ TEST(JoinServiceTest, ExpensiveQueriesShedByPredictedCostWhenQueuing) {
 
   bool saw_shed = false;
   while (!done.load() && !saw_shed) {
-    if (service.inflight() == 0) continue;  // worker not admitted yet
+    // inflight() counts a query before it holds the slot, so the probe
+    // could take the slot first; admitted() counts the worker once it
+    // holds it. Nap rather than spin until then, so a loaded host
+    // schedules this thread promptly inside the worker's slot window.
+    if (service.admitted() == 0) {  // worker not admitted yet
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
+    }
     const QueryResponse r =
         service.Execute(Triangle(EngineKind::kTetrisPreloaded));
     if (r.rejected) {
@@ -471,7 +490,11 @@ TEST(JoinServiceTest, SnapshotsStayConsistentUnderConcurrentMutations) {
   writer.join();
   EXPECT_EQ(queries.load(), 80u);
   EXPECT_EQ(service.inflight(), 0u);
-  // With the service idle, the retired backlog drains completely.
+  // With the service idle, the retired backlog drains completely once
+  // the index cache lets go: an append after an uncached Tetris read
+  // promotes that read's index, which pins the retired version
+  // (SortedIndex::pin()) while its entry stays cached.
+  service.registry().index_cache().Clear();
   service.registry().PurgeRetired();
   EXPECT_EQ(service.registry().retired(), 0u);
 }
