@@ -92,9 +92,11 @@ void BM_KbFindContaining(benchmark::State& state) {
     probes.push_back(DyadicBox::Point(
         {rng.Below(1 << 16), rng.Below(1 << 16), rng.Below(1 << 16)}, 16));
   }
+  DyadicBox found = DyadicBox::Universal(3);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.FindContaining(probes[i & 511]));
+    benchmark::DoNotOptimize(store.FindContaining(probes[i & 511], &found));
+    benchmark::DoNotOptimize(found);
     ++i;
   }
 }

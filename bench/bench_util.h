@@ -12,8 +12,12 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "engine/cli.h"
 
 namespace tetris::bench {
 
@@ -48,6 +52,28 @@ inline double FitExponent(const std::vector<std::pair<double, double>>& pts) {
   double denom = n * sxx - sx * sx;
   if (std::fabs(denom) < 1e-12) return 0.0;
   return (n * sxy - sx * sy) / denom;
+}
+
+/// Reports `value` as a summary row and gates it on the paper's bound:
+/// the row's expectation carries `claim` and the interval [lo, hi]
+/// (use -INFINITY / INFINITY for an open side). A value outside it
+/// prints the bound and returns false, which the bench turns into exit
+/// status 1. The fitted counts are deterministic, so a miss is a real
+/// change in the algorithm's work, never timing noise.
+inline bool GatedSummary(cli::RunReporter* rep, const std::string& metric,
+                         double value, double lo, double hi,
+                         const std::string& claim) {
+  char gate[96];
+  if (std::isinf(lo)) {
+    std::snprintf(gate, sizeof(gate), "gate: <= %g", hi);
+  } else {
+    std::snprintf(gate, sizeof(gate), "gate: [%g, %g]", lo, hi);
+  }
+  rep->Summary(metric, value, claim + "; " + gate);
+  if (value >= lo && value <= hi) return true;
+  rep->Error("!! BOUND MISSED: %s = %.6g, %s (%s)", metric.c_str(), value,
+             gate, claim.c_str());
+  return false;
 }
 
 }  // namespace tetris::bench

@@ -133,6 +133,11 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
     }
     depth = std::max(depth, q.MinDepth());
   }
+  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
+  if (algo.has_value() && depth > kMaxDepth) {
+    batch.error = kGridTooDeepError;
+    return finish();
+  }
 
   WorkStealingPool& pool_exec =
       options.executor != nullptr ? *options.executor
@@ -144,7 +149,6 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
   // Per-query support + order-hint validation, with RunJoin's error
   // wording so a bad hint fails the same way batched or not. A bad hint
   // fails that query only; the rest of the batch still runs.
-  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
   std::vector<bool> supported(queries.size(), false);
   std::vector<EngineOptions> query_opts(queries.size());
   size_t supported_count = 0;

@@ -108,6 +108,11 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
       return finish();
     }
   }
+  const int depth = options.depth > 0 ? options.depth : query.MinDepth();
+  if (algo.has_value() && depth > kMaxDepth) {
+    out.result = Failed(kind, kGridTooDeepError);
+    return finish();
+  }
 
   // Nothing touched: the old result is the new result, no planning.
   if (touched.empty()) {
@@ -121,7 +126,6 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     return finish();
   }
 
-  const int depth = options.depth > 0 ? options.depth : query.MinDepth();
   auto full_run = [&](const std::string& why) -> PatchResult& {
     out.result = RunJoin(query, kind, options);
     out.full_recompute = true;

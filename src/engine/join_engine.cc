@@ -209,6 +209,15 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
       return result;
     }
     int depth = options.depth > 0 ? options.depth : query.MinDepth();
+    // With no explicit depth, caller-supplied indexes set it (their
+    // agreement is checked below).
+    if (!options.indexes.empty() && options.depth == 0) {
+      depth = options.indexes[0]->depth();
+    }
+    if (depth > kMaxDepth) {
+      result.error = kGridTooDeepError;
+      return result;
+    }
     // The SAO, resolved once: every index built below follows it.
     std::vector<int> sao = options.order.empty()
                                ? DefaultSao(query, *tetris_algo)
@@ -218,10 +227,7 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
     if (!options.indexes.empty()) {
       // The engine's grid depth and every index's depth must agree, or
       // probes return gap boxes the space cannot split down to and the
-      // run never terminates. With no explicit depth, adopt the
-      // indexes' (still checking they agree among themselves and cover
-      // the data).
-      if (options.depth == 0) depth = options.indexes[0]->depth();
+      // run never terminates; the depth must also cover the data.
       for (size_t i = 0; i < options.indexes.size(); ++i) {
         if (options.indexes[i]->depth() != depth) {
           result.error = "indexes: index depth disagrees with the "

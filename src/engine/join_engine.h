@@ -166,7 +166,9 @@ struct EngineOptions {
 
   /// Dyadic depth of the value domain; 0 = query.MinDepth(). Only
   /// meaningful for the Tetris family (which works on the dyadic grid)
-  /// and the shard planner (which splits the dyadic domain).
+  /// and the shard planner (which splits the dyadic domain). The Tetris
+  /// family rejects an effective depth above kMaxDepth
+  /// (kGridTooDeepError).
   int depth = 0;
 
   /// Dyadic-prefix sharding (engine/shard_planner.h): 0 or 1 = off,

@@ -63,6 +63,16 @@ class RelationOracle : public BoxOracle {
   mutable std::atomic<size_t> enumerated_{0};
 };
 
+/// The one error every Tetris-family entry point (plain, sharded,
+/// batched, patched and served runs) returns when its effective depth
+/// (the requested one, else JoinQuery::MinDepth) is above kMaxDepth:
+/// dyadic arithmetic is undefined past that many bits. The shard planner
+/// does not split such a grid, so a baseline run there plans no split and
+/// still answers.
+inline constexpr char kGridTooDeepError[] =
+    "depth: above kMaxDepth = 62, the deepest dyadic grid (every value "
+    "must be below 2^62)";
+
 /// Which engine configuration evaluates the join.
 enum class JoinAlgorithm {
   kTetrisPreloaded,         ///< A := B(Q) (worst-case bounds, §4.3)
@@ -98,7 +108,8 @@ bool IsPermutation(const std::vector<int>& order, int n);
 std::vector<int> DefaultSao(const JoinQuery& query, JoinAlgorithm algo);
 
 /// Evaluates `query` with Tetris. `indexes[i]` serves atom i; `sao` is an
-/// attribute-id permutation (empty = DefaultSao(query, algo)). The
+/// attribute-id permutation (empty = DefaultSao(query, algo)); `depth`
+/// is at most kMaxDepth (the facade rejects deeper grids). The
 /// worst-case and certificate bounds assume every index's column order
 /// agrees with the SAO (MakeSaoConsistentIndexes).
 JoinRunResult RunTetrisJoin(const JoinQuery& query,
@@ -109,7 +120,7 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
 /// Owns one SortedIndex per atom, laid out for DefaultSao(query, algo)
 /// (relation column order for the Balance-lifted variants), and runs
 /// the join under that SAO — the "it just works" entry point used by
-/// examples.
+/// examples. The query's MinDepth must be at most kMaxDepth.
 JoinRunResult RunTetrisJoinDefaultIndexes(const JoinQuery& query,
                                           JoinAlgorithm algo);
 

@@ -458,6 +458,10 @@ EngineResult RunShardedJoin(const JoinQuery& query, EngineKind kind,
                    "(need at least query.MinDepth())";
     return finish();
   }
+  if (algo.has_value() && depth > kMaxDepth) {
+    result.error = kGridTooDeepError;
+    return finish();
+  }
 
   WorkStealingPool& pool =
       options.executor != nullptr ? *options.executor

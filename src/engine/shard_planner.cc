@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "engine/cost_model.h"
+#include "engine/join_runner.h"
 #include "relation/relation_view.h"
 
 namespace tetris {
@@ -195,19 +196,26 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   const ShardCostModel default_model;  // payload proxy, slope 1
   const ShardCostModel& model =
       options.cost_model != nullptr ? *options.cost_model : default_model;
-  // The domain has n*depth prefix bits in total; splitting beyond that
-  // would create shards finer than single points. 20 bits (1M shards) is
-  // a hard sanity ceiling on top. max_split_bits caps only budget/auto
-  // *growth* — explicit requests are honored up to the hard cap.
-  const long total_bits = static_cast<long>(n) * plan.depth;
-  const int hard_cap = static_cast<int>(std::min<long>(20, total_bits));
-  const int growth_cap =
-      std::min(std::max(0, options.max_split_bits), hard_cap);
-
   auto append_note = [&plan](const std::string& s) {
     if (!plan.note.empty()) plan.note += "; ";
     plan.note += s;
   };
+  // The domain has n*depth prefix bits in total; splitting beyond that
+  // would create shards finer than single points. 20 bits (1M shards) is
+  // a hard sanity ceiling on top. max_split_bits caps only budget/auto
+  // *growth* — explicit requests are honored up to the hard cap. A grid
+  // deeper than kMaxDepth has no dyadic arithmetic to split with, so it
+  // gets one unsplit shard (the Tetris family rejects it before planning).
+  const bool splittable = plan.depth <= kMaxDepth;
+  if (!splittable) {
+    append_note(std::string(kGridTooDeepError) +
+                ": planning one unsplit shard");
+  }
+  const long total_bits =
+      splittable ? static_cast<long>(n) * plan.depth : 0;
+  const int hard_cap = static_cast<int>(std::min<long>(20, total_bits));
+  const int growth_cap =
+      std::min(std::max(0, options.max_split_bits), hard_cap);
 
   int k;
   if (options.shards > 1) {

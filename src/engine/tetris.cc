@@ -43,7 +43,7 @@ bool Tetris::InsertKb(const DyadicBox& engine_box) {
   return false;
 }
 
-std::pair<bool, DyadicBox> Tetris::SettleUnitBox(const DyadicBox& b) {
+bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
   // TetrisSkeleton2: decide the fate of the uncovered point right here.
   DyadicBox orig_point = ToOriginalOrder(b);
   std::vector<DyadicBox> probe_result;
@@ -58,15 +58,14 @@ std::pair<bool, DyadicBox> Tetris::SettleUnitBox(const DyadicBox& b) {
     ++stats_.outputs;
     if (!(*sink_)(orig_point)) {
       stop_requested_ = true;
-      return {false, b};
+      return false;
     }
-    DyadicBox out_box = b;
-    out_box.set_output_derived(true);
-    InsertKb(out_box);
-    if (options_.proof_log) options_.proof_log->AddOutput(out_box);
-    return {true, out_box};
+    *w = b;
+    w->set_output_derived(true);
+    InsertKb(*w);
+    if (options_.proof_log) options_.proof_log->AddOutput(*w);
+    return true;
   }
-  DyadicBox witness = b;
   bool witness_found = false;
   for (const DyadicBox& g : probe_result) {
     DyadicBox eng = ToEngineOrder(g);
@@ -75,7 +74,7 @@ std::pair<bool, DyadicBox> Tetris::SettleUnitBox(const DyadicBox& b) {
       if (options_.proof_log) options_.proof_log->AddAxiom(eng);
     }
     if (eng.Contains(b)) {
-      witness = eng;
+      *w = eng;
       witness_found = true;
     }
   }
@@ -84,49 +83,61 @@ std::pair<bool, DyadicBox> Tetris::SettleUnitBox(const DyadicBox& b) {
   if (options_.load_budget >= 0 &&
       stats_.boxes_loaded > options_.load_budget) {
     budget_exceeded_ = true;
-    return {false, b};
+    return false;
   }
-  return {true, witness};
+  return true;
 }
 
-std::pair<bool, DyadicBox> Tetris::Skeleton(const DyadicBox& b) {
+bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
   ++stats_.skeleton_nodes;
-  // Lines 1-2: a box of A covers b.
-  if (const DyadicBox* a = kb_.FindContaining(b)) return {true, *a};
+  // Lines 1-2: a box of A covers b; the lookup writes it into w.
+  if (kb_.FindContaining(*b, w)) return true;
   // Lines 3-4: b is a point not covered by A.
-  int split_dim = space_->FirstThickDim(b);
+  const int split_dim = space_->FirstThickDim(*b);
   if (split_dim < 0) {
-    if (options_.single_pass) return SettleUnitBox(b);
-    return {false, b};
+    if (options_.single_pass) return SettleUnitBox(*b, w);
+    *w = *b;
+    return false;
   }
-  // Line 6: split on the first thick dimension.
-  DyadicBox b1 = b, b2 = b;
-  b1[split_dim] = b[split_dim].Child(0);
-  b2[split_dim] = b[split_dim].Child(1);
+  // Line 6: split on the first thick dimension, in place. b is restored
+  // after each child returns, before anything else reads it.
+  const DyadicInterval whole = (*b)[split_dim];
+  (*b)[split_dim] = whole.Child(0);
+  bool covered = Skeleton(b, w);  // the first witness goes straight to w
+  (*b)[split_dim] = whole;
+  if (!covered) return false;
+  if (w->Contains(*b)) return true;  // line 11
 
-  auto [v1, w1] = Skeleton(b1);
-  if (!v1) return {false, w1};
-  if (w1.Contains(b)) return {true, w1};  // line 11
-
-  auto [v2, w2] = Skeleton(b2);  // backtracking
-  if (!v2) return {false, w2};
-  if (w2.Contains(b)) return {true, w2};  // line 16
-
-  // Line 18: geometric resolution of the two witnesses. Lemma C.1
-  // guarantees the ordered shape, so this cannot fail.
-  auto r = OrderedResolve(w1, w2);
-  assert(r.has_value() && "Lemma C.1 violated: resolution must apply");
-  if (options_.proof_log) {
-    options_.proof_log->AddStep(w1, w2, r->box, r->pivot_dim);
+  DyadicBox w2 = DyadicBox::Universal(b->dims());
+  (*b)[split_dim] = whole.Child(1);
+  covered = Skeleton(b, &w2);  // backtracking
+  (*b)[split_dim] = whole;
+  if (!covered || w2.Contains(*b)) {  // line 16
+    *w = w2;
+    return covered;
   }
+
+  // Line 18: geometric resolution of the two witnesses, written over the
+  // first one. Lemma C.1 guarantees the ordered shape, so this cannot
+  // fail. A proof log keeps the first premise, so it is copied first.
   ++stats_.resolutions;
-  if (w1.output_derived() || w2.output_derived()) {
+  if (w->output_derived() || w2.output_derived()) {
     ++stats_.output_resolutions;
   } else {
     ++stats_.gap_resolutions;
   }
-  if (options_.cache_resolvents) InsertKb(r->box);  // line 19
-  return {true, r->box};
+  int pivot;
+  if (options_.proof_log) {
+    const DyadicBox w1 = *w;
+    pivot = OrderedResolveInto(w1, w2, w);
+    options_.proof_log->AddStep(w1, w2, *w, pivot);
+  } else {
+    pivot = OrderedResolveInto(*w, w2, w);
+  }
+  assert(pivot >= 0 && "Lemma C.1 violated: resolution must apply");
+  (void)pivot;
+  if (options_.cache_resolvents) InsertKb(*w);  // line 19
+  return true;
 }
 
 RunStatus Tetris::Run(const OutputSink& sink) {
@@ -153,14 +164,17 @@ RunStatus Tetris::RunImpl(const OutputSink& sink) {
     }
   }
 
-  const DyadicBox universal = DyadicBox::Universal(space_->dims());
+  // The working box the skeleton splits in place (every call returns it
+  // restored to <λ,...,λ>) and the slot it writes its witness into.
+  DyadicBox box = DyadicBox::Universal(space_->dims());
+  DyadicBox w = box;
   sink_ = &sink;
   stop_requested_ = false;
   budget_exceeded_ = false;
   std::vector<DyadicBox> probe_result;
   for (;;) {
     ++stats_.skeleton_calls;
-    auto [covered, w] = Skeleton(universal);
+    const bool covered = Skeleton(&box, &w);
     if (stop_requested_) return RunStatus::kStoppedBySink;
     if (budget_exceeded_) return RunStatus::kBudgetExceeded;
     if (covered) return RunStatus::kCompleted;  // whole space covered.
@@ -179,10 +193,9 @@ RunStatus Tetris::RunImpl(const OutputSink& sink) {
     if (is_output) {
       ++stats_.outputs;
       if (!sink(orig_point)) return RunStatus::kStoppedBySink;
-      DyadicBox out_box = w;
-      out_box.set_output_derived(true);
-      InsertKb(out_box);  // amend A with the output box
-      if (options_.proof_log) options_.proof_log->AddOutput(out_box);
+      w.set_output_derived(true);
+      InsertKb(w);  // amend A with the output box
+      if (options_.proof_log) options_.proof_log->AddOutput(w);
     } else {
       for (const DyadicBox& b : probe_result) {
         DyadicBox eng = ToEngineOrder(b);

@@ -8,6 +8,15 @@
 // caching toggle is exactly the Ordered vs Tree-Ordered resolution
 // distinction of Figure 2.
 //
+// The skeleton builds no box per node apart from one slot for the
+// second child's witness on backtracking. It splits one working box in
+// place (sets the split component to a child, recurses, restores it) and
+// returns only covered-or-not; the witness is written into a slot the
+// caller passes: the KB lookup copies a covering box's components into
+// it, the first child writes into its parent's slot, and the resolvent
+// is written over the first witness in place. Only a second witness
+// that settles the node by itself is copied up (see Skeleton below).
+//
 // The outer loop repeatedly calls the skeleton on <λ,...,λ>; every
 // uncovered point is checked against the input oracle B: either some gap
 // boxes of B are loaded into A (Tetris-Reloaded's lazy loading), or the
@@ -126,12 +135,17 @@ class Tetris {
   // Run() minus the final kb_peak_bytes bookkeeping (it has several
   // return paths; the wrapper stamps the footprint once on the way out).
   RunStatus RunImpl(const OutputSink& sink);
-  // Algorithm 1. Returns (covered?, witness-or-uncovered-point).
-  std::pair<bool, DyadicBox> Skeleton(const DyadicBox& b);
-  // TetrisSkeleton2's unit-box handler: classifies the point against B,
-  // reports outputs, loads gap boxes, and returns a covering witness.
-  // Returns false in .first only when the run must abort.
-  std::pair<bool, DyadicBox> SettleUnitBox(const DyadicBox& b);
+  // Algorithm 1 on the working box `*b`, which it splits in place and
+  // returns unchanged. Writes the witness into the caller's slot `*w` (a
+  // box of the space's dimension, never `b`): a box containing `*b` when
+  // it returns true, an uncovered point of `*b` when it returns false.
+  // After an abort (sink stop or load budget) it returns false and `*w`
+  // is unspecified.
+  bool Skeleton(DyadicBox* b, DyadicBox* w);
+  // TetrisSkeleton2's unit-box handler: classifies the point `b` against
+  // B, reports outputs, loads gap boxes, and writes a covering witness
+  // into `*w`. Returns false only when the run must abort.
+  bool SettleUnitBox(const DyadicBox& b, DyadicBox* w);
 
   DyadicBox ToEngineOrder(const DyadicBox& orig) const;
   DyadicBox ToOriginalOrder(const DyadicBox& engine) const;

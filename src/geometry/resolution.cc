@@ -3,21 +3,53 @@
 namespace tetris {
 namespace {
 
-// Builds the resolvent once `pivot` is known to satisfy the sibling
-// condition and all other dimensions are comparable.
-Resolvent MakeResolvent(const DyadicBox& w1, const DyadicBox& w2, int pivot) {
-  Resolvent r;
-  r.pivot_dim = pivot;
-  r.box = DyadicBox::Universal(w1.dims());
+// Writes the resolvent of w1 and w2 on `pivot` into *out, once `pivot` is
+// known to satisfy the sibling condition and all other dimensions are
+// comparable. Component i reads only component i of each input, so `out`
+// may alias either input.
+void WriteResolvent(const DyadicBox& w1, const DyadicBox& w2, int pivot,
+                    DyadicBox* out) {
+  const bool derived = w1.output_derived() || w2.output_derived();
   for (int i = 0; i < w1.dims(); ++i) {
     if (i == pivot) {
-      r.box[i] = w1[i].Parent();
+      (*out)[i] = w1[i].Parent();
     } else {
-      r.box[i] = w1[i].IntersectComparable(w2[i]);
+      (*out)[i] = w1[i].IntersectComparable(w2[i]);
     }
   }
-  r.box.set_output_derived(w1.output_derived() || w2.output_derived());
+  out->set_output_derived(derived);
+}
+
+// The resolvent of w1 and w2 on a valid `pivot`, in a fresh box. It
+// returns the optional itself so callers hand it straight back: their
+// failure paths then build no box and set up no frame for one.
+std::optional<Resolvent> MakeResolvent(const DyadicBox& w1,
+                                       const DyadicBox& w2, int pivot) {
+  std::optional<Resolvent> r(Resolvent{DyadicBox::Universal(w1.dims()),
+                                       pivot});
+  WriteResolvent(w1, w2, pivot, &r->box);
   return r;
+}
+
+// The pivot of an ordered resolution of w1 and w2 (equations (1)/(2)),
+// or -1 if the pair does not have that shape.
+int OrderedPivot(const DyadicBox& w1, const DyadicBox& w2) {
+  if (w1.dims() != w2.dims()) return -1;
+  // Locate the pivot: the unique sibling dimension; everything before it
+  // must be comparable, everything after it must be λ in both inputs.
+  int pivot = -1;
+  for (int i = 0; i < w1.dims(); ++i) {
+    if (w1[i].IsSiblingOf(w2[i])) {
+      pivot = i;
+      break;
+    }
+    if (!w1[i].ComparableWith(w2[i])) return -1;
+  }
+  if (pivot < 0) return -1;
+  for (int i = pivot + 1; i < w1.dims(); ++i) {
+    if (!w1[i].IsLambda() || !w2[i].IsLambda()) return -1;
+  }
+  return pivot;
 }
 
 }  // namespace
@@ -44,23 +76,17 @@ std::optional<Resolvent> GeometricResolve(const DyadicBox& w1,
   return MakeResolvent(w1, w2, pivot);
 }
 
+int OrderedResolveInto(const DyadicBox& w1, const DyadicBox& w2,
+                       DyadicBox* out) {
+  const int pivot = OrderedPivot(w1, w2);
+  if (pivot >= 0) WriteResolvent(w1, w2, pivot, out);
+  return pivot;
+}
+
 std::optional<Resolvent> OrderedResolve(const DyadicBox& w1,
                                         const DyadicBox& w2) {
-  if (w1.dims() != w2.dims()) return std::nullopt;
-  // Locate the pivot: the unique sibling dimension; everything before it
-  // must be comparable, everything after it must be λ in both inputs.
-  int pivot = -1;
-  for (int i = 0; i < w1.dims(); ++i) {
-    if (w1[i].IsSiblingOf(w2[i])) {
-      pivot = i;
-      break;
-    }
-    if (!w1[i].ComparableWith(w2[i])) return std::nullopt;
-  }
+  const int pivot = OrderedPivot(w1, w2);
   if (pivot < 0) return std::nullopt;
-  for (int i = pivot + 1; i < w1.dims(); ++i) {
-    if (!w1[i].IsLambda() || !w2[i].IsLambda()) return std::nullopt;
-  }
   return MakeResolvent(w1, w2, pivot);
 }
 

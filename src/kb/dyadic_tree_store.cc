@@ -1,5 +1,7 @@
 #include "kb/dyadic_tree_store.h"
 
+#include <cassert>
+
 #include "util/bit_ops.h"
 
 namespace tetris {
@@ -24,11 +26,16 @@ int32_t DyadicTreeStore::NewNode(uint64_t edge_bits, int edge_len) {
   return static_cast<int32_t>(nodes_.size()) - 1;
 }
 
+void DyadicTreeStore::CopyBox(int32_t id, DyadicBox* out) const {
+  assert(out->dims() == dims_);
+  const DyadicInterval* comps = &pool_[static_cast<size_t>(id) * dims_];
+  for (int i = 0; i < dims_; ++i) (*out)[i] = comps[i];
+  out->set_output_derived(flags_[id] != 0);
+}
+
 DyadicBox DyadicTreeStore::MaterializeBox(int32_t id) const {
   DyadicBox b = DyadicBox::Universal(dims_);
-  const DyadicInterval* comps = &pool_[static_cast<size_t>(id) * dims_];
-  for (int i = 0; i < dims_; ++i) b[i] = comps[i];
-  b.set_output_derived(flags_[id] != 0);
+  CopyBox(id, &b);
   return b;
 }
 
@@ -139,12 +146,12 @@ int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
   }
 }
 
-const DyadicBox* DyadicTreeStore::FindContaining(const DyadicBox& b) const {
-  int32_t idx = FindRec(root_, b, 0);
-  if (idx < 0) return nullptr;
-  thread_local DyadicBox scratch = DyadicBox::Universal(1);
-  scratch = MaterializeBox(idx);
-  return &scratch;
+bool DyadicTreeStore::FindContaining(const DyadicBox& b,
+                                     DyadicBox* out) const {
+  const int32_t id = FindRec(root_, b, 0);
+  if (id < 0) return false;
+  CopyBox(id, out);
+  return true;
 }
 
 void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,

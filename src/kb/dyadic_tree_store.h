@@ -5,9 +5,13 @@
 // Tetris performs constantly are cheap:
 //
 //   * Insert(box)            — amortized O(n) arena-node visits.
-//   * FindContaining(box)    — is some stored box a superset of `box`?
+//   * FindContaining(box, &out) — is some stored box a superset of `box`?
 //                              Visits only *existing* prefix nodes, so the
-//                              cost is O~(1) per Proposition B.12.
+//                              cost is O~(1) per Proposition B.12. A hit
+//                              copies the found box's n components and
+//                              provenance bit into the caller's `out` (the
+//                              skeleton's witness slot); nothing else is
+//                              built, and a miss writes nothing.
 //   * CollectContaining(box) — all stored supersets (the oracle operation).
 //   * CollectIntersecting(b) — all stored boxes sharing a point with `b`
 //                              (the per-shard preloaded enumeration path).
@@ -50,13 +54,13 @@ class DyadicTreeStore {
   /// already present.
   bool Insert(const DyadicBox& b);
 
-  /// Returns a pointer to some stored box that contains `b`, or nullptr.
-  /// Prefers coarser (shorter-prefix) boxes, which tend to cover more of
-  /// the target's siblings on backtracking. The pointer stays valid until
-  /// the calling thread's next FindContaining on any store (the box is
-  /// materialized from the component pool into thread-local scratch);
-  /// callers that keep the box copy it, as before.
-  const DyadicBox* FindContaining(const DyadicBox& b) const;
+  /// Looks for a stored box that contains `b`. On a hit, copies that
+  /// box's dims() components and its provenance bit from the component
+  /// pool into `*out` (which must be a dims()-dimensional box; `out` may
+  /// alias `b`) and returns true. A miss returns false and leaves `*out`
+  /// untouched. Prefers coarser (shorter-prefix) boxes, which tend to
+  /// cover more of the target's siblings on backtracking.
+  bool FindContaining(const DyadicBox& b, DyadicBox* out) const;
 
   /// Appends every stored box that contains `b` to `out`.
   void CollectContaining(const DyadicBox& b,
@@ -98,7 +102,10 @@ class DyadicTreeStore {
   };
 
   int32_t NewNode(uint64_t edge_bits, int edge_len);
-  /// Rebuilds stored box `id` from the component pool.
+  /// Copies stored box `id`'s components and provenance bit from the
+  /// component pool into `*out`, a dims_-dimensional box.
+  void CopyBox(int32_t id, DyadicBox* out) const;
+  /// Stored box `id` as a fresh box.
   DyadicBox MaterializeBox(int32_t id) const;
   // Walks b's component `level` from `node`, recursing into deeper levels;
   // returns the stored-box id of a containing box or -1.

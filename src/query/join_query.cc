@@ -42,7 +42,9 @@ Hypergraph JoinQuery::ToHypergraph() const {
 int JoinQuery::MinDepth() const {
   uint64_t max_val = 0;
   for (const Atom& a : atoms_) max_val = std::max(max_val, a.rel->MaxValue());
-  return std::max(1, BitsFor(max_val + 1));
+  // The bit width of max_val (at least 1). BitsFor(max_val + 1) would
+  // wrap to 0 at UINT64_MAX.
+  return 64 - __builtin_clzll(max_val | 1);
 }
 
 std::vector<int> JoinQuery::AcyclicSao() const {

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -171,6 +172,15 @@ void EmitError(const std::string& op, const std::string& message,
   ++stats->errors;
 }
 
+// True iff `v` is a number holding a whole value in [0, bound): the one
+// check before any cast of a protocol number to an integer type, where
+// a fraction would truncate and an out-of-range value (or NaN) would be
+// an undefined conversion.
+bool IsWholeBelow(const JsonValue& v, double bound) {
+  return v.type == JsonValue::Type::kNumber && v.number >= 0 &&
+         v.number < bound && std::floor(v.number) == v.number;
+}
+
 bool DecodeString(const JsonValue& req, const char* field, bool required,
                   std::string* out, std::string* error) {
   const JsonValue* v = req.Find(field);
@@ -202,8 +212,8 @@ bool DecodeTuples(const JsonValue& req, std::vector<Tuple>* out,
     Tuple t;
     t.reserve(row.array.size());
     for (const JsonValue& cell : row.array) {
-      if (cell.type != JsonValue::Type::kNumber || cell.number < 0) {
-        *error = "tuples: want non-negative numbers";
+      if (!IsWholeBelow(cell, 18446744073709551616.0)) {
+        *error = "tuples: want whole numbers in [0, 2^64)";
         return false;
       }
       t.push_back(static_cast<uint64_t>(cell.number));
@@ -274,16 +284,17 @@ bool DecodeQuery(const JsonValue& req, QueryRequest* out,
       return false;
     }
     for (const JsonValue& v : order->array) {
-      if (v.type != JsonValue::Type::kNumber) {
-        *error = "order: want attribute ids";
+      if (!IsWholeBelow(v, 2147483648.0)) {
+        *error = "order: want attribute ids (whole numbers in [0, 2^31))";
         return false;
       }
       out->order.push_back(static_cast<int>(v.number));
     }
   }
   if (const JsonValue* depth = req.Find("depth")) {
-    if (depth->type != JsonValue::Type::kNumber || depth->number < 0) {
-      *error = "depth: want a non-negative number";
+    if (!IsWholeBelow(*depth, kMaxDepth + 1)) {
+      *error = "depth: want a whole number in [0, " +
+               std::to_string(kMaxDepth) + "] (0 = the data's MinDepth)";
       return false;
     }
     out->depth = static_cast<int>(depth->number);

@@ -22,6 +22,10 @@
 // (`added`/`removed` — what actually changed after duplicate and
 // absentee filtering), which is also what decides whether cached
 // results survive, get patched, or get recomputed.
+// Numbers that become integers are checked before the cast: tuple cells
+// must be whole numbers in [0, 2^64), order ids whole numbers in
+// [0, 2^31) and depth a whole number in [0, kMaxDepth]; anything else
+// (a fraction, an overflow, a negative) is an error row.
 // Every other response is a single JSONL object: `row_type=ack` /
 // `row_type=stats` on success, `row_type=error` (with the op echoed) on
 // failure. Malformed lines produce an error row and the session

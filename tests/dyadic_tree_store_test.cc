@@ -20,7 +20,8 @@ const DyadicInterval kLam = DyadicInterval::Lambda();
 TEST(DyadicTreeStore, EmptyFindsNothing) {
   DyadicTreeStore store(2);
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.FindContaining(DyadicBox::Universal(2)), nullptr);
+  DyadicBox found = DyadicBox::Universal(2);
+  EXPECT_FALSE(store.FindContaining(DyadicBox::Universal(2), &found));
 }
 
 TEST(DyadicTreeStore, InsertAndFindExact) {
@@ -29,9 +30,9 @@ TEST(DyadicTreeStore, InsertAndFindExact) {
   EXPECT_TRUE(store.Insert(b));
   EXPECT_FALSE(store.Insert(b)) << "duplicate must be rejected";
   EXPECT_EQ(store.size(), 1u);
-  const DyadicBox* f = store.FindContaining(b);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(*f, b);
+  DyadicBox found = DyadicBox::Universal(2);
+  ASSERT_TRUE(store.FindContaining(b, &found));
+  EXPECT_EQ(found, b);
   EXPECT_TRUE(store.ContainsExact(b));
 }
 
@@ -40,18 +41,40 @@ TEST(DyadicTreeStore, FindsCoarserBox) {
   DyadicBox coarse = DyadicBox::Of({Iv(0b0, 1), kLam, kLam});
   store.Insert(coarse);
   DyadicBox fine = DyadicBox::Of({Iv(0b0110, 4), Iv(0b10, 2), Iv(0b1, 1)});
-  const DyadicBox* f = store.FindContaining(fine);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(*f, coarse);
+  DyadicBox found = DyadicBox::Universal(3);
+  ASSERT_TRUE(store.FindContaining(fine, &found));
+  EXPECT_EQ(found, coarse);
   // A box outside dim-0 prefix 0 is not covered.
   DyadicBox other = DyadicBox::Of({Iv(0b1, 1), kLam, kLam});
-  EXPECT_EQ(store.FindContaining(other), nullptr);
+  EXPECT_FALSE(store.FindContaining(other, &found));
+}
+
+// The lookup writes into the caller's box: a hit may overwrite the probe
+// itself (the skeleton's witness slot is never its target, but aliasing
+// is allowed), and a miss leaves every component and the provenance bit
+// as they were.
+TEST(DyadicTreeStore, FindContainingWritesOnlyOnHit) {
+  DyadicTreeStore store(2);
+  DyadicBox coarse = DyadicBox::Of({Iv(0b0, 1), kLam});
+  coarse.set_output_derived(true);
+  store.Insert(coarse);
+  DyadicBox slot = DyadicBox::Of({Iv(0b111, 3), Iv(0b01, 2)});
+  const DyadicBox before = slot;
+  EXPECT_FALSE(store.FindContaining(DyadicBox::Point({7, 1}, 3), &slot));
+  EXPECT_EQ(slot, before);
+  EXPECT_FALSE(slot.output_derived());
+  DyadicBox probe = DyadicBox::Point({2, 5}, 3);
+  ASSERT_TRUE(store.FindContaining(probe, &probe));
+  EXPECT_EQ(probe, coarse);
+  EXPECT_TRUE(probe.output_derived());
 }
 
 TEST(DyadicTreeStore, UniversalBoxCoversAll) {
   DyadicTreeStore store(2);
   store.Insert(DyadicBox::Universal(2));
-  EXPECT_NE(store.FindContaining(DyadicBox::Point({3, 9}, 4)), nullptr);
+  DyadicBox found = DyadicBox::Point({1, 1}, 4);
+  ASSERT_TRUE(store.FindContaining(DyadicBox::Point({3, 9}, 4), &found));
+  EXPECT_EQ(found, DyadicBox::Universal(2));
 }
 
 TEST(DyadicTreeStore, CollectContainingFindsAllSupersets) {
@@ -83,6 +106,8 @@ TEST(DyadicTreeStore, AllBoxesReturnsEverything) {
 }
 
 // Property: FindContaining / CollectContaining agree with a linear scan.
+// Stored boxes carry random provenance bits, so a hit's bit is checked
+// against the stored box it came from.
 class StoreProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(StoreProperty, AgreesWithLinearScan) {
@@ -100,6 +125,7 @@ TEST_P(StoreProperty, AgreesWithLinearScan) {
   };
   for (int i = 0; i < 200; ++i) {
     DyadicBox b = random_box();
+    b.set_output_derived(rng.Chance(0.3));
     bool inserted = store.Insert(b);
     bool was_new = std::find(ref.begin(), ref.end(), b) == ref.end();
     EXPECT_EQ(inserted, was_new);
@@ -126,10 +152,23 @@ TEST_P(StoreProperty, AgreesWithLinearScan) {
       if (r.Contains(probe)) ++expected;
     }
     EXPECT_EQ(got.size(), expected);
-    const DyadicBox* f = store.FindContaining(probe);
-    EXPECT_EQ(f != nullptr, expected > 0);
-    if (f != nullptr) {
-      EXPECT_TRUE(f->Contains(probe));
+    // A hit is one of the stored supersets, provenance bit included; a
+    // miss leaves the caller's box as it was.
+    DyadicBox found = random_box();
+    found.set_output_derived(rng.Chance(0.5));
+    const DyadicBox before = found;
+    const bool hit = store.FindContaining(probe, &found);
+    EXPECT_EQ(hit, expected > 0);
+    if (hit) {
+      EXPECT_TRUE(found.Contains(probe));
+      auto same = [&](const DyadicBox& c) {
+        return c == found && c.output_derived() == found.output_derived();
+      };
+      EXPECT_TRUE(std::any_of(got.begin(), got.end(), same))
+          << found.ToString();
+    } else {
+      EXPECT_EQ(found, before);
+      EXPECT_EQ(found.output_derived(), before.output_derived());
     }
     // Differential for the pruned enumeration: CollectIntersecting must
     // equal the brute-force comparability filter over the box list.
@@ -178,9 +217,9 @@ TEST(DyadicTreeStore, OutputDerivedBitRoundTrips) {
   DyadicBox plain = DyadicBox::Of({Iv(0b1, 1), kLam});
   store.Insert(derived);
   store.Insert(plain);
-  const DyadicBox* f = store.FindContaining(DyadicBox::Point({0, 0}, 2));
-  ASSERT_NE(f, nullptr);
-  EXPECT_TRUE(f->output_derived());
+  DyadicBox found = DyadicBox::Universal(2);
+  ASSERT_TRUE(store.FindContaining(DyadicBox::Point({0, 0}, 2), &found));
+  EXPECT_TRUE(found.output_derived());
   std::vector<DyadicBox> out;
   store.CollectContaining(DyadicBox::Point({3, 0}, 2), &out);
   ASSERT_EQ(out.size(), 1u);

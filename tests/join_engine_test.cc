@@ -124,6 +124,101 @@ TEST(JoinEngineTest, StripedEmptyInstancesHaveEmptyOutput) {
   CrossValidate(cycle);
 }
 
+// R(a,b) = {(v,2),(3,4)} and S(b,c) = {(2,5),(4,6)}: the join is
+// {(v,2,5),(3,4,6)} whatever v is.
+QueryInstance TwoRowPath(uint64_t v) {
+  QueryInstance q;
+  q.storage.push_back(std::make_unique<Relation>(Relation::Make(
+      "R", {"a", "b"}, {{v, 2}, {3, 4}})));
+  q.storage.push_back(std::make_unique<Relation>(Relation::Make(
+      "S", {"b", "c"}, {{2, 5}, {4, 6}})));
+  q.Bind();
+  return q;
+}
+
+std::vector<Tuple> TwoRowPathJoin(uint64_t v) {
+  std::vector<Tuple> want = {{v, 2, 5}, {3, 4, 6}};
+  std::sort(want.begin(), want.end());
+  return want;
+}
+
+TEST(JoinEngineTest, MinDepthIsTheBitWidthOfTheLargestValue) {
+  EXPECT_EQ(TwoRowPath(1).query.MinDepth(), 3);  // 6 = 0b110
+  EXPECT_EQ(TwoRowPath(uint64_t{1} << 62).query.MinDepth(), 63);
+  EXPECT_EQ(TwoRowPath(uint64_t{1} << 63).query.MinDepth(), 64);
+  // max + 1 wraps at UINT64_MAX; the width must not.
+  EXPECT_EQ(TwoRowPath(UINT64_MAX).query.MinDepth(), 64);
+}
+
+// Dyadic arithmetic is defined up to kMaxDepth bits. Every Tetris path
+// must refuse a deeper grid, requested or forced by the values, with
+// the one error string instead of answering wrong or never finishing;
+// Leapfrog, which plans no split there, keeps answering.
+TEST(JoinEngineTest, GridsDeeperThanMaxDepthAreRejected) {
+  // The two cases that would answer wrong rather than run forever come
+  // first, so a regression fails fast instead of at the ctest timeout.
+  EngineOptions depth64;
+  depth64.depth = 64;
+  EngineResult r =
+      RunJoin(TwoRowPath(1).query, EngineKind::kTetrisPreloaded, depth64);
+  ASSERT_FALSE(r.ok) << r.tuples.size() << " tuples";
+  EXPECT_EQ(r.error, kGridTooDeepError);
+  r = RunJoin(TwoRowPath(UINT64_MAX).query, EngineKind::kTetrisReloaded);
+  ASSERT_FALSE(r.ok) << r.tuples.size() << " tuples";
+  EXPECT_EQ(r.error, kGridTooDeepError);
+
+  struct Case {
+    uint64_t v;
+    int depth;  // 0 = the data's MinDepth
+  };
+  const Case cases[] = {{1, 63},
+                        {1, 64},
+                        {1, 100},
+                        {uint64_t{1} << 63, 0},
+                        {UINT64_MAX, 0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("v=" + std::to_string(c.v) +
+                 " depth=" + std::to_string(c.depth));
+    QueryInstance q = TwoRowPath(c.v);
+    EngineOptions plain;
+    plain.depth = c.depth;
+    EngineOptions sharded = plain;
+    sharded.shards = 4;
+    BatchOptions batched;
+    batched.depth = c.depth;
+    for (EngineKind kind : AllEngineKinds()) {
+      SCOPED_TRACE(EngineKindName(kind));
+      if (!TetrisAlgorithmOf(kind).has_value()) continue;
+      for (const EngineOptions& opt : {plain, sharded}) {
+        r = RunJoin(q.query, kind, opt);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error, kGridTooDeepError);
+      }
+      const BatchResult batch = RunBatch({}, {q.query}, kind, batched);
+      EXPECT_FALSE(batch.ok);
+      EXPECT_EQ(batch.error, kGridTooDeepError);
+      const PatchResult patch = PatchJoin(q.query, kind, plain, {}, {});
+      EXPECT_FALSE(patch.result.ok);
+      EXPECT_EQ(patch.result.error, kGridTooDeepError);
+    }
+    for (const EngineOptions& opt : {plain, sharded}) {
+      r = RunJoin(q.query, EngineKind::kLeapfrog, opt);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.tuples, TwoRowPathJoin(c.v));
+    }
+    const BatchResult batch =
+        RunBatch({}, {q.query}, EngineKind::kLeapfrog, batched);
+    ASSERT_TRUE(batch.ok) << batch.error;
+    EXPECT_EQ(batch.results[0].tuples, TwoRowPathJoin(c.v));
+  }
+  // The deepest legal grid still answers on the Tetris family.
+  EngineOptions deepest;
+  deepest.depth = kMaxDepth;
+  r = RunJoin(TwoRowPath(1).query, EngineKind::kTetrisReloaded, deepest);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.tuples, TwoRowPathJoin(1));
+}
+
 TEST(JoinEngineTest, CliqueOnRandomGraph) {
   QueryInstance q = CliqueOnRandomGraph(/*k=*/3, /*nodes=*/24,
                                         /*edges=*/80, /*seed=*/11);

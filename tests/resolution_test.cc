@@ -83,6 +83,27 @@ TEST(Resolution, OrderedPaperShape) {
   EXPECT_EQ(r->box, DyadicBox::Of({Iv(0b1011, 4), Iv(0b01, 2), kLam}));
 }
 
+// The skeleton resolves in place: the resolvent overwrites the first
+// witness, equal to the fresh-box form, and a failed attempt writes
+// nothing.
+TEST(Resolution, OrderedResolveIntoWritesOverFirstInput) {
+  DyadicBox w1 = DyadicBox::Of({Iv(0b1011, 4), Iv(0b010, 3), kLam});
+  DyadicBox w2 = DyadicBox::Of({Iv(0b10, 2), Iv(0b011, 3), kLam});
+  w2.set_output_derived(true);
+  auto fresh = OrderedResolve(w1, w2);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(OrderedResolveInto(w1, w2, &w1), 1);
+  EXPECT_EQ(w1, fresh->box);
+  EXPECT_TRUE(w1.output_derived());
+
+  DyadicBox a = DyadicBox::Of({Iv(0b0, 1), Iv(0b1, 1)});
+  const DyadicBox before = a;
+  EXPECT_EQ(OrderedResolveInto(a, DyadicBox::Of({Iv(0b1, 1), kLam}), &a),
+            -1);
+  EXPECT_EQ(a, before);
+  EXPECT_FALSE(a.output_derived());
+}
+
 TEST(Resolution, OutputTaintPropagates) {
   DyadicBox w1 = DyadicBox::Of({Iv(0b0, 1), kLam});
   DyadicBox w2 = DyadicBox::Of({Iv(0b1, 1), kLam});

@@ -172,6 +172,86 @@ TEST(ServeProtocolTest, SessionMutationsInvalidateAcrossEpochs) {
   EXPECT_NE(out.find("\"tuples\":0"), std::string::npos) << out;
 }
 
+// A protocol number that becomes an integer must be whole and in range:
+// a fraction would be truncated and an out-of-range value is an undefined
+// cast, so each of these is an error row, never an ack or an answer.
+TEST(ServeProtocolTest, NonIntegralOrOutOfRangeNumbersAreErrorRows) {
+  const std::string reg =
+      "{\"op\":\"register\",\"name\":\"R\",\"attrs\":[\"a\",\"b\"],"
+      "\"tuples\":[[1,2],[3,4]]}\n"
+      "{\"op\":\"register\",\"name\":\"S\",\"attrs\":[\"b\",\"c\"],"
+      "\"tuples\":[[2,5],[4,6]]}\n";
+  const struct {
+    const char* line;
+    const char* error;
+  } bad[] = {
+      {"{\"op\":\"register\",\"name\":\"T\",\"attrs\":[\"a\",\"b\"],"
+       "\"tuples\":[[1.5,2]]}",
+       "tuples: want whole numbers"},
+      {"{\"op\":\"append\",\"name\":\"R\",\"tuples\":[[1e20,2]]}",
+       "tuples: want whole numbers"},
+      {"{\"op\":\"query\",\"relations\":[\"R\",\"S\"],\"depth\":3.9}",
+       "depth: want a whole number"},
+      {"{\"op\":\"query\",\"relations\":[\"R\",\"S\"],\"depth\":1e30}",
+       "depth: want a whole number"},
+      {"{\"op\":\"query\",\"relations\":[\"R\",\"S\"],\"depth\":100}",
+       "depth: want a whole number"},
+      {"{\"op\":\"query\",\"relations\":[\"R\",\"S\"],"
+       "\"order\":[0.2,1.7,2]}",
+       "order: want attribute ids"},
+      {"{\"op\":\"query\",\"relations\":[\"R\",\"S\"],"
+       "\"order\":[0,1,4294967298]}",
+       "order: want attribute ids"},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(b.line);
+    std::string out;
+    const ServeSessionStats stats =
+        RunSession(reg + b.line + "\n", &out);
+    EXPECT_EQ(stats.errors, 1u) << out;
+    EXPECT_NE(out.find("\"row_type\":\"error\""), std::string::npos) << out;
+    EXPECT_NE(out.find(b.error), std::string::npos) << out;
+    EXPECT_EQ(out.find("\"row_type\":\"run\""), std::string::npos) << out;
+  }
+  // In range, the same fields still work.
+  std::string out;
+  const ServeSessionStats ok = RunSession(
+      reg +
+          "{\"op\":\"query\",\"relations\":[\"R\",\"S\"],"
+          "\"order\":[0,1,2],\"depth\":62}\n",
+      &out);
+  EXPECT_EQ(ok.errors, 0u) << out;
+  EXPECT_NE(out.find("\"tuples\":2"), std::string::npos) << out;
+}
+
+// Served queries on values past the deepest dyadic grid: the Tetris
+// family answers with an error row, never with wrong tuples; Leapfrog
+// still answers.
+TEST(ServeProtocolTest, SessionRejectsGridsDeeperThanMaxDepth) {
+  const std::string session =
+      "{\"op\":\"register\",\"name\":\"R\",\"attrs\":[\"a\",\"b\"],"
+      "\"tuples\":[[9300000000000000000,2],[3,4]]}\n"
+      "{\"op\":\"register\",\"name\":\"S\",\"attrs\":[\"b\",\"c\"],"
+      "\"tuples\":[[2,5],[4,6]]}\n"
+      "{\"op\":\"query\",\"relations\":[\"R\",\"S\"],"
+      "\"scenario\":\"deep_default\"}\n"
+      "{\"op\":\"query\",\"relations\":[\"R\",\"S\"],"
+      "\"engine\":\"leapfrog\",\"scenario\":\"deep_leapfrog\"}\n";
+  std::string out;
+  const ServeSessionStats stats = RunSession(session, &out);
+  EXPECT_EQ(stats.errors, 1u) << out;
+  const size_t def = out.find("\"scenario\":\"deep_default\"");
+  const size_t lf = out.find("\"scenario\":\"deep_leapfrog\"");
+  ASSERT_NE(def, std::string::npos) << out;
+  ASSERT_NE(lf, std::string::npos) << out;
+  const std::string def_row = out.substr(def, out.find('\n', def) - def);
+  const std::string lf_row = out.substr(lf, out.find('\n', lf) - lf);
+  EXPECT_NE(def_row.find("\"ok\":false"), std::string::npos) << def_row;
+  EXPECT_NE(def_row.find(kGridTooDeepError), std::string::npos) << def_row;
+  EXPECT_NE(lf_row.find("\"ok\":true"), std::string::npos) << lf_row;
+  EXPECT_NE(lf_row.find("\"tuples\":2"), std::string::npos) << lf_row;
+}
+
 // --- the serve CLI ---------------------------------------------------
 
 // Builds a mutable argv from literals (RunServe rewrites it).

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <set>
 
+#include "engine/join_engine.h"
 #include "engine/measure.h"
 #include "util/rng.h"
+#include "workload/generators.h"
 
 namespace tetris {
 namespace {
@@ -313,6 +315,117 @@ INSTANTIATE_TEST_SUITE_P(
                       BcpCase{2, 4, 20, 3}, BcpCase{3, 2, 10, 4},
                       BcpCase{3, 3, 25, 5}, BcpCase{4, 2, 15, 6},
                       BcpCase{2, 4, 3, 7}, BcpCase{3, 3, 60, 8}));
+
+// Pins the skeleton's work on fixed instances: every TetrisStats counter
+// but the byte-level kb_peak_bytes, the oracle probes and the output of
+// each Tetris-family engine. Lemma 4.5 makes these counters the cost
+// measure, so any change to which box the KB lookup returns, which
+// dimension is split, which resolvent is built or the insert order shows
+// up here even when the output stays right.
+struct PinnedRun {
+  const char* instance;
+  EngineKind kind;
+  int64_t resolutions, gap_resolutions, output_resolutions, kb_inserts,
+      boxes_loaded, skeleton_nodes, skeleton_calls, outputs, restarts,
+      oracle_probes;
+  size_t tuples;
+  uint64_t digest;  // FNV-1a over the canonical tuples' values
+};
+
+uint64_t TupleDigest(const std::vector<Tuple>& tuples) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Tuple& t : tuples) {
+    for (uint64_t v : t) h = (h ^ v) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+QueryInstance PinnedInstance(const std::string& name) {
+  if (name == "full_grid_6") return FullGridTriangle(6);
+  if (name == "msb_4_open") return MsbTriangle(4, /*closed_variant=*/false);
+  if (name == "random_200_8") return RandomTriangle(200, 8, /*seed=*/11);
+  if (name == "striped_path") return StripedEmptyPath(2, 80, 6, /*seed=*/7);
+  return StripedEmptyCycle(2, 80, 6, /*seed=*/7);
+}
+
+// Columns: resolutions, gap, output, kb_inserts, boxes_loaded,
+// skeleton_nodes, skeleton_calls, outputs, restarts, oracle_probes,
+// tuples, digest.
+const PinnedRun kPinnedRuns[] = {
+    {"full_grid_6", EngineKind::kTetrisPreloaded,
+     258, 0, 258, 494, 20, 3433, 217, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
+    {"full_grid_6", EngineKind::kTetrisReloaded,
+     258, 0, 258, 489, 15, 3543, 225, 216, 0, 224, 216, 0x564edde86ad488c9ULL},
+    {"full_grid_6", EngineKind::kTetrisPreloadedNoCache,
+     258, 0, 258, 236, 20, 517, 1, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
+    {"full_grid_6", EngineKind::kTetrisPreloadedLB,
+     243, 6, 237, 479, 20, 3404, 217, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
+    {"full_grid_6", EngineKind::kTetrisReloadedLB,
+     267, 9, 258, 498, 15, 3562, 225, 216, 0, 224, 216, 0x564edde86ad488c9ULL},
+    {"msb_4_open", EngineKind::kTetrisPreloaded,
+     271, 271, 0, 319, 48, 543, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"msb_4_open", EngineKind::kTetrisReloaded,
+     271, 271, 0, 319, 48, 1282, 47, 0, 0, 46, 0, 0xcbf29ce484222325ULL},
+    {"msb_4_open", EngineKind::kTetrisPreloadedNoCache,
+     271, 271, 0, 48, 48, 543, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"msb_4_open", EngineKind::kTetrisPreloadedLB,
+     53, 53, 0, 101, 48, 215, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"msb_4_open", EngineKind::kTetrisReloadedLB,
+     91, 91, 0, 194, 103, 1256, 60, 0, 2, 59, 0, 0xcbf29ce484222325ULL},
+    {"random_200_8", EngineKind::kTetrisPreloaded,
+     1158, 1111, 47, 5616, 4456, 2393, 3, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
+    {"random_200_8", EngineKind::kTetrisReloaded,
+     1282, 1235, 47, 3834, 2550, 15901, 385, 2, 0, 384, 2, 0x215c0325cb5b0c46ULL},
+    {"random_200_8", EngineKind::kTetrisPreloadedNoCache,
+     1158, 1111, 47, 4458, 4456, 2317, 1, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
+    {"random_200_8", EngineKind::kTetrisPreloadedLB,
+     11704, 11657, 47, 16145, 4439, 33028, 3, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
+    {"random_200_8", EngineKind::kTetrisReloadedLB,
+     17648, 17556, 92, 23344, 5692, 78039, 793, 2, 7, 792, 2, 0x215c0325cb5b0c46ULL},
+    {"striped_path", EngineKind::kTetrisPreloaded,
+     3, 3, 0, 628, 625, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"striped_path", EngineKind::kTetrisReloaded,
+     170, 170, 0, 470, 300, 2823, 103, 0, 0, 102, 0, 0xcbf29ce484222325ULL},
+    {"striped_path", EngineKind::kTetrisPreloadedNoCache,
+     3, 3, 0, 625, 625, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"striped_path", EngineKind::kTetrisPreloadedLB,
+     210, 210, 0, 884, 674, 869, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"striped_path", EngineKind::kTetrisReloadedLB,
+     325, 325, 0, 998, 673, 5467, 174, 0, 4, 173, 0, 0xcbf29ce484222325ULL},
+    {"striped_cycle", EngineKind::kTetrisPreloaded,
+     3, 3, 0, 1289, 1286, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"striped_cycle", EngineKind::kTetrisReloaded,
+     5, 5, 0, 40, 35, 123, 5, 0, 0, 4, 0, 0xcbf29ce484222325ULL},
+    {"striped_cycle", EngineKind::kTetrisPreloadedNoCache,
+     3, 3, 0, 1286, 1286, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"striped_cycle", EngineKind::kTetrisPreloadedLB,
+     136, 136, 0, 1477, 1341, 295, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+    {"striped_cycle", EngineKind::kTetrisReloadedLB,
+     1811, 1811, 0, 4179, 2368, 15579, 236, 0, 6, 235, 0, 0xcbf29ce484222325ULL},
+};
+
+TEST(TetrisWorkCounters, PinnedOnFixedInstances) {
+  for (const PinnedRun& want : kPinnedRuns) {
+    SCOPED_TRACE(std::string(want.instance) + "/" +
+                 EngineKindName(want.kind));
+    QueryInstance q = PinnedInstance(want.instance);
+    EngineResult r = RunJoin(q.query, want.kind);
+    ASSERT_TRUE(r.ok) << r.error;
+    const TetrisStats& s = r.stats.tetris;
+    EXPECT_EQ(s.resolutions, want.resolutions);
+    EXPECT_EQ(s.gap_resolutions, want.gap_resolutions);
+    EXPECT_EQ(s.output_resolutions, want.output_resolutions);
+    EXPECT_EQ(s.kb_inserts, want.kb_inserts);
+    EXPECT_EQ(s.boxes_loaded, want.boxes_loaded);
+    EXPECT_EQ(s.skeleton_nodes, want.skeleton_nodes);
+    EXPECT_EQ(s.skeleton_calls, want.skeleton_calls);
+    EXPECT_EQ(s.outputs, want.outputs);
+    EXPECT_EQ(s.restarts, want.restarts);
+    EXPECT_EQ(r.stats.oracle_probes, want.oracle_probes);
+    EXPECT_EQ(r.tuples.size(), want.tuples);
+    EXPECT_EQ(TupleDigest(r.tuples), want.digest);
+  }
+}
 
 }  // namespace
 }  // namespace tetris
