@@ -102,10 +102,14 @@ int main(int argc, char** argv) {
     fit_ord.emplace_back(c, static_cast<double>(std::min({o1, o2, o3})));
     fit_lift.emplace_back(c, static_cast<double>(lifted));
   }
-  rep.Summary("best_ordered_sao_vs_c_exponent", FitExponent(fit_ord),
-              "paper: 2");
-  rep.Summary("balance_lifted_vs_c_exponent", FitExponent(fit_lift),
-              "paper: 3/2");
+  bool bounds_ok = GatedSummary(
+      &rep, "best_ordered_sao_vs_c_exponent", fit_ord, 1.75, INFINITY,
+      "paper: Omega(|C|^2) under every SAO [Ex. F.1 / Thm 5.4]");
+  bounds_ok = GatedSummary(&rep, "balance_lifted_vs_c_exponent", fit_lift,
+                           -INFINITY, 1.6,
+                           "paper: O~(|C|^{n/2}) = |C|^{3/2} "
+                           "[Thm 4.11 / F.7]") &&
+              bounds_ok;
 
   rep.Section("facade: MSB triangle (six-box certificate), d sweep");
   bool empty_ok = true;
@@ -123,5 +127,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return empty_ok && rep.AllAgreed() ? 0 : 1;
+  return bounds_ok && empty_ok && rep.AllAgreed() ? 0 : 1;
 }

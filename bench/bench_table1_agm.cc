@@ -38,15 +38,16 @@ bool RunFamily(const char* name, const std::vector<QueryInstance>& family,
           {"agm", agm},
       };
       rep->Row(scenario, params, run);
-      if (run.result.ok && run.kind == EngineKind::kTetrisPreloaded) {
+      if (CountsForClaim(run, EngineKind::kTetrisPreloaded)) {
         fit.emplace_back(
             agm, static_cast<double>(run.result.stats.tetris.resolutions));
       }
     }
   }
-  rep->Summary("resolutions_vs_agm_exponent", FitExponent(fit),
-               "paper: 1 + o(1)");
-  return rep->AllAgreed();
+  const bool bound_ok = GatedSummary(
+      rep, "resolutions_vs_agm_exponent", fit, 0.9, 1.1,
+      "paper: O~(N + AGM), exponent 1 + o(1) [Thm D.2 / 4.6]");
+  return bound_ok && rep->AllAgreed();
 }
 
 }  // namespace

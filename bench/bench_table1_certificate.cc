@@ -71,7 +71,7 @@ bool SweepPath(bool sweep_n, const cli::HarnessOptions& opts,
                   EngineKindName(run.kind));
         empty_ok = false;
       }
-      if (run.result.ok && run.kind == EngineKind::kTetrisReloaded) {
+      if (CountsForClaim(run, EngineKind::kTetrisReloaded)) {
         fit.emplace_back(
             sweep_n ? static_cast<double>(total_n) : cert,
             static_cast<double>(run.result.stats.tetris.resolutions));
@@ -81,12 +81,10 @@ bool SweepPath(bool sweep_n, const cli::HarnessOptions& opts,
   // Row 5 is near-linear in |C|: the gate sits below the generic
   // |C|^{w+1} = |C|^2 of row 4.
   const bool bound_ok =
-      sweep_n ? GatedSummary(rep, "resolutions_vs_n_exponent",
-                             FitExponent(fit), -0.05, 0.05,
-                             "paper: 0 — N-independent")
-              : GatedSummary(rep, "resolutions_vs_c_exponent",
-                             FitExponent(fit), -INFINITY, 1.5,
-                             "paper: <= 1 + o(1)");
+      sweep_n ? GatedSummary(rep, "resolutions_vs_n_exponent", fit, -0.05,
+                             0.05, "paper: 0 — N-independent")
+              : GatedSummary(rep, "resolutions_vs_c_exponent", fit,
+                             -INFINITY, 1.5, "paper: <= 1 + o(1)");
   return bound_ok && empty_ok && rep->AllAgreed();
 }
 
@@ -135,18 +133,17 @@ bool SweepCycle(bool sweep_n, const cli::HarnessOptions& opts,
                   EngineKindName(run.kind));
         empty_ok = false;
       }
-      if (run.result.ok && run.kind == EngineKind::kTetrisReloaded) {
+      if (CountsForClaim(run, EngineKind::kTetrisReloaded)) {
         fit.emplace_back(sweep_n ? static_cast<double>(total_n) : cert,
                          res);
       }
     }
   }
   const bool bound_ok =
-      sweep_n ? GatedSummary(rep, "resolutions_vs_n_exponent",
-                             FitExponent(fit), -0.05, 0.05, "paper: 0")
-              : GatedSummary(rep, "resolutions_vs_c_exponent",
-                             FitExponent(fit), -INFINITY, 3.0,
-                             "paper: <= w+1 = 3");
+      sweep_n ? GatedSummary(rep, "resolutions_vs_n_exponent", fit, -0.05,
+                             0.05, "paper: 0")
+              : GatedSummary(rep, "resolutions_vs_c_exponent", fit,
+                             -INFINITY, 3.0, "paper: <= w+1 = 3");
   return bound_ok && empty_ok && rep->AllAgreed();
 }
 

@@ -59,14 +59,15 @@ bool RunFamily(const char* name, const std::vector<QueryInstance>& family,
           {"res/bound", res > 0 ? res / bound : 0.0},
       };
       rep->Row(scenario, params, run);
-      if (run.result.ok && run.kind == EngineKind::kTetrisPreloaded) {
+      if (CountsForClaim(run, EngineKind::kTetrisPreloaded)) {
         fit.emplace_back(bound, res);
       }
     }
   }
-  rep->Summary("resolutions_vs_n_fhtw_plus_z_exponent", FitExponent(fit),
-               "paper: <= 1 + o(1)");
-  return rep->AllAgreed();
+  const bool bound_ok = GatedSummary(
+      rep, "resolutions_vs_n_fhtw_plus_z_exponent", fit, -INFINITY, 1.1,
+      "paper: O~(N^fhtw + Z), exponent <= 1 + o(1) [Thm 4.6 / Cor D.10]");
+  return bound_ok && rep->AllAgreed();
 }
 
 }  // namespace

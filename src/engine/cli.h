@@ -101,6 +101,11 @@ bool ParseByteCount(const std::string& text, uint64_t* out);
 /// leaving the value in *value.
 bool FlagValue(const char* arg, const char* name, std::string* value);
 
+/// `s` escaped for the inside of a JSON string (RFC 8259 §7): `"` and
+/// `\`, \b \f \n \r \t by name and every other byte below 0x20 as
+/// \u00XX, so a JSONL row stays one line whatever its strings hold.
+std::string JsonEscape(const std::string& s);
+
 /// Exact-name lookup against EngineKindName. On failure returns false and
 /// sets `error` to a message listing the valid names.
 bool ParseEngineKind(const std::string& name, EngineKind* out,

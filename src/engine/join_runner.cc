@@ -122,10 +122,6 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
                      ? TetrisOptions::Init::kReloaded
                      : TetrisOptions::Init::kPreloaded;
       opt.cache_resolvents = algo != JoinAlgorithm::kTetrisPreloadedNoCache;
-      // Tree-ordered mode needs TetrisSkeleton2 (footnote 13): without
-      // caching, per-output re-descents from the root would each repeat
-      // all resolutions on the path.
-      opt.single_pass = algo == JoinAlgorithm::kTetrisPreloadedNoCache;
       if (sao.empty()) sao = DefaultSao(query, algo);
       opt.sao = std::move(sao);
       UniformSpace space(n, depth);

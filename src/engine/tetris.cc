@@ -43,36 +43,36 @@ bool Tetris::InsertKb(const DyadicBox& engine_box) {
   return false;
 }
 
-bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
-  // TetrisSkeleton2: decide the fate of the uncovered point right here.
-  DyadicBox orig_point = ToOriginalOrder(b);
-  std::vector<DyadicBox> probe_result;
-  bool is_output;
-  if (options_.init == TetrisOptions::Init::kPreloaded) {
-    is_output = true;  // A ⊇ B: nothing in B can cover the point.
-  } else {
-    oracle_->Probe(orig_point, &probe_result);
-    is_output = probe_result.empty();
+DyadicBox Tetris::LoadGap(const DyadicBox& gap) {
+  DyadicBox eng = ToEngineOrder(gap);
+  if (InsertKb(eng)) {
+    ++stats_.boxes_loaded;
+    if (options_.proof_log) options_.proof_log->AddAxiom(eng);
   }
-  if (is_output) {
+  return eng;
+}
+
+bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
+  const DyadicBox point = ToOriginalOrder(b);
+  probe_.clear();
+  // Preloaded, A ⊇ B: nothing in B can cover the point, so B is not asked.
+  if (options_.init == TetrisOptions::Init::kReloaded) {
+    oracle_->Probe(point, &probe_);
+  }
+  if (probe_.empty()) {
     ++stats_.outputs;
-    if (!(*sink_)(orig_point)) {
-      stop_requested_ = true;
+    if (!(*sink_)(point)) {
+      status_ = RunStatus::kStoppedBySink;
       return false;
     }
     *w = b;
     w->set_output_derived(true);
-    InsertKb(*w);
     if (options_.proof_log) options_.proof_log->AddOutput(*w);
     return true;
   }
   bool witness_found = false;
-  for (const DyadicBox& g : probe_result) {
-    DyadicBox eng = ToEngineOrder(g);
-    if (InsertKb(eng)) {
-      ++stats_.boxes_loaded;
-      if (options_.proof_log) options_.proof_log->AddAxiom(eng);
-    }
+  for (const DyadicBox& g : probe_) {
+    const DyadicBox eng = LoadGap(g);
     if (eng.Contains(b)) {
       *w = eng;
       witness_found = true;
@@ -82,7 +82,7 @@ bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
   (void)witness_found;
   if (options_.load_budget >= 0 &&
       stats_.boxes_loaded > options_.load_budget) {
-    budget_exceeded_ = true;
+    status_ = RunStatus::kBudgetExceeded;
     return false;
   }
   return true;
@@ -92,13 +92,9 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
   ++stats_.skeleton_nodes;
   // Lines 1-2: a box of A covers b; the lookup writes it into w.
   if (kb_.FindContaining(*b, w)) return true;
-  // Lines 3-4: b is a point not covered by A.
+  // Lines 3-4: b is a point not covered by A; settle it here.
   const int split_dim = space_->FirstThickDim(*b);
-  if (split_dim < 0) {
-    if (options_.single_pass) return SettleUnitBox(*b, w);
-    *w = *b;
-    return false;
-  }
+  if (split_dim < 0) return SettleUnitBox(*b, w);
   // Line 6: split on the first thick dimension, in place. b is restored
   // after each child returns, before anything else reads it.
   const DyadicInterval whole = (*b)[split_dim];
@@ -141,75 +137,29 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
 }
 
 RunStatus Tetris::Run(const OutputSink& sink) {
-  RunStatus status = RunImpl(sink);
-  // A only grows within a run, so its final footprint is its peak.
-  const int64_t kb_bytes = static_cast<int64_t>(kb_.MemoryBytes());
-  if (kb_bytes > stats_.kb_peak_bytes) stats_.kb_peak_bytes = kb_bytes;
-  return status;
-}
-
-RunStatus Tetris::RunImpl(const OutputSink& sink) {
   // Initialize(A) — line 1 of Algorithm 2.
   if (options_.init == TetrisOptions::Init::kPreloaded) {
     std::vector<DyadicBox> all;
     bool ok = oracle_->EnumerateAll(&all);
     assert(ok && "preloaded mode requires an enumerable oracle");
     (void)ok;
-    for (const DyadicBox& b : all) {
-      DyadicBox eng = ToEngineOrder(b);
-      if (InsertKb(eng)) {
-        ++stats_.boxes_loaded;
-        if (options_.proof_log) options_.proof_log->AddAxiom(eng);
-      }
-    }
+    for (const DyadicBox& g : all) LoadGap(g);
   }
 
-  // The working box the skeleton splits in place (every call returns it
-  // restored to <λ,...,λ>) and the slot it writes its witness into.
+  // The working box the skeleton splits in place and the slot it writes
+  // its witness into. One call settles every point of the space.
   DyadicBox box = DyadicBox::Universal(space_->dims());
   DyadicBox w = box;
   sink_ = &sink;
-  stop_requested_ = false;
-  budget_exceeded_ = false;
-  std::vector<DyadicBox> probe_result;
-  for (;;) {
-    ++stats_.skeleton_calls;
-    const bool covered = Skeleton(&box, &w);
-    if (stop_requested_) return RunStatus::kStoppedBySink;
-    if (budget_exceeded_) return RunStatus::kBudgetExceeded;
-    if (covered) return RunStatus::kCompleted;  // whole space covered.
-
-    // w is an uncovered point (engine order); consult B.
-    DyadicBox orig_point = ToOriginalOrder(w);
-    bool is_output;
-    if (options_.init == TetrisOptions::Init::kPreloaded) {
-      // A ⊇ B, so an uncovered point is certainly an output tuple.
-      is_output = true;
-    } else {
-      probe_result.clear();
-      oracle_->Probe(orig_point, &probe_result);
-      is_output = probe_result.empty();
-    }
-    if (is_output) {
-      ++stats_.outputs;
-      if (!sink(orig_point)) return RunStatus::kStoppedBySink;
-      w.set_output_derived(true);
-      InsertKb(w);  // amend A with the output box
-      if (options_.proof_log) options_.proof_log->AddOutput(w);
-    } else {
-      for (const DyadicBox& b : probe_result) {
-        DyadicBox eng = ToEngineOrder(b);
-        if (InsertKb(eng)) {
-          ++stats_.boxes_loaded;
-          if (options_.proof_log) options_.proof_log->AddAxiom(eng);
-        }
-      }
-      if (options_.load_budget >= 0 &&
-          stats_.boxes_loaded > options_.load_budget) {
-        return RunStatus::kBudgetExceeded;
-      }
-    }
-  }
+  status_ = RunStatus::kCompleted;
+  const bool covered = Skeleton(&box, &w);
+  assert(covered == (status_ == RunStatus::kCompleted) &&
+         "the skeleton returns false only on an abort");
+  (void)covered;
+  // A only grows within a run, so its final footprint is its peak.
+  const int64_t kb_bytes = static_cast<int64_t>(kb_.MemoryBytes());
+  if (kb_bytes > stats_.kb_peak_bytes) stats_.kb_peak_bytes = kb_bytes;
+  return status_;
 }
 
 bool IsFullyCovered(const BoxOracle& oracle, const SplitSpace& space,

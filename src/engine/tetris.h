@@ -1,26 +1,29 @@
 // The Tetris algorithm (paper, Section 4.2, Algorithms 1 and 2).
 //
-// TetrisSkeleton solves the Boolean box cover problem against the global
-// knowledge base A: it either finds a witness box (covered by boxes of A)
-// that contains the target, or a point of the target not covered by A.
-// On backtracking it combines the two half-witnesses by *ordered geometric
-// resolution* and (optionally) caches the resolvent back into A — the
-// caching toggle is exactly the Ordered vs Tree-Ordered resolution
-// distinction of Figure 2.
+// TetrisSkeleton solves the box cover problem against the global
+// knowledge base A: it finds a witness box (covered by boxes of A) that
+// contains the target, settling on the way every point of the target
+// that A leaves uncovered (see below). On backtracking it combines the
+// two half-witnesses by *ordered geometric resolution* and (optionally)
+// caches the resolvent back into A — the caching toggle is exactly the
+// Ordered vs Tree-Ordered resolution distinction of Figure 2.
 //
 // The skeleton builds no box per node apart from one slot for the
 // second child's witness on backtracking. It splits one working box in
 // place (sets the split component to a child, recurses, restores it) and
-// returns only covered-or-not; the witness is written into a slot the
+// returns only covered-or-aborted; the witness is written into a slot the
 // caller passes: the KB lookup copies a covering box's components into
 // it, the first child writes into its parent's slot, and the resolvent
 // is written over the first witness in place. Only a second witness
 // that settles the node by itself is copied up (see Skeleton below).
 //
-// The outer loop repeatedly calls the skeleton on <λ,...,λ>; every
-// uncovered point is checked against the input oracle B: either some gap
-// boxes of B are loaded into A (Tetris-Reloaded's lazy loading), or the
-// point is reported as an output tuple and inserted as an output box.
+// A run is one skeleton call on <λ,...,λ> (TetrisSkeleton2: paper,
+// proof of Theorem D.2 and footnote 13). Every point A leaves uncovered
+// is settled where the descent reaches it, against the input oracle B:
+// either some gap boxes of B are loaded into A (Tetris-Reloaded's lazy
+// loading), or the point is reported as an output tuple and its unit box
+// becomes the witness. The depth-first search enters each node once, so
+// that box is never looked up again and is not inserted into A.
 //
 // Initialization policies (paper, Sections 4.3 / 4.4):
 //   * kPreloaded: A := B            (worst-case bounds: AGM, fhtw)
@@ -46,7 +49,6 @@ struct TetrisStats {
   int64_t kb_inserts = 0;          ///< boxes added to A (loads + resolvents)
   int64_t boxes_loaded = 0;        ///< gap boxes pulled from B into A
   int64_t skeleton_nodes = 0;      ///< recursion tree nodes visited
-  int64_t skeleton_calls = 0;      ///< outer-loop invocations of the skeleton
   int64_t outputs = 0;             ///< output tuples reported
   int64_t restarts = 0;            ///< partition rebuilds (Tetris-LB only)
   int64_t kb_peak_bytes = 0;       ///< largest knowledge-base A footprint
@@ -58,7 +60,6 @@ struct TetrisStats {
     kb_inserts += o.kb_inserts;
     boxes_loaded += o.boxes_loaded;
     skeleton_nodes += o.skeleton_nodes;
-    skeleton_calls += o.skeleton_calls;
     outputs += o.outputs;
     restarts += o.restarts;
     // A is rebuilt per restart: the peak is the largest single engine's.
@@ -74,14 +75,6 @@ struct TetrisOptions {
   /// When false, resolvents are *not* cached in A: the engine performs
   /// Tree-Ordered Geometric Resolution (paper, Section 5.1).
   bool cache_resolvents = true;
-
-  /// TetrisSkeleton2 (paper, proof of Theorem D.2 and footnote 13):
-  /// outputs are reported and B consulted *inside* the skeleton, so one
-  /// skeleton invocation enumerates everything instead of restarting from
-  /// the root per output point. Required for the tree-ordered (no-cache)
-  /// mode to meet the AGM bound; otherwise each output pays a full
-  /// re-descent.
-  bool single_pass = false;
 
   /// Splitting attribute order: engine dimension j is original dimension
   /// sao[j]. Empty = identity.
@@ -132,20 +125,22 @@ class Tetris {
   size_t kb_memory_bytes() const { return kb_.MemoryBytes(); }
 
  private:
-  // Run() minus the final kb_peak_bytes bookkeeping (it has several
-  // return paths; the wrapper stamps the footprint once on the way out).
-  RunStatus RunImpl(const OutputSink& sink);
   // Algorithm 1 on the working box `*b`, which it splits in place and
-  // returns unchanged. Writes the witness into the caller's slot `*w` (a
-  // box of the space's dimension, never `b`): a box containing `*b` when
-  // it returns true, an uncovered point of `*b` when it returns false.
-  // After an abort (sink stop or load budget) it returns false and `*w`
-  // is unspecified.
+  // returns unchanged. Writes into the caller's slot `*w` (a box of the
+  // space's dimension, never `b`) a witness box containing `*b`, and
+  // returns true. Every uncovered point is settled on the way down, so it
+  // returns false only on an abort (sink stop or load budget), after
+  // which `*w` is unspecified and `status_` names the abort.
   bool Skeleton(DyadicBox* b, DyadicBox* w);
-  // TetrisSkeleton2's unit-box handler: classifies the point `b` against
-  // B, reports outputs, loads gap boxes, and writes a covering witness
-  // into `*w`. Returns false only when the run must abort.
+  // The skeleton's unit-box case: the point `b` (engine order) is not
+  // covered by A. Probes B (reloaded mode; preloaded A already holds B),
+  // then either reports `b` as an output and writes it into `*w` as an
+  // output-derived witness, or loads the gap boxes that contain it and
+  // writes one of them into `*w`. Returns false only on an abort.
   bool SettleUnitBox(const DyadicBox& b, DyadicBox* w);
+  // Inserts the gap box `gap` of B (original order) into A as an axiom
+  // and returns it in engine order.
+  DyadicBox LoadGap(const DyadicBox& gap);
 
   DyadicBox ToEngineOrder(const DyadicBox& orig) const;
   DyadicBox ToOriginalOrder(const DyadicBox& engine) const;
@@ -158,8 +153,8 @@ class Tetris {
   DyadicTreeStore kb_;
   TetrisStats stats_;
   const OutputSink* sink_ = nullptr;
-  bool stop_requested_ = false;
-  bool budget_exceeded_ = false;
+  RunStatus status_ = RunStatus::kCompleted;
+  std::vector<DyadicBox> probe_;  // SettleUnitBox's reused probe buffer
 };
 
 /// Convenience: solves the Boolean BCP (Definition 3.5) — is the whole

@@ -31,7 +31,6 @@ SatResult Run(const Cnf& f, bool stop_at_first, ProofLog* proof) {
   UniformSpace space(f.num_vars, /*depth=*/1);
   TetrisOptions opt;
   opt.init = TetrisOptions::Init::kPreloaded;
-  opt.single_pass = true;  // enumerate models in one sweep
   opt.proof_log = proof;
   Tetris engine(&oracle, &space, opt);
 

@@ -154,20 +154,11 @@ struct Parser {
 
 // --- request decoding ------------------------------------------------
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 void EmitError(const std::string& op, const std::string& message,
                ServeSessionStats* stats) {
   std::printf("{\"row_type\":\"error\",\"op\":\"%s\",\"error\":\"%s\"}\n",
-              JsonEscape(op).c_str(), JsonEscape(message).c_str());
+              cli::JsonEscape(op).c_str(),
+              cli::JsonEscape(message).c_str());
   std::fflush(stdout);
   ++stats->errors;
 }
@@ -385,7 +376,7 @@ ServeSessionStats RunServeSession(std::istream& in, JoinService* service,
       std::printf(
           "{\"row_type\":\"ack\",\"op\":\"%s\",\"name\":\"%s\","
           "\"epoch\":%llu,\"tuples\":%zu}\n",
-          op.c_str(), JsonEscape(name).c_str(),
+          op.c_str(), cli::JsonEscape(name).c_str(),
           static_cast<unsigned long long>(service->registry().epoch()),
           tuples);
       std::fflush(stdout);
@@ -410,7 +401,7 @@ ServeSessionStats RunServeSession(std::istream& in, JoinService* service,
       std::printf(
           "{\"row_type\":\"ack\",\"op\":\"%s\",\"name\":\"%s\","
           "\"epoch\":%llu,\"tuples\":%zu,\"added\":%zu,\"removed\":%zu}\n",
-          op.c_str(), JsonEscape(name).c_str(),
+          op.c_str(), cli::JsonEscape(name).c_str(),
           static_cast<unsigned long long>(delta.to_epoch), tuples.size(),
           delta.added.size(), delta.removed.size());
       std::fflush(stdout);
@@ -427,7 +418,7 @@ ServeSessionStats RunServeSession(std::istream& in, JoinService* service,
       std::printf(
           "{\"row_type\":\"ack\",\"op\":\"drop\",\"name\":\"%s\","
           "\"epoch\":%llu}\n",
-          JsonEscape(name).c_str(),
+          cli::JsonEscape(name).c_str(),
           static_cast<unsigned long long>(service->registry().epoch()));
       std::fflush(stdout);
     } else if (op == "query") {

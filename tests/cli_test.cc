@@ -436,6 +436,30 @@ TEST(CliTest, SummaryEmitsStructuredRowsInEveryFormat) {
   }
 }
 
+// A JSONL row is one physical line whatever its strings hold: control
+// bytes are escaped (RFC 8259 §7), by name where JSON has one.
+TEST(CliTest, JsonlRowEscapesControlBytes) {
+  EngineRun run;
+  run.kind = EngineKind::kLeapfrog;
+  run.result.ok = false;
+  run.result.error = "bad\nthing\x01";
+  testing::internal::CaptureStdout();
+  RunReporter rep(OutputFormat::kJsonl, "unit");
+  rep.Row("two\nlines\x01", {}, run);
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
+  for (size_t i = 0; i + 1 < out.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(out[i]), 0x20) << out;
+  }
+  EXPECT_NE(out.find("\"scenario\":\"two\\nlines\\u0001\""),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"error\":\"bad\\nthing\\u0001\""),
+            std::string::npos)
+      << out;
+}
+
 TEST(CliTest, RowEmitsShardSubRows) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
                                    /*seed=*/8);

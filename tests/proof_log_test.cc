@@ -85,11 +85,11 @@ TEST_P(EngineProofProperty, EngineProofsVerify) {
     UniformSpace space(n, d);
     for (auto init : {TetrisOptions::Init::kPreloaded,
                       TetrisOptions::Init::kReloaded}) {
-      for (bool single_pass : {false, true}) {
+      for (bool cache : {true, false}) {
         ProofLog log(n, d);
         TetrisOptions opt;
         opt.init = init;
-        opt.single_pass = single_pass;
+        opt.cache_resolvents = cache;
         opt.proof_log = &log;
         Tetris engine(&oracle, &space, opt);
         RunStatus status =

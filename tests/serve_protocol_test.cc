@@ -172,6 +172,62 @@ TEST(ServeProtocolTest, SessionMutationsInvalidateAcrossEpochs) {
   EXPECT_NE(out.find("\"tuples\":0"), std::string::npos) << out;
 }
 
+// Request strings echoed into rows come back escaped (RFC 8259 §7): a
+// control byte in a name or scenario neither splits a row nor sits raw
+// inside a JSON string.
+TEST(ServeProtocolTest, ControlBytesInRequestStringsStayEscaped) {
+  const std::string session =
+      "{\"op\":\"drop\",\"name\":\"no\\nsuch\"}\n"
+      "{\"op\":\"register\",\"name\":\"R\\tx\",\"attrs\":[\"a\",\"b\"],"
+      "\"tuples\":[[1,2],[2,3]]}\n"
+      "{\"op\":\"register\",\"name\":\"S\",\"attrs\":[\"b\",\"c\"],"
+      "\"tuples\":[[2,5],[3,7]]}\n"
+      "{\"op\":\"query\",\"relations\":[\"R\\tx\",\"S\"],"
+      "\"scenario\":\"two\\nlines\"}\n";
+  std::string out;
+  const ServeSessionStats stats = RunSession(session, &out);
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.errors, 1u);  // the drop of an unknown relation
+
+  // Every physical line is one whole row, and reading it back gives the
+  // request's strings unchanged.
+  std::istringstream lines(out);
+  std::string line;
+  int errors = 0, acks = 0, runs = 0, shards = 0;
+  while (std::getline(lines, line)) {
+    for (char c : line) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << line;
+    }
+    JsonValue row;
+    std::string error;
+    ASSERT_TRUE(ParseJson(line, &row, &error)) << line << ": " << error;
+    auto field = [&row](const char* key) {
+      const JsonValue* v = row.Find(key);
+      return v ? v->string : std::string("<missing>");
+    };
+    const std::string type = field("row_type");
+    if (type == "error") {
+      ++errors;
+      EXPECT_EQ(field("error"), "relation 'no\nsuch' is not registered");
+    } else if (type == "ack") {
+      ++acks;
+      EXPECT_TRUE(field("name") == "R\tx" || field("name") == "S") << line;
+    } else {
+      ASSERT_TRUE(type == "run" || type == "shard") << line;
+      if (type == "run") {
+        ++runs;
+      } else {
+        ++shards;
+      }
+      EXPECT_EQ(field("scenario"), "two\nlines");
+    }
+  }
+  EXPECT_EQ(errors, 1);
+  EXPECT_EQ(acks, 2);
+  EXPECT_EQ(runs, 1);
+  EXPECT_GT(shards, 0);
+}
+
 // A protocol number that becomes an integer must be whole and in range:
 // a fraction would be truncated and an out-of-range value is an undefined
 // cast, so each of these is an error row, never an ack or an answer.

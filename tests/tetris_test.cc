@@ -192,7 +192,6 @@ TEST(Tetris, StatsAreConsistent) {
   EXPECT_LE(stats.boxes_loaded, static_cast<int64_t>(oracle.size()));
   EXPECT_EQ(stats.resolutions,
             stats.gap_resolutions + stats.output_resolutions);
-  EXPECT_GT(stats.skeleton_calls, 0);
 }
 
 TEST(Tetris, NoCacheModeStillCorrect) {
@@ -286,21 +285,23 @@ TEST_P(TetrisProperty, MatchesBruteForce) {
     MaterializedOracle oracle(n);
     oracle.AddAll(boxes);
     UniformSpace space(n, d);
+    // One pass enters no node twice, so it visits at most the full split
+    // tree: n·d halvings from <λ,...,λ> down to the unit boxes.
+    const int64_t full_tree = (int64_t{1} << (n * d + 1)) - 1;
     for (auto init : {TetrisOptions::Init::kPreloaded,
                       TetrisOptions::Init::kReloaded}) {
       for (bool cache : {true, false}) {
-        if (!cache && init != TetrisOptions::Init::kPreloaded) continue;
-        for (bool single_pass : {false, true}) {
-          TetrisOptions opt;
-          opt.init = init;
-          opt.cache_resolvents = cache;
-          opt.single_pass = single_pass;
-          auto out = RunCollect(oracle, space, opt);
-          ASSERT_EQ(out, expected)
-              << "n=" << n << " d=" << d << " iter=" << iter
-              << " init=" << static_cast<int>(init) << " cache=" << cache
-              << " single_pass=" << single_pass;
-        }
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " d=" << d << " iter=" << iter
+                     << " init=" << static_cast<int>(init)
+                     << " cache=" << cache);
+        TetrisOptions opt;
+        opt.init = init;
+        opt.cache_resolvents = cache;
+        TetrisStats stats;
+        auto out = RunCollect(oracle, space, opt, &stats);
+        ASSERT_EQ(out, expected);
+        EXPECT_LE(stats.skeleton_nodes, full_tree);
       }
     }
     // Coverage decision must agree with the measure.
@@ -326,8 +327,7 @@ struct PinnedRun {
   const char* instance;
   EngineKind kind;
   int64_t resolutions, gap_resolutions, output_resolutions, kb_inserts,
-      boxes_loaded, skeleton_nodes, skeleton_calls, outputs, restarts,
-      oracle_probes;
+      boxes_loaded, skeleton_nodes, outputs, restarts, oracle_probes;
   size_t tuples;
   uint64_t digest;  // FNV-1a over the canonical tuples' values
 };
@@ -349,59 +349,58 @@ QueryInstance PinnedInstance(const std::string& name) {
 }
 
 // Columns: resolutions, gap, output, kb_inserts, boxes_loaded,
-// skeleton_nodes, skeleton_calls, outputs, restarts, oracle_probes,
-// tuples, digest.
+// skeleton_nodes, outputs, restarts, oracle_probes, tuples, digest.
 const PinnedRun kPinnedRuns[] = {
     {"full_grid_6", EngineKind::kTetrisPreloaded,
-     258, 0, 258, 494, 20, 3433, 217, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
+     258, 0, 258, 278, 20, 517, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
     {"full_grid_6", EngineKind::kTetrisReloaded,
-     258, 0, 258, 489, 15, 3543, 225, 216, 0, 224, 216, 0x564edde86ad488c9ULL},
+     258, 0, 258, 273, 15, 534, 216, 0, 224, 216, 0x564edde86ad488c9ULL},
     {"full_grid_6", EngineKind::kTetrisPreloadedNoCache,
-     258, 0, 258, 236, 20, 517, 1, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
+     258, 0, 258, 20, 20, 517, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
     {"full_grid_6", EngineKind::kTetrisPreloadedLB,
-     243, 6, 237, 479, 20, 3404, 217, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
+     243, 6, 237, 263, 20, 488, 216, 0, 0, 216, 0x564edde86ad488c9ULL},
     {"full_grid_6", EngineKind::kTetrisReloadedLB,
-     267, 9, 258, 498, 15, 3562, 225, 216, 0, 224, 216, 0x564edde86ad488c9ULL},
+     267, 9, 258, 282, 15, 565, 216, 0, 224, 216, 0x564edde86ad488c9ULL},
     {"msb_4_open", EngineKind::kTetrisPreloaded,
-     271, 271, 0, 319, 48, 543, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     271, 271, 0, 319, 48, 543, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"msb_4_open", EngineKind::kTetrisReloaded,
-     271, 271, 0, 319, 48, 1282, 47, 0, 0, 46, 0, 0xcbf29ce484222325ULL},
+     271, 271, 0, 319, 48, 753, 0, 0, 46, 0, 0xcbf29ce484222325ULL},
     {"msb_4_open", EngineKind::kTetrisPreloadedNoCache,
-     271, 271, 0, 48, 48, 543, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     271, 271, 0, 48, 48, 543, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"msb_4_open", EngineKind::kTetrisPreloadedLB,
-     53, 53, 0, 101, 48, 215, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     53, 53, 0, 101, 48, 215, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"msb_4_open", EngineKind::kTetrisReloadedLB,
-     91, 91, 0, 194, 103, 1256, 60, 0, 2, 59, 0, 0xcbf29ce484222325ULL},
+     100, 100, 0, 203, 103, 441, 0, 2, 59, 0, 0xcbf29ce484222325ULL},
     {"random_200_8", EngineKind::kTetrisPreloaded,
-     1158, 1111, 47, 5616, 4456, 2393, 3, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
+     1158, 1111, 47, 5614, 4456, 2317, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
     {"random_200_8", EngineKind::kTetrisReloaded,
-     1282, 1235, 47, 3834, 2550, 15901, 385, 2, 0, 384, 2, 0x215c0325cb5b0c46ULL},
+     1420, 1373, 47, 3964, 2550, 8356, 2, 0, 384, 2, 0x215c0325cb5b0c46ULL},
     {"random_200_8", EngineKind::kTetrisPreloadedNoCache,
-     1158, 1111, 47, 4458, 4456, 2317, 1, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
+     1158, 1111, 47, 4456, 4456, 2317, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
     {"random_200_8", EngineKind::kTetrisPreloadedLB,
-     11704, 11657, 47, 16145, 4439, 33028, 3, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
+     11704, 11657, 47, 16143, 4439, 32952, 2, 0, 0, 2, 0x215c0325cb5b0c46ULL},
     {"random_200_8", EngineKind::kTetrisReloadedLB,
-     17648, 17556, 92, 23344, 5692, 78039, 793, 2, 7, 792, 2, 0x215c0325cb5b0c46ULL},
+     19546, 19454, 92, 25238, 5692, 59760, 2, 7, 792, 2, 0x215c0325cb5b0c46ULL},
     {"striped_path", EngineKind::kTetrisPreloaded,
-     3, 3, 0, 628, 625, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     3, 3, 0, 628, 625, 7, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"striped_path", EngineKind::kTetrisReloaded,
-     170, 170, 0, 470, 300, 2823, 103, 0, 0, 102, 0, 0xcbf29ce484222325ULL},
+     170, 170, 0, 470, 300, 1624, 0, 0, 102, 0, 0xcbf29ce484222325ULL},
     {"striped_path", EngineKind::kTetrisPreloadedNoCache,
-     3, 3, 0, 625, 625, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     3, 3, 0, 625, 625, 7, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"striped_path", EngineKind::kTetrisPreloadedLB,
-     210, 210, 0, 884, 674, 869, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     210, 210, 0, 884, 674, 869, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"striped_path", EngineKind::kTetrisReloadedLB,
-     325, 325, 0, 998, 673, 5467, 174, 0, 4, 173, 0, 0xcbf29ce484222325ULL},
+     325, 325, 0, 998, 673, 1547, 0, 4, 173, 0, 0xcbf29ce484222325ULL},
     {"striped_cycle", EngineKind::kTetrisPreloaded,
-     3, 3, 0, 1289, 1286, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     3, 3, 0, 1289, 1286, 7, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"striped_cycle", EngineKind::kTetrisReloaded,
-     5, 5, 0, 40, 35, 123, 5, 0, 0, 4, 0, 0xcbf29ce484222325ULL},
+     5, 5, 0, 40, 35, 109, 0, 0, 4, 0, 0xcbf29ce484222325ULL},
     {"striped_cycle", EngineKind::kTetrisPreloadedNoCache,
-     3, 3, 0, 1286, 1286, 7, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     3, 3, 0, 1286, 1286, 7, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"striped_cycle", EngineKind::kTetrisPreloadedLB,
-     136, 136, 0, 1477, 1341, 295, 1, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
+     136, 136, 0, 1477, 1341, 295, 0, 0, 0, 0, 0xcbf29ce484222325ULL},
     {"striped_cycle", EngineKind::kTetrisReloadedLB,
-     1811, 1811, 0, 4179, 2368, 15579, 236, 0, 6, 235, 0, 0xcbf29ce484222325ULL},
+     1826, 1826, 0, 4194, 2368, 9578, 0, 6, 235, 0, 0xcbf29ce484222325ULL},
 };
 
 TEST(TetrisWorkCounters, PinnedOnFixedInstances) {
@@ -418,7 +417,6 @@ TEST(TetrisWorkCounters, PinnedOnFixedInstances) {
     EXPECT_EQ(s.kb_inserts, want.kb_inserts);
     EXPECT_EQ(s.boxes_loaded, want.boxes_loaded);
     EXPECT_EQ(s.skeleton_nodes, want.skeleton_nodes);
-    EXPECT_EQ(s.skeleton_calls, want.skeleton_calls);
     EXPECT_EQ(s.outputs, want.outputs);
     EXPECT_EQ(s.restarts, want.restarts);
     EXPECT_EQ(r.stats.oracle_probes, want.oracle_probes);
