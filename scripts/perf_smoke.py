@@ -4,9 +4,10 @@ file, and a ratio-based regression gate.
 
 Runs bench_micro, bench_sharding, bench_batching, bench_serving, and
 bench_incremental in quick modes, collects per-bench wall time, peak
-resident bytes, batch throughput, service cache-hit rates, and
-incremental patched-vs-scratch ratios and patch resolutions into a
-BENCH JSON file, and
+resident bytes, the unsharded Tetris run's KB inserts and skeleton
+nodes, batch throughput, service cache-hit rates, and incremental
+patched-vs-scratch ratios and patch resolutions into a BENCH JSON file,
+and
 (when given a baseline) fails on any metric that regressed by more than
 --max-regression (default 25%). A metric the baseline tracks but the PR
 run did not produce also fails the gate.
@@ -160,6 +161,16 @@ def collect(build_dir, cal):
                 metrics["bench_sharding.unsharded.wall"] = {
                     "value": row["wall_ms"] / (cal * 1e3),
                     "unit": "cal", "direction": "lower"}
+                # The skeleton's KB work as deterministic counts: a
+                # return of the dead resolvent inserts, or a change to
+                # the descent, moves these far past the tolerance. A
+                # row without the field records nothing, so the gate
+                # reports the metric missing instead of a 0.
+                for counter in ("kb_inserts", "skeleton_nodes"):
+                    if counter in row:
+                        metrics["bench_sharding.unsharded." + counter] = {
+                            "value": row[counter], "unit": "count",
+                            "direction": "lower"}
     metrics["bench_sharding.peak_bytes"] = {
         "value": peak, "unit": "B", "direction": "lower"}
 

@@ -72,11 +72,11 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
                      const BatchOptions& options) {
   BatchResult batch;
   const auto start = std::chrono::steady_clock::now();
-  auto finish = [&start, &batch]() -> BatchResult& {
+  auto finish = [&start, &batch]() -> BatchResult {
     const auto end = std::chrono::steady_clock::now();
     batch.stats.wall_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
-    return batch;
+    return std::move(batch);
   };
   auto append_note = [&batch](const std::string& s) {
     AppendNote(&batch.note, s);

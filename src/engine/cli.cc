@@ -546,7 +546,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
     case OutputFormat::kCsv: {
       if (!csv_header_printed_) {
         std::printf("row_type,bench,section,scenario,params,engine,ok,"
-                    "tuples,wall_ms,resolutions,boxes_loaded,probes,seeks,"
+                    "tuples,wall_ms,resolutions,boxes_loaded,kb_inserts,"
+                    "skeleton_nodes,probes,seeks,"
                     "max_intermediate,kb_bytes,index_bytes,"
                     "intermediate_bytes,output_bytes,shards,threads,"
                     "shard_peak_bytes,est_shard_peak_bytes,plan_bytes,"
@@ -555,13 +556,14 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
       }
       const std::string params_field = FormatParams(params, ";", false);
       std::printf("%s,%s,%s,%s,%s,%s,%d,%zu,%.3f,%" PRId64 ",%" PRId64
-                  ",%" PRId64 ",%" PRId64 ",%zu,%zu,%zu,%zu,%zu,%zu,%zu,"
-                  "%zu,%zu,%zu,%s,%s,%s\n",
+                  ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64
+                  ",%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%s,%s,%s\n",
                   row_type, CsvField(bench_).c_str(),
                   CsvField(section_).c_str(), CsvField(scenario).c_str(),
                   params_field.c_str(), engine_name, ok ? 1 : 0, tuples,
                   s.wall_ms, s.tetris.resolutions, s.tetris.boxes_loaded,
-                  probes, s.seeks, s.baseline.max_intermediate,
+                  s.tetris.kb_inserts, s.tetris.skeleton_nodes, probes,
+                  s.seeks, s.baseline.max_intermediate,
                   s.memory.kb_bytes, s.memory.index_bytes,
                   s.memory.intermediate_bytes, s.memory.output_bytes,
                   s.shards, s.threads, s.max_shard_peak_bytes,
@@ -576,7 +578,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   "\"scenario\":\"%s\","
                   "\"params\":{%s},\"engine\":\"%s\",\"ok\":%s,"
                   "\"tuples\":%zu,\"wall_ms\":%.3f,\"resolutions\":%" PRId64
-                  ",\"boxes_loaded\":%" PRId64 ",\"probes\":%" PRId64
+                  ",\"boxes_loaded\":%" PRId64 ",\"kb_inserts\":%" PRId64
+                  ",\"skeleton_nodes\":%" PRId64 ",\"probes\":%" PRId64
                   ",\"seeks\":%" PRId64 ",\"max_intermediate\":%zu,"
                   "\"memory\":{\"kb_bytes\":%zu,\"index_bytes\":%zu,"
                   "\"intermediate_bytes\":%zu,\"output_bytes\":%zu},"
@@ -587,7 +590,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   JsonEscape(section_).c_str(), JsonEscape(scenario).c_str(),
                   params_field.c_str(), engine_name, ok ? "true" : "false",
                   tuples, s.wall_ms, s.tetris.resolutions,
-                  s.tetris.boxes_loaded, probes, s.seeks,
+                  s.tetris.boxes_loaded, s.tetris.kb_inserts,
+                  s.tetris.skeleton_nodes, probes, s.seeks,
                   s.baseline.max_intermediate, s.memory.kb_bytes,
                   s.memory.index_bytes, s.memory.intermediate_bytes,
                   s.memory.output_bytes, s.shards, s.threads,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -79,11 +78,11 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const std::vector<DyadicBox>& touched) {
   const auto t0 = std::chrono::steady_clock::now();
   PatchResult out;
-  auto finish = [&t0, &out]() -> PatchResult& {
+  auto finish = [&t0, &out]() -> PatchResult {
     const auto t1 = std::chrono::steady_clock::now();
     out.result.stats.wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return out;
+    return std::move(out);
   };
 
   // Validation mirrors RunJoin so a patch fails exactly where a fresh
@@ -126,7 +125,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     return finish();
   }
 
-  auto full_run = [&](const std::string& why) -> PatchResult& {
+  auto full_run = [&](const std::string& why) -> PatchResult {
     out.result = RunJoin(query, kind, options);
     out.full_recompute = true;
     out.note = "full recompute: " + why;
@@ -211,9 +210,10 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   // Splice: keep old tuples outside every re-run box (unchanged by
   // construction), replace everything inside with the fresh outputs.
   // Each re-run box lies in its own shard, so the fresh outputs are
-  // disjoint from each other and from the kept tuples, and both sides
-  // are sorted: a merge, not a re-sort of the union.
-  std::vector<Tuple> kept;
+  // disjoint from each other and from the kept tuples, and every one of
+  // these runs is sorted: a merge, not a re-sort of the union.
+  std::vector<std::vector<Tuple>> runs(1);
+  std::vector<Tuple>& kept = runs[0];
   for (const Tuple& t : old_tuples) {
     bool in_rerun = false;
     for (const DyadicBox& box : rerun_box) {
@@ -228,20 +228,12 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   EngineResult& res = out.result;
   res.ok = true;
   res.stats.engine = kind;
-  std::vector<Tuple> added;
   for (EngineResult& r : fresh) {
-    added.insert(added.end(), std::make_move_iterator(r.tuples.begin()),
-                 std::make_move_iterator(r.tuples.end()));
+    out.tuples_patched += r.tuples.size();
     AccumulateShardStats(&res.stats, r.stats);
+    runs.push_back(std::move(r.tuples));
   }
-  out.tuples_patched = added.size();
-  std::sort(added.begin(), added.end());
-  res.tuples.reserve(kept.size() + added.size());
-  std::merge(std::make_move_iterator(kept.begin()),
-             std::make_move_iterator(kept.end()),
-             std::make_move_iterator(added.begin()),
-             std::make_move_iterator(added.end()),
-             std::back_inserter(res.tuples));
+  res.tuples = MergeSortedRuns(std::move(runs));
   res.stats.output_tuples = res.tuples.size();
   res.stats.shards = plan.shards.size();
   res.stats.threads = static_cast<size_t>(pool.threads());

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -296,7 +299,7 @@ ShardCostModel CalibrateShardCostModel(const JoinQuery& query,
       if (pr.box == probe.shards[pick].box) duplicate = true;
     }
     if (duplicate) continue;
-    const EngineResult pr =
+    EngineResult pr =
         tctx != nullptr
             ? RunTetrisViewShard(*tctx, probe.shards[pick].box, kind)
             : RunMaterializedShard(query, probe, pick, kind, shard_opts);
@@ -305,7 +308,7 @@ ShardCostModel CalibrateShardCostModel(const JoinQuery& query,
     ProbeRun kept;
     kept.box = probe.shards[pick].box;
     kept.payload_bytes = probe.shards[pick].payload_bytes;
-    kept.result = pr;
+    kept.result = std::move(pr);
     probe_runs->push_back(std::move(kept));
   }
   if (points.size() >= 2) {
@@ -337,6 +340,35 @@ std::string EstimatorAuditNote(const ShardCostModel& model,
          std::to_string(actual_bytes) + "B";
 }
 
+std::vector<Tuple> MergeSortedRuns(std::vector<std::vector<Tuple>> runs) {
+  size_t total = 0;
+  for (const std::vector<Tuple>& run : runs) total += run.size();
+  std::vector<Tuple> out;
+  out.reserve(total);
+  // bounds[r] is where run r starts in `out`; the last entry is the end.
+  std::vector<size_t> bounds = {0};
+  for (std::vector<Tuple>& run : runs) {
+    if (run.empty()) continue;
+    out.insert(out.end(), std::make_move_iterator(run.begin()),
+               std::make_move_iterator(run.end()));
+    bounds.push_back(out.size());
+  }
+  // Pass w merges groups of w runs pairwise, so the group size doubles.
+  const size_t k = bounds.size() - 1;
+  for (size_t w = 1; w < k; w *= 2) {
+    for (size_t r = 0; r + w < k; r += 2 * w) {
+      const auto mid = out.begin() + bounds[r + w];
+      // Two groups already in order (shards split on a leading
+      // attribute) need no merge.
+      if (*mid < *(mid - 1)) {
+        std::inplace_merge(out.begin() + bounds[r], mid,
+                           out.begin() + bounds[std::min(r + 2 * w, k)]);
+      }
+    }
+  }
+  return out;
+}
+
 EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
                             const ShardPlan& plan,
                             std::vector<EngineResult> shard_results,
@@ -351,6 +383,8 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   size_t over_budget = 0;
   size_t worst_peak = 0;
   size_t worst_shard = 0;
+  std::vector<std::vector<Tuple>> runs;
+  runs.reserve(m);
   for (size_t i = 0; i < m; ++i) {
     ShardRunInfo info;
     info.shard_id = static_cast<int>(i);
@@ -366,12 +400,10 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
       result.shard_runs.clear();
       return result;
     }
-    result.tuples.insert(result.tuples.end(),
-                         std::make_move_iterator(r.tuples.begin()),
-                         std::make_move_iterator(r.tuples.end()));
     AccumulateShardStats(&result.stats, r.stats);
     info.output_tuples = r.tuples.size();
     info.stats = r.stats;
+    runs.push_back(std::move(r.tuples));
     if (memory_budget_bytes > 0 &&
         r.stats.memory.PeakBytes() > memory_budget_bytes) {
       ++over_budget;
@@ -395,12 +427,12 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
         " peaked at " + std::to_string(worst_peak) + "B)";
   }
 
-  // Shards are disjoint subcubes, so concatenation has no duplicates,
-  // but sorting restores the canonical facade order.
-  std::sort(result.tuples.begin(), result.tuples.end());
-  result.tuples.erase(
-      std::unique(result.tuples.begin(), result.tuples.end()),
-      result.tuples.end());
+  // Every shard run is canonical and shards are disjoint subcubes, so
+  // merging the runs gives the canonical facade order, duplicate-free.
+  result.tuples = MergeSortedRuns(std::move(runs));
+  assert(std::adjacent_find(result.tuples.begin(), result.tuples.end(),
+                            std::greater_equal<Tuple>()) ==
+         result.tuples.end());
   result.ok = true;
   result.stats.output_tuples = result.tuples.size();
   result.stats.memory.intermediate_bytes =
@@ -416,11 +448,11 @@ EngineResult RunShardedJoin(const JoinQuery& query, EngineKind kind,
   EngineResult result;
   result.stats.engine = kind;
   const auto start = std::chrono::steady_clock::now();
-  auto finish = [&start, &result]() -> EngineResult& {
+  auto finish = [&start, &result]() -> EngineResult {
     const auto end = std::chrono::steady_clock::now();
     result.stats.wall_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
-    return result;
+    return std::move(result);
   };
 
   const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);

@@ -217,8 +217,15 @@ std::string ProbeReuseNote(size_t probes_reused);
 std::string EstimatorAuditNote(const ShardCostModel& model,
                                size_t predicted_bytes, size_t actual_bytes);
 
+/// Merges sorted runs into one sorted vector, moving every tuple once
+/// into a single buffer and merging adjacent runs pairwise, bottom-up
+/// (log2 of the run count passes). Empty runs are allowed. Equal tuples
+/// are all kept, as std::sort would keep them; the callers' runs are
+/// disjoint shard outputs, so their merge is already canonical.
+std::vector<Tuple> MergeSortedRuns(std::vector<std::vector<Tuple>> runs);
+
 /// Deterministic by-shard-id merge of one query's shard results into one
-/// facade EngineResult: concatenates tuples (then canonicalizes),
+/// facade EngineResult: merges the shards' canonical tuple runs,
 /// accumulates RunStats, fills shard_runs / the estimator fields from
 /// `plan`, reports shards whose actual peak overran
 /// `memory_budget_bytes` (0 = no budget) in shard_note, and surfaces

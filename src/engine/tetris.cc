@@ -132,7 +132,9 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
   }
   assert(pivot >= 0 && "Lemma C.1 violated: resolution must apply");
   (void)pivot;
-  if (options_.cache_resolvents) InsertKb(*w);  // line 19
+  // Line 19. A resolvent equal to b could only answer a lookup inside b,
+  // and the depth-first search never enters b again, so it is not cached.
+  if (options_.cache_resolvents && *w != *b) InsertKb(*w);
   return true;
 }
 

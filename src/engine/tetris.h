@@ -6,7 +6,10 @@
 // that A leaves uncovered (see below). On backtracking it combines the
 // two half-witnesses by *ordered geometric resolution* and (optionally)
 // caches the resolvent back into A — the caching toggle is exactly the
-// Ordered vs Tree-Ordered resolution distinction of Figure 2.
+// Ordered vs Tree-Ordered resolution distinction of Figure 2. Only a
+// resolvent that reaches beyond its node box is cached: one equal to the
+// node box could answer only lookups inside that node, which the search
+// never enters again (one pass, below).
 //
 // The skeleton builds no box per node apart from one slot for the
 // second child's witness on backtracking. It splits one working box in
@@ -46,8 +49,10 @@ struct TetrisStats {
   int64_t resolutions = 0;         ///< total geometric resolutions
   int64_t gap_resolutions = 0;     ///< inputs untainted by output boxes (C.3)
   int64_t output_resolutions = 0;  ///< at least one output-derived input (C.4)
-  int64_t kb_inserts = 0;          ///< boxes added to A (loads + resolvents)
-  int64_t boxes_loaded = 0;        ///< gap boxes pulled from B into A
+  int64_t kb_inserts = 0;          ///< boxes added to A: loads, plus the
+                                   ///< resolvents larger than their node
+  int64_t boxes_loaded = 0;        ///< gap boxes pulled from B into A (not
+                                   ///< counted when A already holds the box)
   int64_t skeleton_nodes = 0;      ///< recursion tree nodes visited
   int64_t outputs = 0;             ///< output tuples reported
   int64_t restarts = 0;            ///< partition rebuilds (Tetris-LB only)
@@ -73,7 +78,9 @@ struct TetrisOptions {
   Init init = Init::kReloaded;
 
   /// When false, resolvents are *not* cached in A: the engine performs
-  /// Tree-Ordered Geometric Resolution (paper, Section 5.1).
+  /// Tree-Ordered Geometric Resolution (paper, Section 5.1). When true,
+  /// every resolvent larger than its node box is cached (Ordered
+  /// Geometric Resolution); a resolvent equal to its node box never is.
   bool cache_resolvents = true;
 
   /// Splitting attribute order: engine dimension j is original dimension

@@ -112,11 +112,11 @@ size_t JoinService::PredictPeakBytes(const QueryRequest& request) const {
 QueryResponse JoinService::Execute(const QueryRequest& request) {
   const auto t0 = std::chrono::steady_clock::now();
   QueryResponse resp;
-  auto finish = [&t0, &resp]() -> QueryResponse& {
+  auto finish = [&t0, &resp]() -> QueryResponse {
     const auto t1 = std::chrono::steady_clock::now();
     resp.service_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return resp;
+    return std::move(resp);
   };
 
   const double deadline_ms = request.deadline_ms < 0
@@ -145,7 +145,7 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
             : 0;
     std::unique_lock<std::mutex> lock(admit_mu_);
     if (running_ >= options_.max_inflight) {
-      auto reject = [&](std::string why) -> QueryResponse& {
+      auto reject = [&](std::string why) -> QueryResponse {
         rejected_.fetch_add(1);
         resp.rejected = true;
         resp.result = FailedResult(request.engine, std::move(why));

@@ -460,6 +460,34 @@ TEST(CliTest, JsonlRowEscapesControlBytes) {
       << out;
 }
 
+// The KB work counters are row fields, so a tool can gate them.
+TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
+  EngineRun run;
+  run.kind = EngineKind::kTetrisPreloaded;
+  run.result.ok = true;
+  run.result.stats.tetris.kb_inserts = 23;
+  run.result.stats.tetris.skeleton_nodes = 517;
+  {
+    testing::internal::CaptureStdout();
+    RunReporter rep(OutputFormat::kJsonl, "unit");
+    rep.Row("tri", {}, run);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("\"kb_inserts\":23,\"skeleton_nodes\":517,"),
+              std::string::npos)
+        << out;
+  }
+  {
+    testing::internal::CaptureStdout();
+    RunReporter rep(OutputFormat::kCsv, "unit");
+    rep.Row("tri", {}, run);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find(",boxes_loaded,kb_inserts,skeleton_nodes,probes,"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find(",0,23,517,0,"), std::string::npos) << out;
+  }
+}
+
 TEST(CliTest, RowEmitsShardSubRows) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
                                    /*seed=*/8);
