@@ -97,19 +97,21 @@ int main(int argc, char** argv) {
   Relation r = PaperRelation("R", "A", "B");
   PrintTuples(r);
 
+  // Each index hands its gap boxes to a sink; collect them for printing.
   std::vector<DyadicBox> gaps;
+  auto collect = [&gaps](const DyadicBox& b) { gaps.push_back(b); };
   SortedIndex ab(r, {0, 1}, kD);
-  ab.AllGaps(&gaps);
+  ab.AllGaps(collect);
   PrintGaps("Figure 1b — B-tree sorted (A,B)", r, gaps);
 
   gaps.clear();
   SortedIndex ba(r, {1, 0}, kD);
-  ba.AllGaps(&gaps);
+  ba.AllGaps(collect);
   PrintGaps("Figure 3a — B-tree sorted (B,A)", r, gaps);
 
   gaps.clear();
   DyadicTreeIndex qt(r, kD);
-  qt.AllGaps(&gaps);
+  qt.AllGaps(collect);
   PrintGaps("Figure 3b — quad-tree (dyadic) index", r, gaps);
 
   std::printf("Same relation, three indexes, three different gap-box "

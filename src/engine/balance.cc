@@ -107,8 +107,11 @@ bool BalancedSpace::IsUnit(const DyadicBox& b, int dim) const {
 namespace {
 
 // Reloaded-mode oracle adapter living in the lifted space: unlifts probe
-// points, lifts the resulting gap boxes, and records every distinct
-// original box seen (input for partition rebuilds).
+// points, lifts the resulting gap boxes as they stream by, and records
+// every distinct original box seen (input for partition rebuilds). That
+// recording mutates shared state through const Probe, so unlike the
+// shareable oracles this adapter is NOT const-thread-safe — each TetrisLB
+// run owns its own instance and never shares it across threads.
 class LiftedOracle : public BoxOracle {
  public:
   LiftedOracle(const BoxOracle* base, const BalanceMap* map,
@@ -118,15 +121,12 @@ class LiftedOracle : public BoxOracle {
 
   int dims() const override { return map_->lifted_dims(); }
 
-  void Probe(const DyadicBox& point,
-             std::vector<DyadicBox>* out) const override {
+  void Probe(const DyadicBox& point, BoxSink sink) const override {
     ++probe_count_;
-    tmp_.clear();
-    base_->Probe(map_->UnliftPoint(point), &tmp_);
-    for (const DyadicBox& b : tmp_) {
+    base_->Probe(map_->UnliftPoint(point), [&](const DyadicBox& b) {
       if (seen_set_->insert(b).second) seen_->push_back(b);
-      out->push_back(map_->Lift(b));
-    }
+      sink(map_->Lift(b));
+    });
   }
 
  private:
@@ -134,12 +134,6 @@ class LiftedOracle : public BoxOracle {
   const BalanceMap* map_;
   std::vector<DyadicBox>* seen_;
   std::unordered_set<DyadicBox, DyadicBoxHash>* seen_set_;
-  // Capacity-reusing scratch for the per-resolution hot path. This
-  // adapter is inherently single-run (the seen-box recording above
-  // mutates shared state through const Probe), so unlike the shareable
-  // oracles it is NOT const-thread-safe — each TetrisLB run owns its
-  // own instance and never shares it across threads.
-  mutable std::vector<DyadicBox> tmp_;
 };
 
 }  // namespace
@@ -168,9 +162,11 @@ RunStatus TetrisLB::Run(const OutputSink& sink) {
   }
 
   if (preloaded_) {
-    // Algorithm 3: Balance then Tetris-Preloaded on the lifted boxes.
+    // Algorithm 3: Balance then Tetris-Preloaded on the lifted boxes. The
+    // partitions need the whole box set, so it is collected here.
     std::vector<DyadicBox> all;
-    bool ok = oracle_->EnumerateAll(&all);
+    const bool ok = oracle_->EnumerateAll(
+        [&all](const DyadicBox& b) { all.push_back(b); });
     assert(ok && "preloaded LB requires an enumerable oracle");
     (void)ok;
     BalanceMap map(all, n_, d_);

@@ -44,24 +44,6 @@ std::string PlanSignature(const JoinQuery& query, int depth) {
   });
 }
 
-// The index layout an atom wants under `sao`: SaoConsistentColumns,
-// normalized to the empty layout when that comes out as the relation's
-// own column order — so every SAO that agrees with relation order shares
-// one entry.
-IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao,
-                      int depth) {
-  IndexLayout layout;
-  layout.depth = depth;
-  std::vector<int> cols = SaoConsistentColumns(atom, sao);
-  for (size_t c = 0; c < cols.size(); ++c) {
-    if (cols[c] != static_cast<int>(c)) {
-      layout.columns = std::move(cols);
-      break;
-    }
-  }
-  return layout;
-}
-
 constexpr const char kDeadlineError[] =
     "deadline exceeded: task abandoned before it started";
 

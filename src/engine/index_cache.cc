@@ -2,7 +2,23 @@
 
 #include <utility>
 
+#include "engine/join_runner.h"
+
 namespace tetris {
+
+IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao,
+                      int depth) {
+  IndexLayout layout;
+  layout.depth = depth;
+  std::vector<int> cols = SaoConsistentColumns(atom, sao);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (cols[c] != static_cast<int>(c)) {
+      layout.columns = std::move(cols);
+      break;
+    }
+  }
+  return layout;
+}
 
 std::shared_ptr<const SortedIndex> IndexCache::Get(
     const Relation* rel, const IndexLayout& layout, bool* built_out) {

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "index/sorted_index.h"
+#include "query/join_query.h"
 #include "relation/relation.h"
 
 namespace tetris {
@@ -53,6 +54,14 @@ struct IndexLayout {
     return columns < o.columns;
   }
 };
+
+/// The layout `atom`'s index needs under `sao` at `depth`:
+/// SaoConsistentColumns (engine/join_runner.h), normalized to the empty
+/// layout when that comes out as the relation's own column order — so
+/// every SAO that agrees with relation order shares one entry. RunBatch
+/// and the service's patch path both fetch their indexes under it.
+IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao,
+                      int depth);
 
 /// Thread-safe build-once cache of SortedIndexes keyed by
 /// (relation, layout). Concurrent Gets for the same key may race to

@@ -13,70 +13,51 @@ RelationOracle::RelationOracle(const JoinQuery* query,
   assert(indexes_.size() == query_->atoms().size());
 }
 
-DyadicBox RelationOracle::Embed(const Atom& a,
-                                const DyadicBox& rel_box) const {
-  DyadicBox out = DyadicBox::Universal(query_->num_attrs());
-  for (size_t c = 0; c < a.var_ids.size(); ++c) {
-    out[a.var_ids[c]] = rel_box[static_cast<int>(c)];
+template <typename Emit>
+size_t RelationOracle::EmbedEach(BoxSink sink, Emit&& emit) const {
+  DyadicBox q;
+  size_t count = 0;
+  for (size_t i = 0; i < query_->atoms().size(); ++i) {
+    const std::vector<int>& vars = query_->atoms()[i].var_ids;
+    q = DyadicBox::Universal(query_->num_attrs());
+    emit(i, [&](const DyadicBox& g) {
+      for (size_t c = 0; c < vars.size(); ++c) {
+        q[vars[c]] = g[static_cast<int>(c)];
+      }
+      ++count;
+      sink(q);
+    });
   }
-  return out;
+  return count;
 }
 
-void RelationOracle::Probe(const DyadicBox& point,
-                           std::vector<DyadicBox>* out) const {
+void RelationOracle::Probe(const DyadicBox& point, BoxSink sink) const {
   ++probe_count_;
-  std::vector<uint64_t> vals = point.ToPoint();
-  Tuple proj;
-  std::vector<DyadicBox> gaps;
-  for (size_t i = 0; i < query_->atoms().size(); ++i) {
-    const Atom& a = query_->atoms()[i];
-    proj.clear();
-    for (int id : a.var_ids) proj.push_back(vals[id]);
-    gaps.clear();
-    indexes_[i]->GapsContaining(proj, &gaps);
-    for (const DyadicBox& g : gaps) out->push_back(Embed(a, g));
-  }
+  EmbedEach(sink, [&](size_t i, BoxSink embed) {
+    uint64_t proj[kMaxDims];  // the point's projection onto atom i
+    const std::vector<int>& vars = query_->atoms()[i].var_ids;
+    for (size_t c = 0; c < vars.size(); ++c) proj[c] = point[vars[c]].bits;
+    indexes_[i]->GapsContaining(proj, embed);
+  });
 }
 
-bool RelationOracle::EnumerateAll(std::vector<DyadicBox>* out) const {
-  const size_t before = out->size();
-  std::vector<DyadicBox> gaps;
-  for (size_t i = 0; i < query_->atoms().size(); ++i) {
-    gaps.clear();
-    indexes_[i]->AllGaps(&gaps);
-    for (const DyadicBox& g : gaps) {
-      out->push_back(Embed(query_->atoms()[i], g));
-    }
-  }
-  enumerated_ += out->size() - before;
+bool RelationOracle::EnumerateAll(BoxSink sink) const {
+  enumerated_ += EmbedEach(
+      sink, [&](size_t i, BoxSink embed) { indexes_[i]->AllGaps(embed); });
   return true;
 }
 
 bool RelationOracle::EnumerateIntersecting(const DyadicBox& box,
-                                           std::vector<DyadicBox>* out) const {
-  std::vector<DyadicBox> gaps;
-  for (size_t i = 0; i < query_->atoms().size(); ++i) {
+                                           BoxSink sink) const {
+  EmbedEach(sink, [&](size_t i, BoxSink embed) {
     const Atom& a = query_->atoms()[i];
     DyadicBox proj = DyadicBox::Universal(static_cast<int>(a.var_ids.size()));
     for (size_t c = 0; c < a.var_ids.size(); ++c) {
       proj[static_cast<int>(c)] = box[a.var_ids[c]];
     }
-    gaps.clear();
-    indexes_[i]->GapsIntersecting(proj, &gaps);
-    for (const DyadicBox& g : gaps) out->push_back(Embed(a, g));
-  }
+    indexes_[i]->GapsIntersecting(proj, embed);
+  });
   return true;
-}
-
-size_t RelationOracle::CountAllGaps() const {
-  size_t count = 0;
-  std::vector<DyadicBox> gaps;
-  for (const Index* ix : indexes_) {
-    gaps.clear();
-    ix->AllGaps(&gaps);
-    count += gaps.size();
-  }
-  return count;
 }
 
 bool ChoosesOwnSao(JoinAlgorithm algo) {

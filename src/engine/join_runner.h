@@ -5,7 +5,8 @@
 // RelationOracle is the live view: probing a candidate tuple projects it
 // onto every atom and asks that atom's index for the gaps around it; an
 // all-indices miss certifies an output tuple. Tetris-Preloaded instead
-// enumerates all gaps up front (AllGaps).
+// enumerates all gaps up front (AllGaps). Either way each gap streams
+// from the index through the oracle's embedding into the engine's sink.
 #ifndef TETRIS_ENGINE_JOIN_RUNNER_H_
 #define TETRIS_ENGINE_JOIN_RUNNER_H_
 
@@ -20,7 +21,9 @@
 
 namespace tetris {
 
-/// Oracle over the gap boxes of a query's indexed relations.
+/// Oracle over the gap boxes of a query's indexed relations. Every call
+/// emits atom by atom, in query atom order, each atom's gaps in its
+/// index's order, embedded into the query space through one reused box.
 class RelationOracle : public BoxOracle {
  public:
   /// `indexes[i]` indexes `query.atoms()[i].rel` (arity must match).
@@ -30,10 +33,9 @@ class RelationOracle : public BoxOracle {
 
   int dims() const override { return query_->num_attrs(); }
 
-  void Probe(const DyadicBox& point,
-             std::vector<DyadicBox>* out) const override;
+  void Probe(const DyadicBox& point, BoxSink sink) const override;
 
-  bool EnumerateAll(std::vector<DyadicBox>* out) const override;
+  bool EnumerateAll(BoxSink sink) const override;
 
   /// Pruned per-atom enumeration: projects `box` onto each atom's columns
   /// and asks the index for only the gaps meeting that projection. The
@@ -41,21 +43,21 @@ class RelationOracle : public BoxOracle {
   /// intersect `box` iff their atom-local part meets the projection —
   /// exactly the filtered EnumerateAll set.
   bool EnumerateIntersecting(const DyadicBox& box,
-                             std::vector<DyadicBox>* out) const override;
+                             BoxSink sink) const override;
 
-  /// Total number of gap boxes across all indexes (|B(Q)|), enumerated
-  /// afresh on every call.
-  size_t CountAllGaps() const;
-
-  /// Gap boxes appended by EnumerateAll so far: |B(Q)| after the one
+  /// Gap boxes emitted by EnumerateAll so far: |B(Q)| after the one
   /// preload of a preloaded run, counted as it streams by.
   size_t enumerated_boxes() const {
     return enumerated_.load(std::memory_order_relaxed);
   }
 
  private:
-  // Embeds a k-dim box over atom `a`'s columns into the n-dim query space.
-  DyadicBox Embed(const Atom& a, const DyadicBox& rel_box) const;
+  // Calls `emit(i, embed)` for each atom i in order, where `embed` is a
+  // sink that writes an atom-local gap of atom i into one reused
+  // query-space box (λ on the other attributes) and passes it to `sink`.
+  // Returns the number of boxes passed on.
+  template <typename Emit>
+  size_t EmbedEach(BoxSink sink, Emit&& emit) const;
 
   const JoinQuery* query_;
   std::vector<const Index*> indexes_;

@@ -52,39 +52,41 @@ DyadicBox Tetris::LoadGap(const DyadicBox& gap) {
   return eng;
 }
 
-bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
-  const DyadicBox point = ToOriginalOrder(b);
-  probe_.clear();
-  // Preloaded, A ⊇ B: nothing in B can cover the point, so B is not asked.
-  if (options_.init == TetrisOptions::Init::kReloaded) {
-    oracle_->Probe(point, &probe_);
-  }
-  if (probe_.empty()) {
-    ++stats_.outputs;
-    if (!(*sink_)(point)) {
-      status_ = RunStatus::kStoppedBySink;
-      return false;
-    }
-    *w = b;
-    w->set_output_derived(true);
-    if (options_.proof_log) options_.proof_log->AddOutput(*w);
-    return true;
-  }
+bool Tetris::LoadProbeGaps(const DyadicBox& b, DyadicBox* w) {
+  bool any = false;
   bool witness_found = false;
-  for (const DyadicBox& g : probe_) {
+  oracle_->Probe(ToOriginalOrder(b), [&](const DyadicBox& g) {
+    any = true;
     const DyadicBox eng = LoadGap(g);
     if (eng.Contains(b)) {
       *w = eng;
       witness_found = true;
     }
-  }
-  assert(witness_found && "oracle must return a gap containing the probe");
+  });
+  assert((!any || witness_found) &&
+         "oracle must return a gap containing the probe");
   (void)witness_found;
-  if (options_.load_budget >= 0 &&
-      stats_.boxes_loaded > options_.load_budget) {
-    status_ = RunStatus::kBudgetExceeded;
+  return any;
+}
+
+bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
+  // Preloaded, A ⊇ B: nothing in B can cover the point, so B is not asked.
+  if (options_.init == TetrisOptions::Init::kReloaded && LoadProbeGaps(b, w)) {
+    if (options_.load_budget >= 0 &&
+        stats_.boxes_loaded > options_.load_budget) {
+      status_ = RunStatus::kBudgetExceeded;
+      return false;
+    }
+    return true;
+  }
+  ++stats_.outputs;
+  if (!(*sink_)(ToOriginalOrder(b))) {
+    status_ = RunStatus::kStoppedBySink;
     return false;
   }
+  *w = b;
+  w->set_output_derived(true);
+  if (options_.proof_log) options_.proof_log->AddOutput(*w);
   return true;
 }
 
@@ -139,13 +141,13 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
 }
 
 RunStatus Tetris::Run(const OutputSink& sink) {
-  // Initialize(A) — line 1 of Algorithm 2.
+  // Initialize(A) — line 1 of Algorithm 2: each gap box of B goes into A
+  // as the oracle emits it.
   if (options_.init == TetrisOptions::Init::kPreloaded) {
-    std::vector<DyadicBox> all;
-    bool ok = oracle_->EnumerateAll(&all);
+    const bool ok =
+        oracle_->EnumerateAll([this](const DyadicBox& g) { LoadGap(g); });
     assert(ok && "preloaded mode requires an enumerable oracle");
     (void)ok;
-    for (const DyadicBox& g : all) LoadGap(g);
   }
 
   // The working box the skeleton splits in place and the slot it writes

@@ -31,6 +31,13 @@
 // Initialization policies (paper, Sections 4.3 / 4.4):
 //   * kPreloaded: A := B            (worst-case bounds: AGM, fhtw)
 //   * kReloaded:  A := ∅            (certificate bounds: O~(|C|^w+1 + Z))
+//
+// Gap boxes of B are never stored outside A. The preload inserts each box
+// as the oracle's enumeration emits it (BoxOracle's sink contract), and a
+// reloaded probe loads each box that contains the point as the oracle
+// emits it; both copy the box into SAO order on the way in. So A sees the
+// oracle's boxes in the oracle's order, and the engine allocates nothing
+// per gap box beyond A's own growth.
 #ifndef TETRIS_ENGINE_TETRIS_H_
 #define TETRIS_ENGINE_TETRIS_H_
 
@@ -141,10 +148,16 @@ class Tetris {
   bool Skeleton(DyadicBox* b, DyadicBox* w);
   // The skeleton's unit-box case: the point `b` (engine order) is not
   // covered by A. Probes B (reloaded mode; preloaded A already holds B),
-  // then either reports `b` as an output and writes it into `*w` as an
-  // output-derived witness, or loads the gap boxes that contain it and
-  // writes one of them into `*w`. Returns false only on an abort.
+  // then either loads the gap boxes that contain `b` and writes one of
+  // them into `*w`, or reports `b` as an output and writes it into `*w`
+  // as an output-derived witness. Returns false only on an abort.
   bool SettleUnitBox(const DyadicBox& b, DyadicBox* w);
+  // The reloaded probe: loads every gap box of B containing the point
+  // `b` (engine order) into A as the oracle emits it, writes the last one
+  // that contains `b` into `*w`, and returns true; returns false iff B
+  // has none (`b` is an output). Kept out of line so that SettleUnitBox's
+  // output path stays small.
+  [[gnu::noinline]] bool LoadProbeGaps(const DyadicBox& b, DyadicBox* w);
   // Inserts the gap box `gap` of B (original order) into A as an axiom
   // and returns it in engine order.
   DyadicBox LoadGap(const DyadicBox& gap);
@@ -161,7 +174,6 @@ class Tetris {
   TetrisStats stats_;
   const OutputSink* sink_ = nullptr;
   RunStatus status_ = RunStatus::kCompleted;
-  std::vector<DyadicBox> probe_;  // SettleUnitBox's reused probe buffer
 };
 
 /// Convenience: solves the Boolean BCP (Definition 3.5) — is the whole

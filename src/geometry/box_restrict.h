@@ -9,8 +9,6 @@
 #ifndef TETRIS_GEOMETRY_BOX_RESTRICT_H_
 #define TETRIS_GEOMETRY_BOX_RESTRICT_H_
 
-#include <vector>
-
 #include "geometry/dyadic_box.h"
 
 namespace tetris {
@@ -67,51 +65,34 @@ inline bool DivergenceSlab(const DyadicInterval& restrict_iv,
   return true;
 }
 
-/// Clips boxes[start..] to `box` in place, dropping the ones disjoint
-/// from it (their space belongs to the box complement) and compacting
-/// the tail. The shared idiom of every restriction view's probe and
-/// enumeration path.
-inline void ClipBoxesInPlace(const DyadicBox& box, size_t start,
-                             std::vector<DyadicBox>* boxes) {
-  size_t w = start;
-  for (size_t i = start; i < boxes->size(); ++i) {
-    DyadicBox clipped;
-    if (IntersectBoxes((*boxes)[i], box, &clipped)) {
-      (*boxes)[w++] = clipped;
-    }
-  }
-  boxes->resize(w);
-}
-
-/// Appends the maximal dyadic boxes covering the complement of `box`:
-/// for every non-λ component, the sibling of each prefix along its path,
-/// padded with λ elsewhere. The slabs overlap across dimensions, which is
-/// fine for gap sets; each is maximal (growing any slab would reach into
-/// `box`).
-inline void AppendBoxComplement(const DyadicBox& box,
-                                std::vector<DyadicBox>* out) {
+/// Emits the maximal dyadic boxes covering the complement of `box`: for
+/// every non-λ component, the sibling of each prefix along its path,
+/// padded with λ elsewhere, dimension by dimension. The slabs overlap
+/// across dimensions, which is fine for gap sets; each is maximal
+/// (growing any slab would reach into `box`).
+inline void EmitBoxComplement(const DyadicBox& box, BoxSink sink) {
+  DyadicBox slab = DyadicBox::Universal(box.dims());
   for (int i = 0; i < box.dims(); ++i) {
     for (int j = 1; j <= box[i].len; ++j) {
-      DyadicInterval pref = box[i].Prefix(j);
-      DyadicBox slab = DyadicBox::Universal(box.dims());
+      const DyadicInterval pref = box[i].Prefix(j);
       slab[i] = DyadicInterval{pref.bits ^ 1, pref.len};
-      out->push_back(slab);
+      sink(slab);
     }
+    slab[i] = DyadicInterval::Lambda();
   }
 }
 
-/// Appends the maximal complement boxes of `box` that contain `point`
-/// (one per dimension where the point leaves the box). Appends nothing
-/// iff `box` contains `point`.
-inline void AppendComplementContaining(const DyadicBox& box,
-                                       const DyadicBox& point,
-                                       std::vector<DyadicBox>* out) {
+/// Emits the maximal complement boxes of `box` that contain `point` (one
+/// per dimension where the point leaves the box). Emits nothing iff
+/// `box` contains `point`.
+inline void EmitComplementContaining(const DyadicBox& box,
+                                     const DyadicBox& point, BoxSink sink) {
   for (int i = 0; i < box.dims(); ++i) {
     DyadicInterval slab;
     if (DivergenceSlab(box[i], point[i], &slab)) {
       DyadicBox b = DyadicBox::Universal(box.dims());
       b[i] = slab;
-      out->push_back(b);
+      sink(b);
     }
   }
 }

@@ -4,20 +4,8 @@ namespace tetris {
 
 std::vector<DyadicInterval> DyadicCover(uint64_t lo, uint64_t hi, int d) {
   std::vector<DyadicInterval> out;
-  if (lo > hi) return out;
-  const uint64_t end = hi + 1;  // exclusive; hi < 2^d <= 2^62 so no overflow
-  uint64_t cur = lo;
-  while (cur < end) {
-    // Largest power-of-two block that starts at `cur` (alignment) and does
-    // not run past `end` (remaining length).
-    int align = cur == 0 ? d : __builtin_ctzll(cur);
-    if (align > d) align = d;
-    uint64_t remaining = end - cur;
-    int fit = 63 - __builtin_clzll(remaining);
-    int k = align < fit ? align : fit;  // block size 2^k
-    out.push_back({cur >> k, static_cast<uint8_t>(d - k)});
-    cur += uint64_t{1} << k;
-  }
+  ForEachDyadicCover(lo, hi, d,
+                     [&out](DyadicInterval iv) { out.push_back(iv); });
   return out;
 }
 

@@ -15,9 +15,26 @@
 
 namespace tetris {
 
-/// Canonical disjoint dyadic cover of the integer range [lo, hi] in a
-/// depth-`d` domain. Empty if lo > hi. At most 2d intervals; maximal
-/// blocks, ordered left to right.
+/// Calls `fn(iv)` for each interval of the canonical disjoint dyadic
+/// cover of the integer range [lo, hi] in a depth-`d` domain: maximal
+/// blocks, left to right, at most 2d of them, none if lo > hi.
+template <typename Fn>
+void ForEachDyadicCover(uint64_t lo, uint64_t hi, int d, Fn&& fn) {
+  if (lo > hi) return;
+  const uint64_t end = hi + 1;  // exclusive; hi < 2^d <= 2^62 so no overflow
+  for (uint64_t cur = lo; cur < end;) {
+    // Largest power-of-two block that starts at `cur` (alignment) and does
+    // not run past `end` (remaining length).
+    int align = cur == 0 ? d : __builtin_ctzll(cur);
+    if (align > d) align = d;
+    const int fit = 63 - __builtin_clzll(end - cur);
+    const int k = align < fit ? align : fit;  // block size 2^k
+    fn(DyadicInterval{cur >> k, static_cast<uint8_t>(d - k)});
+    cur += uint64_t{1} << k;
+  }
+}
+
+/// The intervals of ForEachDyadicCover(lo, hi, d), in its order.
 std::vector<DyadicInterval> DyadicCover(uint64_t lo, uint64_t hi, int d);
 
 /// A (possibly non-dyadic) axis-aligned box: per-dimension closed integer

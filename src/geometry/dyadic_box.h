@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "geometry/dyadic_interval.h"
@@ -185,6 +186,28 @@ struct DyadicBoxHash {
     }
     return acc;
   }
+};
+
+/// Where gap and probe calls (index/index.h, kb/box_oracle.h) put their
+/// boxes: a non-owning reference to a callable taking `const DyadicBox&`,
+/// two words, passed by value and never allocating. Use one only as a
+/// parameter: a lambda written as the argument lives until the call
+/// returns, but a named sink made from a temporary would dangle.
+class BoxSink {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, BoxSink>>>
+  BoxSink(F&& f)  // implicit: a lambda converts at the call site
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* obj, const DyadicBox& b) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(b);
+        }) {}
+
+  void operator()(const DyadicBox& b) const { call_(obj_, b); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, const DyadicBox&);
 };
 
 }  // namespace tetris

@@ -54,13 +54,12 @@ DyadicBox DyadicTreeIndex::CellBox(uint64_t prefix, int level) const {
   return b;
 }
 
-void DyadicTreeIndex::GapsContaining(const Tuple& t,
-                                     std::vector<DyadicBox>* out) const {
-  const uint64_t m = Morton(t.data());
+void DyadicTreeIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
+  const uint64_t m = Morton(t);
   for (int level = 0; level <= d_; ++level) {
     uint64_t prefix = m >> (k_ * (d_ - level));
     if (!CellOccupied(prefix, k_ * level)) {
-      out->push_back(CellBox(prefix, level));  // maximal empty cell
+      sink(CellBox(prefix, level));  // maximal empty cell
       return;
     }
   }
@@ -68,20 +67,18 @@ void DyadicTreeIndex::GapsContaining(const Tuple& t,
 }
 
 void DyadicTreeIndex::AllGapsRec(uint64_t prefix, int level,
-                                 std::vector<DyadicBox>* out) const {
+                                 BoxSink sink) const {
   if (!CellOccupied(prefix, k_ * level)) {
-    out->push_back(CellBox(prefix, level));
+    sink(CellBox(prefix, level));
     return;
   }
   if (level == d_) return;  // occupied unit cell = a tuple
   const uint64_t children = uint64_t{1} << k_;
   for (uint64_t c = 0; c < children; ++c) {
-    AllGapsRec((prefix << k_) | c, level + 1, out);
+    AllGapsRec((prefix << k_) | c, level + 1, sink);
   }
 }
 
-void DyadicTreeIndex::AllGaps(std::vector<DyadicBox>* out) const {
-  AllGapsRec(0, 0, out);
-}
+void DyadicTreeIndex::AllGaps(BoxSink sink) const { AllGapsRec(0, 0, sink); }
 
 }  // namespace tetris

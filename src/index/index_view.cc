@@ -14,32 +14,32 @@ bool IndexView::Contains(const Tuple& t) const {
   return box_.ContainsPoint(t.data(), base_->depth()) && base_->Contains(t);
 }
 
-void IndexView::GapsContaining(const Tuple& t,
-                               std::vector<DyadicBox>* out) const {
-  const DyadicBox point = DyadicBox::Point(t.data(), box_.dims(),
-                                           base_->depth());
+void IndexView::GapsContaining(const uint64_t* t, BoxSink sink) const {
+  const DyadicBox point = DyadicBox::Point(t, box_.dims(), base_->depth());
   if (!box_.Contains(point)) {
-    AppendComplementContaining(box_, point, out);
+    EmitComplementContaining(box_, point, sink);
     return;
   }
-  const size_t start = out->size();
-  base_->GapsContaining(t, out);
   // Base probes may emit sibling band boxes that do not contain the
   // probe; clip each to the box and drop the ones disjoint from it (the
   // complement slabs already cover that space). The gap that contains
   // the in-box probe always survives: two dyadic intervals containing
   // the same point are comparable, so its clip cannot fail — the
-  // postcondition (empty iff Contains) carries over.
-  ClipBoxesInPlace(box_, start, out);
+  // postcondition (nothing iff Contains) carries over.
+  base_->GapsContaining(t, [&](const DyadicBox& g) {
+    DyadicBox clipped;
+    if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
+  });
 }
 
-void IndexView::AllGaps(std::vector<DyadicBox>* out) const {
-  AppendBoxComplement(box_, out);
-  const size_t start = out->size();
+void IndexView::AllGaps(BoxSink sink) const {
+  EmitBoxComplement(box_, sink);
   // Pruned: only the base gaps meeting the box can survive the clip, so
   // let the base skip the rest of its enumeration up front.
-  base_->GapsIntersecting(box_, out);
-  ClipBoxesInPlace(box_, start, out);
+  base_->GapsIntersecting(box_, [&](const DyadicBox& g) {
+    DyadicBox clipped;
+    if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
+  });
 }
 
 }  // namespace tetris

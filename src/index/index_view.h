@@ -36,14 +36,14 @@ class IndexView : public Index {
 
   /// Probes outside the box answer with the complement slabs of the box
   /// containing the probe; probes inside defer to the base with results
-  /// clipped to the box. Postcondition (empty iff Contains) carries over
-  /// from the base.
-  void GapsContaining(const Tuple& t,
-                      std::vector<DyadicBox>* out) const override;
+  /// clipped to the box, in base order. Postcondition (nothing iff
+  /// Contains) carries over from the base.
+  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
 
-  /// Base gaps clipped to the box (gaps disjoint from it are dropped —
-  /// the complement slabs already cover them) plus the box complement.
-  void AllGaps(std::vector<DyadicBox>* out) const override;
+  /// The box complement (EmitBoxComplement's order), then the base gaps
+  /// meeting the box clipped to it, in base order (gaps disjoint from it
+  /// are dropped — the complement slabs already cover them).
+  void AllGaps(BoxSink sink) const override;
 
   /// The view's own resident footprint. The base structure is shared and
   /// accounted once by whoever owns it, not per view.

@@ -48,7 +48,7 @@ int32_t KdTreeIndex::Build(DyadicBox cell, size_t lo, size_t hi,
   return id;
 }
 
-const KdTreeIndex::Node& KdTreeIndex::LeafFor(const Tuple& t) const {
+const KdTreeIndex::Node& KdTreeIndex::LeafFor(const uint64_t* t) const {
   int32_t id = root_;
   for (;;) {
     const Node& n = nodes_[id];
@@ -59,7 +59,7 @@ const KdTreeIndex::Node& KdTreeIndex::LeafFor(const Tuple& t) const {
 }
 
 bool KdTreeIndex::Contains(const Tuple& t) const {
-  const Node& leaf = LeafFor(t);
+  const Node& leaf = LeafFor(t.data());
   for (size_t i = leaf.lo; i < leaf.hi; ++i) {
     if (points_[i] == t) return true;
   }
@@ -71,9 +71,9 @@ namespace {
 // Emits the dyadic complement of `tuples` within the dyadic `cell`.
 void ComplementRec(const DyadicBox& cell,
                    const std::vector<const Tuple*>& tuples, int k, int d,
-                   std::vector<DyadicBox>* out) {
+                   BoxSink sink) {
   if (tuples.empty()) {
-    out->push_back(cell);
+    sink(cell);
     return;
   }
   int dim = -1;
@@ -94,24 +94,22 @@ void ComplementRec(const DyadicBox& cell,
         sub.push_back(t);
       }
     }
-    ComplementRec(halves[side], sub, k, d, out);
+    ComplementRec(halves[side], sub, k, d, sink);
   }
 }
 
 }  // namespace
 
-void KdTreeIndex::EmitLeafGaps(const Node& node,
-                               std::vector<DyadicBox>* out) const {
+void KdTreeIndex::EmitLeafGaps(const Node& node, BoxSink sink) const {
   std::vector<const Tuple*> tuples;
   for (size_t i = node.lo; i < node.hi; ++i) tuples.push_back(&points_[i]);
-  ComplementRec(node.cell, tuples, k_, d_, out);
+  ComplementRec(node.cell, tuples, k_, d_, sink);
 }
 
-void KdTreeIndex::GapsContaining(const Tuple& t,
-                                 std::vector<DyadicBox>* out) const {
+void KdTreeIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
   const Node& leaf = LeafFor(t);
   if (leaf.lo == leaf.hi) {
-    out->push_back(leaf.cell);  // empty leaf: the whole cell is one gap
+    sink(leaf.cell);  // empty leaf: the whole cell is one gap
     return;
   }
   // Occupied leaf: descend the complement decomposition toward t until
@@ -121,7 +119,7 @@ void KdTreeIndex::GapsContaining(const Tuple& t,
   for (size_t i = leaf.lo; i < leaf.hi; ++i) inside.push_back(&points_[i]);
   for (;;) {
     if (inside.empty()) {
-      out->push_back(region);
+      sink(region);
       return;
     }
     int dim = -1;
@@ -145,18 +143,16 @@ void KdTreeIndex::GapsContaining(const Tuple& t,
   }
 }
 
-void KdTreeIndex::AllGapsRec(int32_t id, std::vector<DyadicBox>* out) const {
+void KdTreeIndex::AllGapsRec(int32_t id, BoxSink sink) const {
   const Node& n = nodes_[id];
   if (n.split_dim < 0) {
-    EmitLeafGaps(n, out);
+    EmitLeafGaps(n, sink);
     return;
   }
-  AllGapsRec(n.child[0], out);
-  AllGapsRec(n.child[1], out);
+  AllGapsRec(n.child[0], sink);
+  AllGapsRec(n.child[1], sink);
 }
 
-void KdTreeIndex::AllGaps(std::vector<DyadicBox>* out) const {
-  AllGapsRec(root_, out);
-}
+void KdTreeIndex::AllGaps(BoxSink sink) const { AllGapsRec(root_, sink); }
 
 }  // namespace tetris

@@ -27,13 +27,13 @@ class MultiIndex : public Index {
     return indexes_.front()->Contains(t);
   }
 
-  void GapsContaining(const Tuple& t,
-                      std::vector<DyadicBox>* out) const override {
-    for (const auto& ix : indexes_) ix->GapsContaining(t, out);
+  /// Each index's gaps in turn, in bundle order.
+  void GapsContaining(const uint64_t* t, BoxSink sink) const override {
+    for (const auto& ix : indexes_) ix->GapsContaining(t, sink);
   }
 
-  void AllGaps(std::vector<DyadicBox>* out) const override {
-    for (const auto& ix : indexes_) ix->AllGaps(out);
+  void AllGaps(BoxSink sink) const override {
+    for (const auto& ix : indexes_) ix->AllGaps(sink);
   }
 
   size_t MemoryBytes() const override {

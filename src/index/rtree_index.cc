@@ -71,9 +71,9 @@ namespace {
 // logic; duplicated locally to keep the index self-contained).
 void ComplementRec(const DyadicBox& cell,
                    const std::vector<const Tuple*>& tuples, int k, int d,
-                   const Tuple* probe, std::vector<DyadicBox>* out) {
+                   const uint64_t* probe, BoxSink sink) {
   if (tuples.empty()) {
-    out->push_back(cell);
+    sink(cell);
     return;
   }
   int dim = -1;
@@ -86,7 +86,7 @@ void ComplementRec(const DyadicBox& cell,
   const int bit_pos = d - cell[dim].len - 1;
   for (int side = 0; side < 2; ++side) {
     if (probe != nullptr &&
-        static_cast<int>(((*probe)[dim] >> bit_pos) & 1) != side) {
+        static_cast<int>((probe[dim] >> bit_pos) & 1) != side) {
       continue;
     }
     DyadicBox half = cell;
@@ -97,7 +97,7 @@ void ComplementRec(const DyadicBox& cell,
         sub.push_back(t);
       }
     }
-    ComplementRec(half, sub, k, d, probe, out);
+    ComplementRec(half, sub, k, d, probe, sink);
   }
 }
 
@@ -105,14 +105,13 @@ void ComplementRec(const DyadicBox& cell,
 
 void RTreeIndex::GapsRec(const DyadicBox& cell,
                          const std::vector<const Leaf*>& active,
-                         const Tuple* probe,
-                         std::vector<DyadicBox>* out) const {
+                         const uint64_t* probe, BoxSink sink) const {
   std::vector<const Leaf*> live;
   for (const Leaf* leaf : active) {
     if (leaf->IntersectsCell(cell, d_)) live.push_back(leaf);
   }
   if (live.empty()) {
-    out->push_back(cell);  // no MBR touches the cell: pure gap
+    sink(cell);  // no MBR touches the cell: pure gap
     return;
   }
   // Count (and collect) the tuples of the live leaves inside the cell.
@@ -123,7 +122,7 @@ void RTreeIndex::GapsRec(const DyadicBox& cell,
     }
   }
   if (inside.size() <= leaf_capacity_) {
-    ComplementRec(cell, inside, k_, d_, probe, out);
+    ComplementRec(cell, inside, k_, d_, probe, sink);
     return;
   }
   int dim = -1;
@@ -136,27 +135,26 @@ void RTreeIndex::GapsRec(const DyadicBox& cell,
   const int bit_pos = d_ - cell[dim].len - 1;
   for (int side = 0; side < 2; ++side) {
     if (probe != nullptr &&
-        static_cast<int>(((*probe)[dim] >> bit_pos) & 1) != side) {
+        static_cast<int>((probe[dim] >> bit_pos) & 1) != side) {
       continue;
     }
     DyadicBox half = cell;
     half[dim] = cell[dim].Child(side);
-    GapsRec(half, live, probe, out);
+    GapsRec(half, live, probe, sink);
   }
 }
 
-void RTreeIndex::GapsContaining(const Tuple& t,
-                                std::vector<DyadicBox>* out) const {
-  if (Contains(t)) return;
+void RTreeIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
+  if (Contains(Tuple(t, t + k_))) return;
   std::vector<const Leaf*> all;
   for (const Leaf& leaf : leaves_) all.push_back(&leaf);
-  GapsRec(DyadicBox::Universal(k_), all, &t, out);
+  GapsRec(DyadicBox::Universal(k_), all, t, sink);
 }
 
-void RTreeIndex::AllGaps(std::vector<DyadicBox>* out) const {
+void RTreeIndex::AllGaps(BoxSink sink) const {
   std::vector<const Leaf*> all;
   for (const Leaf& leaf : leaves_) all.push_back(&leaf);
-  GapsRec(DyadicBox::Universal(k_), all, nullptr, out);
+  GapsRec(DyadicBox::Universal(k_), all, nullptr, sink);
 }
 
 }  // namespace tetris

@@ -25,9 +25,9 @@ class RTreeIndex : public Index {
   int arity() const override { return k_; }
   int depth() const override { return d_; }
   bool Contains(const Tuple& t) const override;
-  void GapsContaining(const Tuple& t,
-                      std::vector<DyadicBox>* out) const override;
-  void AllGaps(std::vector<DyadicBox>* out) const override;
+  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
+  /// Cells in depth-first order, low half first.
+  void AllGaps(BoxSink sink) const override;
   size_t MemoryBytes() const override {
     const size_t per_tuple =
         sizeof(Tuple) + static_cast<size_t>(k_) * sizeof(uint64_t);
@@ -51,7 +51,7 @@ class RTreeIndex : public Index {
   // Cells disjoint from every MBR are gaps; cells with few tuples use the
   // exact complement; everything else splits.
   void GapsRec(const DyadicBox& cell, const std::vector<const Leaf*>& active,
-               const Tuple* probe, std::vector<DyadicBox>* out) const;
+               const uint64_t* probe, BoxSink sink) const;
 
   int k_;
   int d_;

@@ -160,15 +160,14 @@ size_t SortedIndex::AddedLowerBoundFull(const uint64_t* key) const {
 }
 
 bool SortedIndex::Contains(const Tuple& t) const {
-  Tuple p(k_);
+  uint64_t p[kMaxDims];
   for (int level = 0; level < k_; ++level) p[level] = t[ord_[level]];
   size_t rank;
-  if (FindBaseRank(p.data(), &rank)) return !IsRemoved(rank);
+  if (FindBaseRank(p, &rank)) return !IsRemoved(rank);
   if (added_.empty()) return false;
-  const size_t a = AddedLowerBoundFull(p.data());
+  const size_t a = AddedLowerBoundFull(p);
   const size_t k = static_cast<size_t>(k_);
-  return a < added_count() &&
-         std::equal(p.data(), p.data() + k, added_.data() + a * k);
+  return a < added_count() && std::equal(p, p + k, added_.data() + a * k);
 }
 
 bool SortedIndex::PredLiveValue(size_t lo, size_t bpos, size_t alo,
@@ -226,24 +225,20 @@ bool SortedIndex::SuccLiveValue(size_t bpos, size_t hi, size_t apos,
   return have;
 }
 
-void SortedIndex::EmitBand(const Tuple& permuted_prefix, int level,
-                           uint64_t lo_val, uint64_t hi_val,
-                           const DyadicInterval* clip,
-                           std::vector<DyadicBox>* out) const {
-  for (const DyadicInterval& iv : DyadicCover(lo_val, hi_val, d_)) {
-    if (clip != nullptr && !iv.ComparableWith(*clip)) continue;
-    DyadicBox b = DyadicBox::Universal(k_);
-    for (int i = 0; i < level; ++i) {
-      b[order_[i]] = DyadicInterval::Unit(permuted_prefix[i], d_);
-    }
-    b[order_[level]] = iv;
-    out->push_back(b);
-  }
+void SortedIndex::EmitBand(DyadicBox* slot, int level, uint64_t lo_val,
+                           uint64_t hi_val, const DyadicInterval* clip,
+                           BoxSink sink) const {
+  DyadicInterval& comp = (*slot)[order_[level]];
+  ForEachDyadicCover(lo_val, hi_val, d_, [&](DyadicInterval iv) {
+    if (clip != nullptr && !iv.ComparableWith(*clip)) return;
+    comp = iv;
+    sink(*slot);
+  });
+  comp = DyadicInterval::Lambda();
 }
 
-void SortedIndex::GapsContaining(const Tuple& t,
-                                 std::vector<DyadicBox>* out) const {
-  Tuple p(k_);
+void SortedIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
+  uint64_t p[kMaxDims];
   for (int level = 0; level < k_; ++level) p[level] = t[ord_[level]];
 
   const uint64_t dom_max = (uint64_t{1} << d_) - 1;
@@ -273,7 +268,11 @@ void SortedIndex::GapsContaining(const Tuple& t,
       if (SuccLiveValue(sub_hi, hi, asub_hi, ahi, level, &nb)) {
         band_hi = nb - 1;
       }
-      EmitBand(p, level, band_lo, band_hi, nullptr, out);
+      DyadicBox slot = DyadicBox::Universal(k_);
+      for (int i = 0; i < level; ++i) {
+        slot[order_[i]] = DyadicInterval::Unit(p[i], d_);
+      }
+      EmitBand(&slot, level, band_lo, band_hi, nullptr, sink);
       return;
     }
     lo = sub_lo;
@@ -285,8 +284,7 @@ void SortedIndex::GapsContaining(const Tuple& t,
 }
 
 void SortedIndex::AllGapsRec(size_t lo, size_t hi, size_t alo, size_t ahi,
-                             int level, Tuple* prefix,
-                             std::vector<DyadicBox>* out) const {
+                             int level, DyadicBox* slot, BoxSink sink) const {
   if (level == k_) return;
   const uint64_t dom_max = (uint64_t{1} << d_) - 1;
   uint64_t next_free = 0;  // lowest value not yet covered by key or gap
@@ -310,29 +308,30 @@ void SortedIndex::AllGapsRec(size_t lo, size_t hi, size_t alo, size_t ahi,
     const size_t live = (j - i) - RemovedIn(i, j) + (b - a);
     if (live > 0) {
       if (v > next_free) {
-        EmitBand(*prefix, level, next_free, v - 1, nullptr, out);
+        EmitBand(slot, level, next_free, v - 1, nullptr, sink);
       }
-      (*prefix)[level] = v;
-      AllGapsRec(i, j, a, b, level + 1, prefix, out);
+      (*slot)[order_[level]] = DyadicInterval::Unit(v, d_);
+      AllGapsRec(i, j, a, b, level + 1, slot, sink);
+      (*slot)[order_[level]] = DyadicInterval::Lambda();
       next_free = v + 1;
     }
     i = j;
     a = b;
   }
   if (next_free <= dom_max) {
-    EmitBand(*prefix, level, next_free, dom_max, nullptr, out);
+    EmitBand(slot, level, next_free, dom_max, nullptr, sink);
   }
 }
 
-void SortedIndex::AllGaps(std::vector<DyadicBox>* out) const {
-  Tuple prefix(k_);
-  AllGapsRec(0, rows_, 0, added_count(), 0, &prefix, out);
+void SortedIndex::AllGaps(BoxSink sink) const {
+  DyadicBox slot = DyadicBox::Universal(k_);
+  AllGapsRec(0, rows_, 0, added_count(), 0, &slot, sink);
 }
 
 void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
                                       size_t ahi, int level,
-                                      const DyadicBox& box, Tuple* prefix,
-                                      std::vector<DyadicBox>* out) const {
+                                      const DyadicBox& box, DyadicBox* slot,
+                                      BoxSink sink) const {
   if (level == k_) return;
   const uint64_t dom_max = (uint64_t{1} << d_) - 1;
   // Value range of the box's component at this level. Bands and key
@@ -367,10 +366,11 @@ void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
     const size_t live = (j - i) - RemovedIn(i, j) + (b - a);
     if (live > 0) {
       if (v > next_free) {
-        EmitBand(*prefix, level, next_free, v - 1, &comp, out);
+        EmitBand(slot, level, next_free, v - 1, &comp, sink);
       }
-      (*prefix)[level] = v;
-      GapsIntersectingRec(i, j, a, b, level + 1, box, prefix, out);
+      (*slot)[order_[level]] = DyadicInterval::Unit(v, d_);
+      GapsIntersectingRec(i, j, a, b, level + 1, box, slot, sink);
+      (*slot)[order_[level]] = DyadicInterval::Lambda();
       next_free = v + 1;
     }
     i = j;
@@ -383,15 +383,14 @@ void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
     uint64_t band_hi = dom_max;
     if (SuccLiveValue(i, hi, a, ahi, level, &nb)) band_hi = nb - 1;
     if (band_hi >= next_free) {
-      EmitBand(*prefix, level, next_free, band_hi, &comp, out);
+      EmitBand(slot, level, next_free, band_hi, &comp, sink);
     }
   }
 }
 
-void SortedIndex::GapsIntersecting(const DyadicBox& box,
-                                   std::vector<DyadicBox>* out) const {
-  Tuple prefix(k_);
-  GapsIntersectingRec(0, rows_, 0, added_count(), 0, box, &prefix, out);
+void SortedIndex::GapsIntersecting(const DyadicBox& box, BoxSink sink) const {
+  DyadicBox slot = DyadicBox::Universal(k_);
+  GapsIntersectingRec(0, rows_, 0, added_count(), 0, box, &slot, sink);
 }
 
 void SortedIndex::ApplyDelta(const std::vector<Tuple>& added,

@@ -57,15 +57,18 @@ class SortedIndex : public Index {
   int arity() const override { return k_; }
   int depth() const override { return d_; }
   bool Contains(const Tuple& t) const override;
-  void GapsContaining(const Tuple& t,
-                      std::vector<DyadicBox>* out) const override;
-  void AllGaps(std::vector<DyadicBox>* out) const override;
+  /// The one band at the first level where `t` has no live key.
+  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
+  /// Trie order: at each level, left to right, the band below each live
+  /// key, then that key's subtree; the trailing band last. A band's
+  /// cover intervals arrive left to right (ForEachDyadicCover), all
+  /// through one reused box.
+  void AllGaps(BoxSink sink) const override;
   /// Pruned enumeration: descends only into key groups whose value lies
   /// in `box`'s component at that level and emits only the bands meeting
   /// it, so the cost tracks the keys under the subcube, not the whole
   /// relation.
-  void GapsIntersecting(const DyadicBox& box,
-                        std::vector<DyadicBox>* out) const override;
+  void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
   std::string Describe() const override;
 
   /// Permutation (rows·4) plus overlay footprint; the base row payload
@@ -144,16 +147,17 @@ class SortedIndex : public Index {
   bool SuccLiveValue(size_t bpos, size_t hi, size_t apos, size_t ahi,
                      int level, uint64_t* v) const;
   // Emits the dyadic decomposition of the band gap [lo_val, hi_val] at
-  // trie `level`, with the probe's unit intervals above it. When `clip`
-  // is non-null only cover intervals comparable with it are emitted.
-  void EmitBand(const Tuple& permuted_prefix, int level, uint64_t lo_val,
-                uint64_t hi_val, const DyadicInterval* clip,
-                std::vector<DyadicBox>* out) const;
+  // trie `level` through `*slot`, which holds the key prefix's unit
+  // intervals above `level` and λ from `level` on, and is left that way.
+  // When `clip` is non-null only cover intervals comparable with it are
+  // emitted.
+  void EmitBand(DyadicBox* slot, int level, uint64_t lo_val, uint64_t hi_val,
+                const DyadicInterval* clip, BoxSink sink) const;
   void AllGapsRec(size_t lo, size_t hi, size_t alo, size_t ahi, int level,
-                  Tuple* prefix, std::vector<DyadicBox>* out) const;
+                  DyadicBox* slot, BoxSink sink) const;
   void GapsIntersectingRec(size_t lo, size_t hi, size_t alo, size_t ahi,
-                           int level, const DyadicBox& box, Tuple* prefix,
-                           std::vector<DyadicBox>* out) const;
+                           int level, const DyadicBox& box, DyadicBox* slot,
+                           BoxSink sink) const;
   // Folds `added`/`removed` (relation column order) into the overlay:
   // removals of overlay rows un-add, removals of base rows tombstone,
   // re-adds of tombstoned base rows un-remove. Build-time only — probes

@@ -12,38 +12,32 @@ RestrictedOracle::RestrictedOracle(const BoxOracle* base, DyadicBox box)
          "restriction box must span the oracle's output space");
 }
 
-void RestrictedOracle::Probe(const DyadicBox& point,
-                             std::vector<DyadicBox>* out) const {
+void RestrictedOracle::Probe(const DyadicBox& point, BoxSink sink) const {
   ++probe_count_;
   if (!box_.Contains(point)) {
-    AppendComplementContaining(box_, point, out);
+    EmitComplementContaining(box_, point, sink);
     return;
   }
-  const size_t start = out->size();
-  base_->Probe(point, out);
   // Clip each result to the box; drop the ones disjoint from it (some
   // oracles emit sibling band boxes that do not contain the probe — the
   // complement slabs already cover the outside). A result containing
   // the in-box probe always survives the clip, so probe-emptiness is
   // preserved.
-  ClipBoxesInPlace(box_, start, out);
+  base_->Probe(point, [&](const DyadicBox& g) {
+    DyadicBox clipped;
+    if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
+  });
 }
 
-bool RestrictedOracle::EnumerateAll(std::vector<DyadicBox>* out) const {
-  const size_t start = out->size();
-  AppendBoxComplement(box_, out);
-  // Only base boxes meeting the subcube can survive the clip below, so
-  // ask for exactly those — a pruned base (materialized store, sorted
-  // index) then skips the rest of its enumeration.
-  std::vector<DyadicBox> base_boxes;
-  if (!base_->EnumerateIntersecting(box_, &base_boxes)) {
-    out->resize(start);  // leave no partial result behind
-    return false;
-  }
-  const size_t base_start = out->size();
-  out->insert(out->end(), base_boxes.begin(), base_boxes.end());
-  ClipBoxesInPlace(box_, base_start, out);
-  return true;
+bool RestrictedOracle::EnumerateAll(BoxSink sink) const {
+  EmitBoxComplement(box_, sink);
+  // Only base boxes meeting the subcube can survive the clip, so ask for
+  // exactly those — a pruned base (materialized store, sorted index)
+  // then skips the rest of its enumeration.
+  return base_->EnumerateIntersecting(box_, [&](const DyadicBox& g) {
+    DyadicBox clipped;
+    if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
+  });
 }
 
 void KeepMaximalBoxes(std::vector<DyadicBox>* boxes) {
@@ -66,17 +60,12 @@ void KeepMaximalBoxes(std::vector<DyadicBox>* boxes) {
   v.resize(w);
 }
 
-void MaterializedOracle::Probe(const DyadicBox& point,
-                               std::vector<DyadicBox>* out) const {
+void MaterializedOracle::Probe(const DyadicBox& point, BoxSink sink) const {
   ++probe_count_;
-  size_t start = out->size();
-  store_.CollectContaining(point, out);
-  if (maximal_only_ && out->size() - start > 1) {
-    std::vector<DyadicBox> tmp(out->begin() + start, out->end());
-    KeepMaximalBoxes(&tmp);
-    out->resize(start);
-    out->insert(out->end(), tmp.begin(), tmp.end());
-  }
+  std::vector<DyadicBox> found;
+  store_.CollectContaining(point, &found);
+  if (maximal_only_ && found.size() > 1) KeepMaximalBoxes(&found);
+  for (const DyadicBox& b : found) sink(b);
 }
 
 }  // namespace tetris

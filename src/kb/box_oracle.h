@@ -5,6 +5,14 @@
 // abstraction lets the same engine run over a materialized box set (raw
 // BCP instances, certificate experiments) or a live view of relation
 // indices (the join runner in src/engine).
+//
+// Probe and the enumeration calls hand their boxes to a BoxSink
+// (geometry/dyadic_box.h), so the engine loads each gap box into its
+// knowledge base as it arrives. The sink contract is the index layer's
+// (index/index.h): the sink runs on the caller's thread, once per box,
+// before the call returns; a box is valid only during its sink call; and
+// the boxes arrive in the order the oracle documents, the same on every
+// call — the engine's insert order, and so its work, follows it.
 #ifndef TETRIS_KB_BOX_ORACLE_H_
 #define TETRIS_KB_BOX_ORACLE_H_
 
@@ -21,33 +29,31 @@ class BoxOracle {
  public:
   virtual ~BoxOracle() = default;
 
-  /// Appends the gap boxes of B that contain the unit box `point`.
-  /// An empty result certifies that `point` is an output tuple.
-  virtual void Probe(const DyadicBox& point,
-                     std::vector<DyadicBox>* out) const = 0;
+  /// Emits the gap boxes of B that contain the unit box `point`.
+  /// Emitting nothing certifies that `point` is an output tuple.
+  virtual void Probe(const DyadicBox& point, BoxSink sink) const = 0;
 
   /// Dimensionality of the output space.
   virtual int dims() const = 0;
 
-  /// Appends *all* gap boxes of B (used by Tetris-Preloaded to initialize
-  /// A := B). Returns false if the oracle cannot enumerate its box set.
-  virtual bool EnumerateAll(std::vector<DyadicBox>* out) const {
-    (void)out;
+  /// Emits *all* gap boxes of B (used by Tetris-Preloaded to initialize
+  /// A := B). Returns false if the oracle cannot enumerate its box set,
+  /// as this default does, emitting nothing.
+  virtual bool EnumerateAll(BoxSink sink) const {
+    (void)sink;
     return false;
   }
 
-  /// Appends exactly the gap boxes of B that intersect `box` — what a
-  /// Tetris restricted to the subcube `box` preloads. Oracles that can
-  /// prune the enumeration override this; the default filters the full
-  /// set. Returns false iff enumeration is unsupported.
+  /// Emits exactly the gap boxes of B that intersect `box`, in
+  /// EnumerateAll order — what a Tetris restricted to the subcube `box`
+  /// preloads. Oracles that can prune the enumeration override this; the
+  /// default filters the full set. Returns false iff enumeration is
+  /// unsupported.
   virtual bool EnumerateIntersecting(const DyadicBox& box,
-                                     std::vector<DyadicBox>* out) const {
-    std::vector<DyadicBox> all;
-    if (!EnumerateAll(&all)) return false;
-    for (const DyadicBox& b : all) {
-      if (box.Intersects(b)) out->push_back(b);
-    }
-    return true;
+                                     BoxSink sink) const {
+    return EnumerateAll([&](const DyadicBox& b) {
+      if (box.Intersects(b)) sink(b);
+    });
   }
 
   /// Number of Probe calls served (oracle-access accounting, footnote 4).
@@ -76,22 +82,25 @@ class MaterializedOracle : public BoxOracle {
     for (const auto& b : boxes) Add(b);
   }
 
-  void Probe(const DyadicBox& point,
-             std::vector<DyadicBox>* out) const override;
+  /// The store's containing boxes (maximal ones only, if so built), in
+  /// store order.
+  void Probe(const DyadicBox& point, BoxSink sink) const override;
 
   int dims() const override { return store_.dims(); }
 
-  bool EnumerateAll(std::vector<DyadicBox>* out) const override {
-    auto all = store_.AllBoxes();
-    out->insert(out->end(), all.begin(), all.end());
+  /// In the store's insertion-independent tree order.
+  bool EnumerateAll(BoxSink sink) const override {
+    for (const DyadicBox& b : store_.AllBoxes()) sink(b);
     return true;
   }
 
   /// Pruned via the store's comparability walk — only trie paths meeting
   /// `box` are visited.
   bool EnumerateIntersecting(const DyadicBox& box,
-                             std::vector<DyadicBox>* out) const override {
-    store_.CollectIntersecting(box, out);
+                             BoxSink sink) const override {
+    std::vector<DyadicBox> found;
+    store_.CollectIntersecting(box, &found);
+    for (const DyadicBox& b : found) sink(b);
     return true;
   }
 
@@ -110,8 +119,8 @@ class MaterializedOracle : public BoxOracle {
 /// Zero-copy restriction of an oracle to a dyadic subcube of the output
 /// space. Probes outside `box` answer with the box's complement slabs
 /// containing the probe; probes inside defer to the base oracle with the
-/// results clipped to the box; EnumerateAll is the clipped base set plus
-/// the full complement. This is the kb-level member of the restriction
+/// results clipped to the box; EnumerateAll is the full complement, then
+/// the clipped base set. This is the kb-level member of the restriction
 /// view stack (relation/relation_view.h, index/index_view.h): it lets a
 /// raw BCP instance — or any live oracle — be sharded without copying
 /// its box set. Non-owning: the base must outlive the view.
@@ -119,12 +128,13 @@ class RestrictedOracle : public BoxOracle {
  public:
   RestrictedOracle(const BoxOracle* base, DyadicBox box);
 
-  void Probe(const DyadicBox& point,
-             std::vector<DyadicBox>* out) const override;
+  void Probe(const DyadicBox& point, BoxSink sink) const override;
 
   int dims() const override { return base_->dims(); }
 
-  bool EnumerateAll(std::vector<DyadicBox>* out) const override;
+  /// Returns false iff the base cannot enumerate; the complement slabs
+  /// have been emitted by then.
+  bool EnumerateAll(BoxSink sink) const override;
 
   const DyadicBox& box() const { return box_; }
 

@@ -275,6 +275,19 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
         eopts.threads = 0;  // full executor parallelism, like RunBatch
         eopts.memory_budget_bytes = options_.memory_budget_bytes;
         eopts.executor = options_.executor;
+        // The Tetris family patches over the registry's cached indexes,
+        // laid out as RunBatch lays them: a patched read builds none.
+        std::vector<std::shared_ptr<const SortedIndex>> pinned;
+        if (const std::optional<JoinAlgorithm> algo =
+                TetrisAlgorithmOf(request.engine)) {
+          const std::vector<int> sao =
+              request.order.empty() ? DefaultSao(query, *algo) : request.order;
+          for (const Atom& atom : query.atoms()) {
+            pinned.push_back(registry_.index_cache().Get(
+                atom.rel, LayoutFor(atom, sao, eff_depth)));
+            eopts.indexes.push_back(pinned.back().get());
+          }
+        }
         PatchResult pr = PatchJoin(query, request.engine, eopts,
                                    base->result->tuples, touched);
         if (pr.result.ok) {

@@ -28,7 +28,10 @@
 //      of its touched boxes for the Tetris family (engine/incremental.h),
 //      and splice them into the stale result instead of recomputing.
 //      So even a one-shard plan patches a 1-row write on one line of the
-//      output space.
+//      output space. The Tetris family patches over the base indexes of
+//      the registry's IndexCache, fetched under RunBatch's layout rule
+//      (LayoutFor); the cache promotes them on every write, so a patched
+//      read builds no index.
 //   4. POOL — a (patchless) miss runs as a one-query RunBatch on the
 //      configured executor (WorkStealingPool::Global() by default),
 //      drawing shared base indexes from the registry's

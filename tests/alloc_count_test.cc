@@ -1,18 +1,24 @@
 // Counts calls to the global operator new to check that the sharded,
 // batched and patched paths hand their results back without copying
 // them: a run that copies its result on the way out allocates about one
-// extra block per output tuple. Replacing operator new affects the whole
-// binary, so this suite has a binary of its own.
+// extra block per output tuple. It also checks that a Tetris run
+// allocates nothing per gap box or per probe: gap boxes stream from the
+// indexes into the knowledge base. Replacing operator new affects the
+// whole binary, so this suite has a binary of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "engine/batch_runner.h"
 #include "engine/incremental.h"
 #include "engine/join_engine.h"
+#include "engine/join_runner.h"
 #include "engine/parallel_executor.h"
 #include "workload/generators.h"
 
@@ -144,6 +150,67 @@ TEST_F(AllocCountTest, OneRowPatchCopiesTheResultOnce) {
   EXPECT_LE(static_cast<double>(patched),
             kSlack * static_cast<double>(kOutputs))
       << "Z " << kOutputs << ", patched " << patched;
+}
+
+// RunTetrisJoin's blocks on prebuilt SAO-consistent indexes (SAO B, A, C)
+// of an empty striped path: only the knowledge base's own arrays grow,
+// by doubling, so the count must not track the gap boxes or the probes.
+struct StreamRun {
+  int64_t blocks = 0;
+  size_t gap_boxes = 0;
+  int64_t probes = 0;
+};
+
+StreamRun CountTetrisJoin(const QueryInstance& q, JoinAlgorithm algo) {
+  const std::vector<int> sao = {1, 0, 2};
+  const auto owned = MakeSaoConsistentIndexes(q.query, sao, q.depth);
+  const std::vector<const Index*> indexes = IndexPtrs(owned);
+  JoinRunResult r;
+  StreamRun run;
+  run.blocks = CountAllocations(
+      [&] { r = RunTetrisJoin(q.query, indexes, q.depth, algo, sao); });
+  EXPECT_TRUE(r.tuples.empty());
+  run.gap_boxes = r.input_gap_boxes;
+  run.probes = r.oracle_probes;
+  return run;
+}
+
+// Each count at most 128 blocks, and the largest within 32 of the
+// smallest.
+void ExpectFlat(const std::vector<StreamRun>& runs) {
+  int64_t lo = runs.front().blocks;
+  int64_t hi = lo;
+  for (const StreamRun& run : runs) {
+    SCOPED_TRACE(std::to_string(run.gap_boxes) + " gap boxes, " +
+                 std::to_string(run.probes) + " probes");
+    EXPECT_LE(run.blocks, 128);
+    lo = std::min(lo, run.blocks);
+    hi = std::max(hi, run.blocks);
+  }
+  EXPECT_LE(hi, lo + 32) << "blocks from " << lo << " to " << hi;
+}
+
+TEST(GapStreamAllocTest, PreloadedRunDoesNotGrowWithGapBoxes) {
+  std::vector<StreamRun> runs;
+  for (size_t rows : {2000, 4000, 8000}) {
+    runs.push_back(CountTetrisJoin(StripedEmptyPath(5, rows, 16, 7),
+                                   JoinAlgorithm::kTetrisPreloaded));
+  }
+  // Each doubling of N roughly doubles the gap boxes.
+  EXPECT_GT(runs[2].gap_boxes, 3 * runs[0].gap_boxes);
+  ExpectFlat(runs);
+}
+
+TEST(GapStreamAllocTest, ReloadedRunDoesNotGrowWithProbes) {
+  std::vector<StreamRun> runs;
+  for (int stripes_log2 : {5, 6, 7}) {
+    runs.push_back(
+        CountTetrisJoin(StripedEmptyPath(stripes_log2, 20000, 16, 7),
+                        JoinAlgorithm::kTetrisReloaded));
+  }
+  // Each doubling of the stripes doubles the probes.
+  EXPECT_EQ(runs[2].probes, 4 * runs[0].probes);
+  ExpectFlat(runs);
 }
 
 }  // namespace

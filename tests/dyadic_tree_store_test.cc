@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "box_collect.h"
 #include "kb/box_oracle.h"
 #include "util/rng.h"
 
@@ -248,7 +249,7 @@ TEST(MaterializedOracle, ProbeReturnsMaximalContainers) {
   oracle.Add(DyadicBox::Of({Iv(0b01, 2), kLam}));  // dominated
   oracle.Add(DyadicBox::Of({Iv(0b1, 1), kLam}));   // doesn't contain probe
   std::vector<DyadicBox> out;
-  oracle.Probe(DyadicBox::Point({1, 2}, 2), &out);
+  oracle.Probe(DyadicBox::Point({1, 2}, 2), AppendTo(&out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], DyadicBox::Of({Iv(0b0, 1), kLam}));
   EXPECT_EQ(oracle.probe_count(), 1);
@@ -259,7 +260,7 @@ TEST(MaterializedOracle, EmptyProbeMeansOutputTuple) {
   MaterializedOracle oracle(2);
   oracle.Add(DyadicBox::Of({Iv(0b0, 1), kLam}));
   std::vector<DyadicBox> out;
-  oracle.Probe(DyadicBox::Point({3, 0}, 2), &out);
+  oracle.Probe(DyadicBox::Point({3, 0}, 2), AppendTo(&out));
   EXPECT_TRUE(out.empty());
 }
 

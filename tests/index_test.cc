@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "box_collect.h"
 #include "index/dyadic_index.h"
 #include "index/kdtree_index.h"
 #include "index/multi_index.h"
@@ -52,7 +53,7 @@ TEST(SortedIndex, PaperFigure1GapsAreExact) {
   Relation r = PaperCrossRelation();
   SortedIndex ix(r, {0, 1}, 3);  // (A,B) order
   std::vector<DyadicBox> gaps;
-  ix.AllGaps(&gaps);
+  ix.AllGaps(AppendTo(&gaps));
   ExpectGapsAreExactComplement(r, gaps, 3);
 }
 
@@ -60,7 +61,7 @@ TEST(SortedIndex, ReverseOrderGapsAreExactToo) {
   Relation r = PaperCrossRelation();
   SortedIndex ix(r, {1, 0}, 3);  // (B,A) order, Figure 3a
   std::vector<DyadicBox> gaps;
-  ix.AllGaps(&gaps);
+  ix.AllGaps(AppendTo(&gaps));
   ExpectGapsAreExactComplement(r, gaps, 3);
 }
 
@@ -68,7 +69,7 @@ TEST(SortedIndex, ProbePresentTupleYieldsNoGap) {
   Relation r = PaperCrossRelation();
   SortedIndex ix(r, 3);
   std::vector<DyadicBox> gaps;
-  ix.GapsContaining({3, 5}, &gaps);
+  ix.GapsContaining(Tuple{3, 5}.data(), AppendTo(&gaps));
   EXPECT_TRUE(gaps.empty());
   EXPECT_TRUE(ix.Contains({3, 5}));
 }
@@ -77,7 +78,8 @@ TEST(SortedIndex, ProbeMissingTupleYieldsContainingGap) {
   Relation r = PaperCrossRelation();
   SortedIndex ix(r, 3);
   std::vector<DyadicBox> gaps;
-  ix.GapsContaining({2, 6}, &gaps);  // A=2 is between keys 1 and 3
+  // A=2 is between keys 1 and 3.
+  ix.GapsContaining(Tuple{2, 6}.data(), AppendTo(&gaps));
   ASSERT_FALSE(gaps.empty());
   bool contains_probe = false;
   for (const auto& g : gaps) {
@@ -95,7 +97,7 @@ TEST(SortedIndex, SecondLevelBandGap) {
   SortedIndex ix(r, 3);
   std::vector<DyadicBox> gaps;
   // A=3 exists; B=4 is between keys 3 and 5 at the second level.
-  ix.GapsContaining({3, 4}, &gaps);
+  ix.GapsContaining(Tuple{3, 4}.data(), AppendTo(&gaps));
   ASSERT_EQ(gaps.size(), 1u);  // band [4,4] is a single dyadic interval
   EXPECT_EQ(gaps[0][0], DyadicInterval::Unit(3, 3));
   EXPECT_EQ(gaps[0][1], DyadicInterval::Unit(4, 3));
@@ -105,11 +107,11 @@ TEST(SortedIndex, EmptyRelationHasUniversalGap) {
   Relation r("E", {"A", "B"});
   SortedIndex ix(r, 3);
   std::vector<DyadicBox> gaps;
-  ix.AllGaps(&gaps);
+  ix.AllGaps(AppendTo(&gaps));
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_EQ(gaps[0], DyadicBox::Universal(2));
   gaps.clear();
-  ix.GapsContaining({0, 0}, &gaps);
+  ix.GapsContaining(Tuple{0, 0}.data(), AppendTo(&gaps));
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_EQ(gaps[0], DyadicBox::Universal(2));
 }
@@ -118,7 +120,7 @@ TEST(DyadicTreeIndex, PaperFigure3bGapsAreExact) {
   Relation r = PaperCrossRelation();
   DyadicTreeIndex ix(r, 3);
   std::vector<DyadicBox> gaps;
-  ix.AllGaps(&gaps);
+  ix.AllGaps(AppendTo(&gaps));
   ExpectGapsAreExactComplement(r, gaps, 3);
 }
 
@@ -137,12 +139,12 @@ TEST(DyadicTreeIndex, BeatsBtreeOnMsbComplementRelation) {
   Relation r = Relation::Make("R", {"A", "B"}, std::move(ts));
   DyadicTreeIndex qt(r, d);
   std::vector<DyadicBox> qt_gaps;
-  qt.AllGaps(&qt_gaps);
+  qt.AllGaps(AppendTo(&qt_gaps));
   ASSERT_EQ(qt_gaps.size(), 2u);
   ExpectGapsAreExactComplement(r, qt_gaps, d);
   SortedIndex bt(r, d);
   std::vector<DyadicBox> bt_gaps;
-  bt.AllGaps(&bt_gaps);
+  bt.AllGaps(AppendTo(&bt_gaps));
   ExpectGapsAreExactComplement(r, bt_gaps, d);
   EXPECT_GE(bt_gaps.size(), half);  // one band per a-value at least
 }
@@ -151,7 +153,7 @@ TEST(DyadicTreeIndex, ProbeReturnsMaximalEmptyCell) {
   Relation r = PaperCrossRelation();
   DyadicTreeIndex ix(r, 3);
   std::vector<DyadicBox> gaps;
-  ix.GapsContaining({0, 0}, &gaps);
+  ix.GapsContaining(Tuple{0, 0}.data(), AppendTo(&gaps));
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_TRUE(gaps[0].ContainsPoint({0, 0}, 3));
   // Maximality: the parent cell (one level up) must be occupied.
@@ -176,7 +178,7 @@ TEST(KdTreeIndex, GapsAreExactOnPaperRelation) {
   for (size_t cap : {1u, 4u, 16u}) {
     KdTreeIndex ix(r, 3, cap);
     std::vector<DyadicBox> gaps;
-    ix.AllGaps(&gaps);
+    ix.AllGaps(AppendTo(&gaps));
     ExpectGapsAreExactComplement(r, gaps, 3);
   }
 }
@@ -187,7 +189,7 @@ TEST(KdTreeIndex, ProbeReturnsContainingGap) {
   for (uint64_t a = 0; a < 8; ++a) {
     for (uint64_t b = 0; b < 8; ++b) {
       std::vector<DyadicBox> gaps;
-      ix.GapsContaining({a, b}, &gaps);
+      ix.GapsContaining(Tuple{a, b}.data(), AppendTo(&gaps));
       EXPECT_EQ(gaps.empty(), r.Contains({a, b}));
       for (const auto& g : gaps) {
         EXPECT_TRUE(g.ContainsPoint({a, b}, 3));
@@ -203,7 +205,7 @@ TEST(KdTreeIndex, EmptyRelationIsOneGap) {
   Relation e("E", {"A", "B", "C"});
   KdTreeIndex ix(e, 4);
   std::vector<DyadicBox> gaps;
-  ix.AllGaps(&gaps);
+  ix.AllGaps(AppendTo(&gaps));
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_EQ(gaps[0], DyadicBox::Universal(3));
   EXPECT_FALSE(ix.Contains({0, 0, 0}));
@@ -223,7 +225,7 @@ TEST(RTreeIndex, GapsExactOnPaperRelation) {
   for (size_t cap : {1u, 3u, 8u}) {
     RTreeIndex ix(r, 3, cap);
     std::vector<DyadicBox> gaps;
-    ix.AllGaps(&gaps);
+    ix.AllGaps(AppendTo(&gaps));
     ExpectGapsAreExactComplement(r, gaps, 3);
   }
 }
@@ -242,11 +244,11 @@ TEST(RTreeIndex, ClusteredDataGivesFewCoarseGaps) {
   Relation r = Relation::Make("R", {"A", "B"}, std::move(ts));
   RTreeIndex rt(r, 8, 256);
   std::vector<DyadicBox> rt_gaps;
-  rt.AllGaps(&rt_gaps);
+  rt.AllGaps(AppendTo(&rt_gaps));
   ExpectGapsAreExactComplement(r, rt_gaps, 8);
   SortedIndex bt(r, 8);
   std::vector<DyadicBox> bt_gaps;
-  bt.AllGaps(&bt_gaps);
+  bt.AllGaps(AppendTo(&bt_gaps));
   EXPECT_LT(rt_gaps.size(), bt_gaps.size());
 }
 
@@ -256,7 +258,7 @@ TEST(RTreeIndex, ProbeFindsSingleContainingGap) {
   for (uint64_t a = 0; a < 8; ++a) {
     for (uint64_t b = 0; b < 8; ++b) {
       std::vector<DyadicBox> gaps;
-      ix.GapsContaining({a, b}, &gaps);
+      ix.GapsContaining(Tuple{a, b}.data(), AppendTo(&gaps));
       EXPECT_EQ(gaps.empty(), r.Contains({a, b}));
       if (!gaps.empty()) {
         ASSERT_EQ(gaps.size(), 1u);
@@ -277,10 +279,10 @@ TEST(MultiIndex, UnionsGapsFromAllMembers) {
   MultiIndex mi(std::move(v));
   EXPECT_EQ(mi.index_count(), 2u);
   std::vector<DyadicBox> gaps;
-  mi.GapsContaining({2, 6}, &gaps);
+  mi.GapsContaining(Tuple{2, 6}.data(), AppendTo(&gaps));
   EXPECT_GE(gaps.size(), 2u);  // one maximal gap per member index
   std::vector<DyadicBox> all;
-  mi.AllGaps(&all);
+  mi.AllGaps(AppendTo(&all));
   ExpectGapsAreExactComplement(r, all, 3);
 }
 
@@ -325,14 +327,14 @@ TEST_P(IndexProperty, GapsExactAndProbesConsistent) {
 
   for (const auto& ix : indexes) {
     std::vector<DyadicBox> gaps;
-    ix->AllGaps(&gaps);
+    ix->AllGaps(AppendTo(&gaps));
     ExpectGapsAreExactComplement(r, gaps, d);
     // Probe random points.
     for (int i = 0; i < 100; ++i) {
       Tuple t(k);
       for (int c = 0; c < k; ++c) t[c] = rng.Below(uint64_t{1} << d);
       std::vector<DyadicBox> probe_gaps;
-      ix->GapsContaining(t, &probe_gaps);
+      ix->GapsContaining(t.data(), AppendTo(&probe_gaps));
       EXPECT_EQ(ix->Contains(t), r.Contains(t)) << ix->Describe();
       EXPECT_EQ(probe_gaps.empty(), r.Contains(t)) << ix->Describe();
       if (!probe_gaps.empty()) {
@@ -394,13 +396,13 @@ TEST(GapsIntersecting, MatchesFilteredAllGaps) {
       }
       for (const auto& ix : indexes) {
         std::vector<DyadicBox> all;
-        ix->AllGaps(&all);
+        ix->AllGaps(AppendTo(&all));
         std::vector<DyadicBox> expected;
         for (const DyadicBox& g : all) {
           if (box.Intersects(g)) expected.push_back(g);
         }
         std::vector<DyadicBox> pruned;
-        ix->GapsIntersecting(box, &pruned);
+        ix->GapsIntersecting(box, AppendTo(&pruned));
         // Order may differ between enumeration strategies; compare sets.
         auto key = [](const DyadicBox& b) { return b.ToString(); };
         std::vector<std::string> e, p;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "box_collect.h"
 #include "geometry/box_restrict.h"
 #include "index/dyadic_index.h"
 #include "index/kdtree_index.h"
@@ -83,7 +84,7 @@ void ExpectViewMatchesMaterialized(const IndexFactory& make,
   EXPECT_LE(view.MemoryBytes(), sizeof(IndexView));
 
   std::vector<DyadicBox> view_all;
-  view.AllGaps(&view_all);
+  view.AllGaps(AppendTo(&view_all));
 
   Tuple t(2, 0);
   for (uint64_t a = 0; a < (1u << kDepth); ++a) {
@@ -95,9 +96,9 @@ void ExpectViewMatchesMaterialized(const IndexFactory& make,
       EXPECT_EQ(view.Contains(t), in_restriction) << a << "," << b;
 
       std::vector<DyadicBox> view_gaps;
-      view.GapsContaining(t, &view_gaps);
+      view.GapsContaining(t.data(), AppendTo(&view_gaps));
       std::vector<DyadicBox> copy_gaps;
-      copy->GapsContaining(t, &copy_gaps);
+      copy->GapsContaining(t.data(), AppendTo(&copy_gaps));
       // Probe-emptiness is the oracle contract both sides must share.
       EXPECT_EQ(view_gaps.empty(), copy_gaps.empty()) << a << "," << b;
       EXPECT_EQ(view_gaps.empty(), in_restriction) << a << "," << b;
@@ -191,8 +192,8 @@ TEST(IndexViewTest, UniversalBoxViewIsTransparent) {
   SortedIndex base(rel, kDepth);
   IndexView view(&base, DyadicBox::Universal(2));
   std::vector<DyadicBox> view_all, base_all;
-  view.AllGaps(&view_all);
-  base.AllGaps(&base_all);
+  view.AllGaps(AppendTo(&view_all));
+  base.AllGaps(AppendTo(&base_all));
   // No complement slabs, no clipping: the view is the base.
   EXPECT_EQ(view_all.size(), base_all.size());
   for (TupleRef t : rel.rows()) EXPECT_TRUE(view.Contains(t.ToTuple()));
@@ -218,9 +219,9 @@ TEST(RestrictedOracleTest, MatchesMaterializedRestriction) {
     // Reference: the clipped set plus the complement, materialized.
     MaterializedOracle ref(/*dims=*/2, /*maximal_only=*/false);
     std::vector<DyadicBox> clipped;
-    AppendBoxComplement(box, &clipped);
+    EmitBoxComplement(box, AppendTo(&clipped));
     std::vector<DyadicBox> all;
-    ASSERT_TRUE(base.EnumerateAll(&all));
+    ASSERT_TRUE(base.EnumerateAll(AppendTo(&all)));
     for (const DyadicBox& b : all) {
       DyadicBox c;
       if (IntersectBoxes(b, box, &c)) clipped.push_back(c);
@@ -228,14 +229,14 @@ TEST(RestrictedOracleTest, MatchesMaterializedRestriction) {
     ref.AddAll(clipped);
 
     std::vector<DyadicBox> enumerated;
-    ASSERT_TRUE(view.EnumerateAll(&enumerated));
+    ASSERT_TRUE(view.EnumerateAll(AppendTo(&enumerated)));
 
     for (uint64_t a = 0; a < (1u << kDepth); ++a) {
       for (uint64_t b = 0; b < (1u << kDepth); ++b) {
         const DyadicBox point = DyadicBox::Point({a, b}, kDepth);
         std::vector<DyadicBox> got, want;
-        view.Probe(point, &got);
-        ref.Probe(point, &want);
+        view.Probe(point, AppendTo(&got));
+        ref.Probe(point, AppendTo(&want));
         EXPECT_EQ(got.empty(), want.empty()) << a << "," << b;
         for (const DyadicBox& g : got) {
           EXPECT_TRUE(g.Contains(point)) << g.ToString();

@@ -438,6 +438,38 @@ TEST(JoinServiceTest, OneRowAppendPromotesIndexesWithZeroRebuilds) {
   EXPECT_EQ(service.registry().retired(), 0u);
 }
 
+TEST(JoinServiceTest, PatchedReadTakesEveryBaseIndexFromTheCache) {
+  // A patched read runs the Tetris family over the registry's cached
+  // base indexes, which the write promoted, under RunBatch's layout
+  // rule: one cache hit per atom, no build.
+  JoinService service;
+  RegisterRandomTriangle(&service, /*tuples=*/60, /*d=*/5, /*seed=*/11);
+  QueryRequest query = Triangle(EngineKind::kTetrisPreloaded);
+  query.depth = 5;  // stable across the append
+  ASSERT_TRUE(service.Execute(query).result->ok);
+
+  Tuple row{31, 31};
+  {
+    const auto snap = service.registry().Snap();
+    while (snap.Find("S")->rel->Contains(row)) --row[1];
+  }
+  std::string error;
+  ASSERT_TRUE(service.AppendRows("S", {row}, &error)) << error;
+
+  const IndexCache& ix = service.registry().index_cache();
+  const size_t hits_before = ix.hits();
+  const size_t builds_before = ix.builds();
+  const QueryResponse patched = service.Execute(query);
+  ASSERT_TRUE(patched.result->ok) << patched.result->error;
+  EXPECT_TRUE(patched.patched);
+  EXPECT_EQ(ix.hits(), hits_before + 3);
+  EXPECT_EQ(ix.builds(), builds_before);
+
+  QueryRequest scratch = query;
+  scratch.use_cache = false;
+  EXPECT_EQ(patched.result->tuples, service.Execute(scratch).result->tuples);
+}
+
 TEST(JoinServiceTest, SnapshotsStayConsistentUnderConcurrentMutations) {
   // A writer alternates replace/append on S while readers execute
   // cached and uncached triangle queries: every admitted query must

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "box_collect.h"
 #include "engine/balance.h"
 #include "engine/tetris.h"
 #include "geometry/decompose.h"
@@ -29,11 +30,10 @@ class SloppyOracle : public BoxOracle {
 
   int dims() const override { return base_->dims(); }
 
-  void Probe(const DyadicBox& point,
-             std::vector<DyadicBox>* out) const override {
+  void Probe(const DyadicBox& point, BoxSink sink) const override {
     ++probe_count_;
     std::vector<DyadicBox> clean;
-    base_->Probe(point, &clean);
+    base_->Probe(point, AppendTo(&clean));
     std::vector<DyadicBox> noisy;
     for (const DyadicBox& b : clean) {
       noisy.push_back(b);
@@ -53,11 +53,11 @@ class SloppyOracle : public BoxOracle {
     for (size_t i = noisy.size(); i > 1; --i) {
       std::swap(noisy[i - 1], noisy[rng_.Below(i)]);
     }
-    out->insert(out->end(), noisy.begin(), noisy.end());
+    for (const DyadicBox& b : noisy) sink(b);
   }
 
-  bool EnumerateAll(std::vector<DyadicBox>* out) const override {
-    return base_->EnumerateAll(out);
+  bool EnumerateAll(BoxSink sink) const override {
+    return base_->EnumerateAll(sink);
   }
 
  private:

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "box_collect.h"
 #include "util/rng.h"
 
 namespace tetris {
@@ -102,16 +103,16 @@ void ExpectIndexesAgree(const SortedIndex& overlay, const SortedIndex& fresh,
         << overlay.Describe() << " t=" << t[0];
     EXPECT_EQ(overlay.Contains(t), new_rel.Contains(t));
     std::vector<DyadicBox> og, fg;
-    overlay.GapsContaining(t, &og);
-    fresh.GapsContaining(t, &fg);
+    overlay.GapsContaining(t.data(), AppendTo(&og));
+    fresh.GapsContaining(t.data(), AppendTo(&fg));
     EXPECT_EQ(BoxKeys(og), BoxKeys(fg)) << overlay.Describe();
     EXPECT_EQ(og.empty(), new_rel.Contains(t));
   }
 
   // AllGaps set-equality.
   std::vector<DyadicBox> oa, fa;
-  overlay.AllGaps(&oa);
-  fresh.AllGaps(&fa);
+  overlay.AllGaps(AppendTo(&oa));
+  fresh.AllGaps(AppendTo(&fa));
   EXPECT_EQ(BoxKeys(oa), BoxKeys(fa)) << overlay.Describe();
 
   // GapsIntersecting on random subcubes (including the universal box).
@@ -124,8 +125,8 @@ void ExpectIndexesAgree(const SortedIndex& overlay, const SortedIndex& fresh,
       }
     }
     std::vector<DyadicBox> oi, fi;
-    overlay.GapsIntersecting(box, &oi);
-    fresh.GapsIntersecting(box, &fi);
+    overlay.GapsIntersecting(box, AppendTo(&oi));
+    fresh.GapsIntersecting(box, AppendTo(&fi));
     EXPECT_EQ(BoxKeys(oi), BoxKeys(fi))
         << overlay.Describe() << " box=" << box.ToString();
   }
@@ -325,12 +326,12 @@ TEST(SortedOverlayTest, ConcurrentProbesDuringPromotionChain) {
         Tuple probe{prng.Below(uint64_t{1} << d),
                     prng.Below(uint64_t{1} << d)};
         std::vector<DyadicBox> gaps;
-        index->GapsContaining(probe, &gaps);
+        index->GapsContaining(probe.data(), AppendTo(&gaps));
         if (index->Contains(probe)) {
           EXPECT_TRUE(gaps.empty());
         }
         std::vector<DyadicBox> all;
-        index->AllGaps(&all);
+        index->AllGaps(AppendTo(&all));
       }
     });
   }

@@ -6,7 +6,10 @@
 #include <set>
 
 #include "engine/join_engine.h"
+#include "engine/join_runner.h"
 #include "engine/measure.h"
+#include "engine/proof_log.h"
+#include "index/index_view.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -453,6 +456,95 @@ TEST(TetrisWorkCounters, FullGridCachesNoResolvent) {
     EXPECT_EQ(a.restarts, b.restarts);
     EXPECT_EQ(a.kb_peak_bytes, b.kb_peak_bytes);
     EXPECT_EQ(cached.tuples, uncached.tuples);
+  }
+}
+
+// Pins which gap boxes reach the knowledge base and in which order: an
+// FNV-1a digest of a ProofLog's axiom list (each loaded box's engine-order
+// components, in insertion order). The work counters above can miss a
+// reordering that happens to cost the same; this cannot. The runs mirror
+// RunJoin's (DefaultSao, SAO-consistent indexes); a `shard` row runs over
+// IndexViews of the sub-box <0, 0, 0>, as one shard of a sharded run does.
+struct PinnedAxioms {
+  const char* instance;
+  EngineKind kind;
+  bool shard;  // over IndexViews of the sub-box <0, 0, 0>
+  size_t axioms;
+  uint64_t digest;
+};
+
+PinnedAxioms RunAxioms(const char* instance, EngineKind kind, bool shard) {
+  const QueryInstance q = PinnedInstance(instance);
+  const JoinAlgorithm algo = *TetrisAlgorithmOf(kind);
+  const std::vector<int> sao = DefaultSao(q.query, algo);
+  const auto owned = MakeSaoConsistentIndexes(q.query, sao, q.depth);
+  std::vector<const Index*> indexes = IndexPtrs(owned);
+  std::vector<IndexView> views;
+  if (shard) {
+    views.reserve(indexes.size());
+    for (size_t a = 0; a < indexes.size(); ++a) {
+      // <0, 0, 0> projected onto the atom: the low half of every column.
+      const int k = static_cast<int>(q.query.atoms()[a].var_ids.size());
+      DyadicBox box = DyadicBox::Universal(k);
+      for (int c = 0; c < k; ++c) box[c] = Iv(0, 1);
+      views.emplace_back(indexes[a], box);
+      indexes[a] = &views.back();
+    }
+  }
+  RelationOracle oracle(&q.query, indexes, q.depth);
+  UniformSpace space(q.query.num_attrs(), q.depth);
+  ProofLog log(space.dims(), q.depth);
+  TetrisOptions opt;
+  opt.init = kind == EngineKind::kTetrisReloaded
+                 ? TetrisOptions::Init::kReloaded
+                 : TetrisOptions::Init::kPreloaded;
+  opt.sao = sao;
+  opt.proof_log = &log;
+  Tetris engine(&oracle, &space, opt);
+  engine.Run([](const DyadicBox&) { return true; });
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const DyadicBox& b : log.axioms()) {
+    for (int i = 0; i < b.dims(); ++i) {
+      h = (h ^ b[i].bits) * 0x100000001b3ULL;
+      h = (h ^ b[i].len) * 0x100000001b3ULL;
+    }
+  }
+  return {instance, kind, shard, log.axiom_count(), h};
+}
+
+// Columns: instance, engine, shard, axioms, digest.
+const PinnedAxioms kPinnedAxioms[] = {
+    {"full_grid_6", EngineKind::kTetrisPreloaded, false, 20,
+     0x181becfa9b9eaec4ULL},
+    {"full_grid_6", EngineKind::kTetrisReloaded, false, 15,
+     0x7ec8082706453579ULL},
+    {"msb_4_open", EngineKind::kTetrisPreloaded, false, 48,
+     0x6919bdacc4c39ab5ULL},
+    {"msb_4_open", EngineKind::kTetrisReloaded, false, 48,
+     0x89defdb6d5d2b849ULL},
+    {"random_200_8", EngineKind::kTetrisPreloaded, false, 4456,
+     0xa9d09cb06318e6e6ULL},
+    {"random_200_8", EngineKind::kTetrisReloaded, false, 2563,
+     0x00da67c0371dd73bULL},
+    {"striped_path", EngineKind::kTetrisPreloaded, false, 625,
+     0x06f57f4417e1f797ULL},
+    {"striped_path", EngineKind::kTetrisReloaded, false, 300,
+     0x22911154a1b0b323ULL},
+    {"striped_cycle", EngineKind::kTetrisPreloaded, false, 1286,
+     0x1e91c65a894a45e2ULL},
+    {"striped_cycle", EngineKind::kTetrisReloaded, false, 35,
+     0x909861fc21c4dea1ULL},
+    {"random_200_8", EngineKind::kTetrisPreloaded, true, 1156,
+     0x940e55b7486cfebcULL},
+};
+
+TEST(TetrisWorkCounters, AxiomSequencePinned) {
+  for (const PinnedAxioms& want : kPinnedAxioms) {
+    SCOPED_TRACE(std::string(want.instance) + "/" +
+                 EngineKindName(want.kind) + (want.shard ? "/shard" : ""));
+    const PinnedAxioms got = RunAxioms(want.instance, want.kind, want.shard);
+    EXPECT_EQ(got.axioms, want.axioms);
+    EXPECT_EQ(got.digest, want.digest);
   }
 }
 
