@@ -162,11 +162,13 @@ def collect(build_dir, cal):
                     "value": row["wall_ms"] / (cal * 1e3),
                     "unit": "cal", "direction": "lower"}
                 # The skeleton's KB work as deterministic counts: a
-                # return of the dead resolvent inserts, or a change to
-                # the descent, moves these far past the tolerance. A
+                # return of the dead resolvent inserts, a change to the
+                # descent, or a lookup that re-walks the trie from its
+                # root moves these far past the tolerance. A
                 # row without the field records nothing, so the gate
                 # reports the metric missing instead of a 0.
-                for counter in ("kb_inserts", "skeleton_nodes"):
+                for counter in ("kb_inserts", "skeleton_nodes",
+                                "kb_nodes_visited"):
                     if counter in row:
                         metrics["bench_sharding.unsharded." + counter] = {
                             "value": row[counter], "unit": "count",

@@ -547,7 +547,7 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
       if (!csv_header_printed_) {
         std::printf("row_type,bench,section,scenario,params,engine,ok,"
                     "tuples,wall_ms,resolutions,boxes_loaded,kb_inserts,"
-                    "skeleton_nodes,probes,seeks,"
+                    "skeleton_nodes,kb_nodes_visited,probes,seeks,"
                     "max_intermediate,kb_bytes,index_bytes,"
                     "intermediate_bytes,output_bytes,shards,threads,"
                     "shard_peak_bytes,est_shard_peak_bytes,plan_bytes,"
@@ -557,13 +557,15 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
       const std::string params_field = FormatParams(params, ";", false);
       std::printf("%s,%s,%s,%s,%s,%s,%d,%zu,%.3f,%" PRId64 ",%" PRId64
                   ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%" PRId64
+                  ",%" PRId64
                   ",%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%zu,%s,%s,%s\n",
                   row_type, CsvField(bench_).c_str(),
                   CsvField(section_).c_str(), CsvField(scenario).c_str(),
                   params_field.c_str(), engine_name, ok ? 1 : 0, tuples,
                   s.wall_ms, s.tetris.resolutions, s.tetris.boxes_loaded,
-                  s.tetris.kb_inserts, s.tetris.skeleton_nodes, probes,
-                  s.seeks, s.baseline.max_intermediate,
+                  s.tetris.kb_inserts, s.tetris.skeleton_nodes,
+                  s.tetris.kb_nodes_visited, probes, s.seeks,
+                  s.baseline.max_intermediate,
                   s.memory.kb_bytes, s.memory.index_bytes,
                   s.memory.intermediate_bytes, s.memory.output_bytes,
                   s.shards, s.threads, s.max_shard_peak_bytes,
@@ -579,7 +581,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   "\"params\":{%s},\"engine\":\"%s\",\"ok\":%s,"
                   "\"tuples\":%zu,\"wall_ms\":%.3f,\"resolutions\":%" PRId64
                   ",\"boxes_loaded\":%" PRId64 ",\"kb_inserts\":%" PRId64
-                  ",\"skeleton_nodes\":%" PRId64 ",\"probes\":%" PRId64
+                  ",\"skeleton_nodes\":%" PRId64
+                  ",\"kb_nodes_visited\":%" PRId64 ",\"probes\":%" PRId64
                   ",\"seeks\":%" PRId64 ",\"max_intermediate\":%zu,"
                   "\"memory\":{\"kb_bytes\":%zu,\"index_bytes\":%zu,"
                   "\"intermediate_bytes\":%zu,\"output_bytes\":%zu},"
@@ -591,7 +594,8 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   params_field.c_str(), engine_name, ok ? "true" : "false",
                   tuples, s.wall_ms, s.tetris.resolutions,
                   s.tetris.boxes_loaded, s.tetris.kb_inserts,
-                  s.tetris.skeleton_nodes, probes, s.seeks,
+                  s.tetris.skeleton_nodes, s.tetris.kb_nodes_visited,
+                  probes, s.seeks,
                   s.baseline.max_intermediate, s.memory.kb_bytes,
                   s.memory.index_bytes, s.memory.intermediate_bytes,
                   s.memory.output_bytes, s.shards, s.threads,

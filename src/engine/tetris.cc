@@ -93,7 +93,7 @@ bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
 bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
   ++stats_.skeleton_nodes;
   // Lines 1-2: a box of A covers b; the lookup writes it into w.
-  if (kb_.FindContaining(*b, w)) return true;
+  if (kb_.FindContaining(*b, w, &stats_.kb_nodes_visited)) return true;
   // Lines 3-4: b is a point not covered by A; settle it here.
   const int split_dim = space_->FirstThickDim(*b);
   if (split_dim < 0) return SettleUnitBox(*b, w);

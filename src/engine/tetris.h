@@ -61,6 +61,8 @@ struct TetrisStats {
   int64_t boxes_loaded = 0;        ///< gap boxes pulled from B into A (not
                                    ///< counted when A already holds the box)
   int64_t skeleton_nodes = 0;      ///< recursion tree nodes visited
+  int64_t kb_nodes_visited = 0;    ///< trie nodes the skeleton's KB
+                                   ///< lookups visited
   int64_t outputs = 0;             ///< output tuples reported
   int64_t restarts = 0;            ///< partition rebuilds (Tetris-LB only)
   int64_t kb_peak_bytes = 0;       ///< largest knowledge-base A footprint
@@ -72,6 +74,7 @@ struct TetrisStats {
     kb_inserts += o.kb_inserts;
     boxes_loaded += o.boxes_loaded;
     skeleton_nodes += o.skeleton_nodes;
+    kb_nodes_visited += o.kb_nodes_visited;
     outputs += o.outputs;
     restarts += o.restarts;
     // A is rebuilt per restart: the peak is the largest single engine's.

@@ -119,17 +119,18 @@ bool DyadicTreeStore::Insert(const DyadicBox& b) {
 }
 
 int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
-                                 int level) const {
+                                 int level, int64_t* visited) const {
   const DyadicInterval& iv = b[level];
   uint64_t rem_bits = iv.bits;
   int rem_len = iv.len;
   // Walk the prefix path of b's component at this level, from λ downward;
   // every explicit node on the path is a stored prefix candidate.
   for (;;) {
+    ++*visited;
     const Node& nd = nodes_[node];
     if (nd.down >= 0) {
       if (level + 1 == dims_) return nd.down;
-      int32_t found = FindRec(nd.down, b, level + 1);
+      int32_t found = FindRec(nd.down, b, level + 1, visited);
       if (found >= 0) return found;
     }
     if (rem_len == 0) return -1;
@@ -146,9 +147,11 @@ int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
   }
 }
 
-bool DyadicTreeStore::FindContaining(const DyadicBox& b,
-                                     DyadicBox* out) const {
-  const int32_t id = FindRec(root_, b, 0);
+bool DyadicTreeStore::FindContaining(const DyadicBox& b, DyadicBox* out,
+                                     int64_t* nodes_visited) const {
+  int64_t visited = 0;
+  const int32_t id = FindRec(root_, b, 0, &visited);
+  if (nodes_visited != nullptr) *nodes_visited += visited;
   if (id < 0) return false;
   CopyBox(id, out);
   return true;

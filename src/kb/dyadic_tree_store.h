@@ -59,8 +59,11 @@ class DyadicTreeStore {
   /// pool into `*out` (which must be a dims()-dimensional box; `out` may
   /// alias `b`) and returns true. A miss returns false and leaves `*out`
   /// untouched. Prefers coarser (shorter-prefix) boxes, which tend to
-  /// cover more of the target's siblings on backtracking.
-  bool FindContaining(const DyadicBox& b, DyadicBox* out) const;
+  /// cover more of the target's siblings on backtracking. When
+  /// `nodes_visited` is given, adds the number of trie nodes the walk
+  /// entered to it.
+  bool FindContaining(const DyadicBox& b, DyadicBox* out,
+                      int64_t* nodes_visited = nullptr) const;
 
   /// Appends every stored box that contains `b` to `out`.
   void CollectContaining(const DyadicBox& b,
@@ -108,8 +111,10 @@ class DyadicTreeStore {
   /// Stored box `id` as a fresh box.
   DyadicBox MaterializeBox(int32_t id) const;
   // Walks b's component `level` from `node`, recursing into deeper levels;
-  // returns the stored-box id of a containing box or -1.
-  int32_t FindRec(int32_t node, const DyadicBox& b, int level) const;
+  // returns the stored-box id of a containing box or -1. Adds every node
+  // it enters to `*visited`.
+  int32_t FindRec(int32_t node, const DyadicBox& b, int level,
+                  int64_t* visited) const;
   void CollectRec(int32_t node, const DyadicBox& b, int level,
                   std::vector<DyadicBox>* out) const;
   void IntersectRec(int32_t node, const DyadicBox& b, int level,

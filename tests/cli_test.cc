@@ -467,12 +467,14 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
   run.result.ok = true;
   run.result.stats.tetris.kb_inserts = 23;
   run.result.stats.tetris.skeleton_nodes = 517;
+  run.result.stats.tetris.kb_nodes_visited = 4099;
   {
     testing::internal::CaptureStdout();
     RunReporter rep(OutputFormat::kJsonl, "unit");
     rep.Row("tri", {}, run);
     const std::string out = testing::internal::GetCapturedStdout();
-    EXPECT_NE(out.find("\"kb_inserts\":23,\"skeleton_nodes\":517,"),
+    EXPECT_NE(out.find("\"kb_inserts\":23,\"skeleton_nodes\":517,"
+                       "\"kb_nodes_visited\":4099,"),
               std::string::npos)
         << out;
   }
@@ -481,10 +483,11 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
     RunReporter rep(OutputFormat::kCsv, "unit");
     rep.Row("tri", {}, run);
     const std::string out = testing::internal::GetCapturedStdout();
-    EXPECT_NE(out.find(",boxes_loaded,kb_inserts,skeleton_nodes,probes,"),
+    EXPECT_NE(out.find(",boxes_loaded,kb_inserts,skeleton_nodes,"
+                       "kb_nodes_visited,probes,"),
               std::string::npos)
         << out;
-    EXPECT_NE(out.find(",0,23,517,0,"), std::string::npos) << out;
+    EXPECT_NE(out.find(",0,23,517,4099,0,"), std::string::npos) << out;
   }
 }
 
