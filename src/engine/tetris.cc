@@ -92,24 +92,40 @@ bool Tetris::SettleUnitBox(const DyadicBox& b, DyadicBox* w) {
 
 bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
   ++stats_.skeleton_nodes;
-  // Lines 1-2: a box of A covers b; the lookup writes it into w.
-  if (kb_.FindContaining(*b, w, &stats_.kb_nodes_visited)) return true;
-  // Lines 3-4: b is a point not covered by A; settle it here.
+  // Components before the split dimension are units this whole subtree
+  // shares, so the lookup starts there (at the last level for a point);
+  // the cursor holds the walk over the components before it.
   const int split_dim = space_->FirstThickDim(*b);
+  const int level = split_dim < 0 ? b->dims() - 1 : split_dim;
+  // Lines 1-2: a box of A covers b; the lookup writes it into w.
+  const bool hit = kb_.FindContaining(*b, level, &cursor_, w,
+                                      &stats_.kb_nodes_visited);
+#ifndef NDEBUG
+  {
+    // The cursor must find the root walk's box (provenance included).
+    DyadicBox ref = DyadicBox::Universal(b->dims());
+    const bool ref_hit = kb_.FindContaining(*b, &ref);
+    assert(ref_hit == hit && (!hit || (ref == *w && ref.output_derived() ==
+                                                        w->output_derived())));
+  }
+#endif
+  if (hit) return true;
+  // Lines 3-4: b is a point not covered by A; settle it here.
   if (split_dim < 0) return SettleUnitBox(*b, w);
-  // Line 6: split on the first thick dimension, in place. b is restored
-  // after each child returns, before anything else reads it.
+  // Line 6: split on the first thick dimension, in place, through the
+  // cursor. b is restored after each child returns, before anything else
+  // reads it.
   const DyadicInterval whole = (*b)[split_dim];
-  (*b)[split_dim] = whole.Child(0);
+  cursor_.Write(b, split_dim, whole.Child(0));
   bool covered = Skeleton(b, w);  // the first witness goes straight to w
-  (*b)[split_dim] = whole;
+  cursor_.Write(b, split_dim, whole);
   if (!covered) return false;
   if (w->Contains(*b)) return true;  // line 11
 
   DyadicBox w2 = DyadicBox::Universal(b->dims());
-  (*b)[split_dim] = whole.Child(1);
+  cursor_.Write(b, split_dim, whole.Child(1));
   covered = Skeleton(b, &w2);  // backtracking
-  (*b)[split_dim] = whole;
+  cursor_.Write(b, split_dim, whole);
   if (!covered || w2.Contains(*b)) {  // line 16
     *w = w2;
     return covered;
@@ -156,6 +172,7 @@ RunStatus Tetris::Run(const OutputSink& sink) {
   DyadicBox w = box;
   sink_ = &sink;
   status_ = RunStatus::kCompleted;
+  cursor_.Reset();
   const bool covered = Skeleton(&box, &w);
   assert(covered == (status_ == RunStatus::kCompleted) &&
          "the skeleton returns false only on an abort");

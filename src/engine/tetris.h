@@ -174,6 +174,8 @@ class Tetris {
   TetrisOptions options_;
   std::vector<int> sao_;  // engine dim -> original dim
   DyadicTreeStore kb_;
+  // The skeleton's lookup cursor over kb_, following the working box.
+  DyadicTreeStore::Cursor cursor_;
   TetrisStats stats_;
   const OutputSink* sink_ = nullptr;
   RunStatus status_ = RunStatus::kCompleted;

@@ -118,33 +118,43 @@ bool DyadicTreeStore::Insert(const DyadicBox& b) {
   return true;
 }
 
-int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
-                                 int level, int64_t* visited) const {
-  const DyadicInterval& iv = b[level];
+template <typename Visit>
+bool DyadicTreeStore::WalkPath(int32_t node, const DyadicInterval& iv,
+                               int64_t* visited, Visit&& visit) const {
   uint64_t rem_bits = iv.bits;
   int rem_len = iv.len;
-  // Walk the prefix path of b's component at this level, from λ downward;
-  // every explicit node on the path is a stored prefix candidate.
+  // Walk the prefix path of the component from λ downward; every explicit
+  // node on the path is a stored prefix candidate.
   for (;;) {
     ++*visited;
     const Node& nd = nodes_[node];
-    if (nd.down >= 0) {
-      if (level + 1 == dims_) return nd.down;
-      int32_t found = FindRec(nd.down, b, level + 1, visited);
-      if (found >= 0) return found;
-    }
-    if (rem_len == 0) return -1;
+    if (visit(nd)) return true;
+    if (rem_len == 0) return false;
     const int bit = static_cast<int>((rem_bits >> (rem_len - 1)) & 1);
     const int32_t next = nd.child[bit];
-    if (next < 0) return -1;
+    if (next < 0) return false;
     const Node& c = nodes_[next];
     // A stored prefix of the component must stay on the component's bit
     // path: the child's whole edge label must prefix the remaining bits.
-    if (!IsBitPrefix(c.edge_bits, c.edge_len, rem_bits, rem_len)) return -1;
+    if (!IsBitPrefix(c.edge_bits, c.edge_len, rem_bits, rem_len)) {
+      return false;
+    }
     rem_len -= c.edge_len;
     rem_bits &= LowMask(rem_len);
     node = next;
   }
+}
+
+int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
+                                 int level, int64_t* visited) const {
+  int32_t found = -1;
+  WalkPath(node, b[level], visited, [&](const Node& nd) {
+    if (nd.down < 0) return false;
+    found = level + 1 == dims_ ? nd.down
+                               : FindRec(nd.down, b, level + 1, visited);
+    return found >= 0;
+  });
+  return found;
 }
 
 bool DyadicTreeStore::FindContaining(const DyadicBox& b, DyadicBox* out,
@@ -157,13 +167,47 @@ bool DyadicTreeStore::FindContaining(const DyadicBox& b, DyadicBox* out,
   return true;
 }
 
+bool DyadicTreeStore::FindContaining(const DyadicBox& b, int level,
+                                     Cursor* cursor, DyadicBox* out,
+                                     int64_t* nodes_visited) const {
+  assert(level >= 0 && level < dims_);
+  Cursor& c = *cursor;
+  if (c.depth_ < 0 || c.kb_size_ != count_) {
+    c.roots_.assign(1, root_);  // R_0
+    c.begin_[0] = 0;
+    c.begin_[1] = 1;
+    c.depth_ = 0;
+    c.kb_size_ = count_;
+  }
+  if (c.depth_ < level) {
+    // Descend: R_{j+1} lists, in order, the next-level roots met along
+    // component j's path from each root of R_j, as FindRec recurses.
+    c.roots_.resize(c.begin_[c.depth_ + 1]);
+    for (int j = c.depth_; j < level; ++j) {
+      for (uint32_t i = c.begin_[j]; i < c.begin_[j + 1]; ++i) {
+        WalkPath(c.roots_[i], b[j], nodes_visited, [&](const Node& nd) {
+          if (nd.down >= 0) c.roots_.push_back(nd.down);
+          return false;
+        });
+      }
+      c.begin_[j + 2] = static_cast<uint32_t>(c.roots_.size());
+    }
+    c.depth_ = level;
+  }
+  for (uint32_t i = c.begin_[level]; i < c.begin_[level + 1]; ++i) {
+    const int32_t id = FindRec(c.roots_[i], b, level, nodes_visited);
+    if (id >= 0) {
+      CopyBox(id, out);
+      return true;
+    }
+  }
+  return false;
+}
+
 void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,
                                  std::vector<DyadicBox>* out) const {
-  const DyadicInterval& iv = b[level];
-  uint64_t rem_bits = iv.bits;
-  int rem_len = iv.len;
-  for (;;) {
-    const Node& nd = nodes_[node];
+  int64_t visited = 0;  // not reported
+  WalkPath(node, b[level], &visited, [&](const Node& nd) {
     if (nd.down >= 0) {
       if (level + 1 == dims_) {
         out->push_back(MaterializeBox(nd.down));
@@ -171,16 +215,8 @@ void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,
         CollectRec(nd.down, b, level + 1, out);
       }
     }
-    if (rem_len == 0) return;
-    const int bit = static_cast<int>((rem_bits >> (rem_len - 1)) & 1);
-    const int32_t next = nd.child[bit];
-    if (next < 0) return;
-    const Node& c = nodes_[next];
-    if (!IsBitPrefix(c.edge_bits, c.edge_len, rem_bits, rem_len)) return;
-    rem_len -= c.edge_len;
-    rem_bits &= LowMask(rem_len);
-    node = next;
-  }
+    return false;
+  });
 }
 
 void DyadicTreeStore::CollectContaining(const DyadicBox& b,

@@ -12,6 +12,11 @@
 //                              provenance bit into the caller's `out` (the
 //                              skeleton's witness slot); nothing else is
 //                              built, and a miss writes nothing.
+//   * FindContaining(box, level, &cursor, &out) — the same lookup through
+//                              a Cursor, for a box whose components
+//                              0..level-1 the cursor has already walked:
+//                              the walk starts at level `level`. This is
+//                              the Tetris skeleton's lookup (below).
 //   * CollectContaining(box) — all stored supersets (the oracle operation).
 //   * CollectIntersecting(b) — all stored boxes sharing a point with `b`
 //                              (the per-shard preloaded enumeration path).
@@ -20,6 +25,26 @@
 // i-th component points to the root of a (i+1)-level trie. Boxes sharing a
 // prefix of components share subtrees. Level order equals component order,
 // so the engine keeps boxes in SAO coordinate order.
+//
+// The lookup cursor. Every node box of the one-pass skeleton is
+// <unit, ..., unit, partial, λ, ..., λ>, and the unit components before
+// the split dimension stay fixed across the node's whole subtree, so a
+// plain lookup re-walks the same levels from the root at every node. A
+// Cursor keeps that walk: for each level j it holds R_j, the level-j trie
+// roots reached through the box's components 0..j-1, in the order the
+// plain walk (FindRec) meets them. A lookup at level k extends the lists
+// up to R_k if needed, then searches levels k..n-1 from each root of R_k
+// in turn, so it returns the same first hit (coarser first) as
+// FindContaining; FindContaining is the level-0 case, R_0 = {root}. Two
+// rules keep the lists exact:
+//   * Writing component j of the box goes through Cursor::Write, which
+//     drops the lists of levels j+1 and deeper (they depend on it).
+//   * A lookup rebuilds every list when size() has changed since they
+//     were built. An insert that adds a next-level root always adds a
+//     box, and arena indices never move, so an unchanged size() means
+//     unchanged lists.
+// The cursor lives outside the store (no member is added), and its lists
+// reuse their capacity, so a lookup allocates nothing once warm.
 //
 // Arena layout: every node of every per-dimension trie lives in ONE
 // contiguous std::vector<Node>, addressed by int32_t indices — no
@@ -36,6 +61,7 @@
 #ifndef TETRIS_KB_DYADIC_TREE_STORE_H_
 #define TETRIS_KB_DYADIC_TREE_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +73,31 @@ namespace tetris {
 /// dimension, backed by a flat node arena.
 class DyadicTreeStore {
  public:
+  /// The lookup cursor (see the file comment): per level, the trie roots
+  /// reached through the leading components of the box it follows. One
+  /// cursor serves one store and one box, which the caller edits only
+  /// through Write between lookups.
+  class Cursor {
+   public:
+    /// Sets component `dim` of `*b` to `iv` and drops the root lists
+    /// that depended on it: levels dim+1 and deeper.
+    void Write(DyadicBox* b, int dim, const DyadicInterval& iv) {
+      (*b)[dim] = iv;
+      if (dim < depth_) depth_ = dim;
+    }
+
+    /// Drops every list: the next lookup walks from the root.
+    void Reset() { depth_ = -1; }
+
+   private:
+    friend class DyadicTreeStore;
+    /// Level j's roots are roots_[begin_[j], begin_[j + 1]).
+    std::vector<int32_t> roots_;
+    std::array<uint32_t, kMaxDims + 1> begin_ = {};
+    int depth_ = -1;       ///< deepest level whose list is built; -1: none
+    size_t kb_size_ = 0;   ///< the store's size() when they were built
+  };
+
   /// Creates an empty store for `dims`-dimensional boxes.
   explicit DyadicTreeStore(int dims);
 
@@ -64,6 +115,15 @@ class DyadicTreeStore {
   /// entered to it.
   bool FindContaining(const DyadicBox& b, DyadicBox* out,
                       int64_t* nodes_visited = nullptr) const;
+
+  /// FindContaining(b, out) through `cursor`: the same result, walking
+  /// only levels `level`..dims()-1 from the cursor's level-`level` roots.
+  /// `b` is the box the cursor follows (its components 0..level-1 were
+  /// last set through cursor->Write, or the cursor was reset since), and
+  /// `level` is in [0, dims()). Adds the trie nodes entered, the cursor's
+  /// descent included, to `*nodes_visited`.
+  bool FindContaining(const DyadicBox& b, int level, Cursor* cursor,
+                      DyadicBox* out, int64_t* nodes_visited) const;
 
   /// Appends every stored box that contains `b` to `out`.
   void CollectContaining(const DyadicBox& b,
@@ -110,6 +170,12 @@ class DyadicTreeStore {
   void CopyBox(int32_t id, DyadicBox* out) const;
   /// Stored box `id` as a fresh box.
   DyadicBox MaterializeBox(int32_t id) const;
+  // Calls `visit(nd)` on each node of the prefix path of `iv` from
+  // `node` (its level's trie), coarser first, counting each in
+  // `*visited`, until `visit` returns true; returns whether it did.
+  template <typename Visit>
+  bool WalkPath(int32_t node, const DyadicInterval& iv, int64_t* visited,
+                Visit&& visit) const;
   // Walks b's component `level` from `node`, recursing into deeper levels;
   // returns the stored-box id of a containing box or -1. Adds every node
   // it enters to `*visited`.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,70 @@ TEST_P(StoreProperty, AgreesWithLinearScan) {
     }
     EXPECT_EQ(sorted_keys(inter), sorted_keys(inter_ref));
   }
+}
+
+// The lookup cursor against the root walk, on the probes the one-pass
+// skeleton makes: a depth-first split of <λ,...,λ> on the first non-unit
+// component (<unit, ..., unit, partial, λ, ..., λ>), each split written
+// through the cursor, with random inserts between lookups. Every lookup
+// must agree with FindContaining on the hit, the box and its provenance
+// bit, and a miss must leave the caller's box as it was.
+TEST_P(StoreProperty, CursorAgreesWithRootWalk) {
+  const auto [n, d] = GetParam();
+  Rng rng(7 * n + d);
+  // No λ components, so the space is never covered by one box and the
+  // walk keeps both hits and misses.
+  auto random_box = [&, n = n, d = d] {
+    DyadicBox b = DyadicBox::Universal(n);
+    for (int i = 0; i < n; ++i) {
+      const int len = 1 + static_cast<int>(rng.Below(d));
+      b[i] = {rng.Below(uint64_t{1} << len), static_cast<uint8_t>(len)};
+    }
+    b.set_output_derived(rng.Chance(0.3));
+    return b;
+  };
+  DyadicTreeStore store(n);
+  for (int i = 0; i < 32; ++i) store.Insert(random_box());
+
+  DyadicTreeStore::Cursor cursor;
+  DyadicBox b = DyadicBox::Universal(n);
+  int64_t lookups = 0, hits = 0, visited = 0;
+  std::function<void()> descend = [&, n = n, d = d] {
+    if (::testing::Test::HasFailure()) return;
+    int split = -1;
+    for (int i = 0; i < n && split < 0; ++i) {
+      if (b[i].len < d) split = i;
+    }
+    DyadicBox want = DyadicBox::Universal(n);
+    const bool want_hit = store.FindContaining(b, &want);
+    DyadicBox got = random_box();
+    const DyadicBox before = got;
+    const bool hit = store.FindContaining(b, split < 0 ? n - 1 : split,
+                                          &cursor, &got, &visited);
+    ++lookups;
+    EXPECT_EQ(hit, want_hit) << b.ToString();
+    if (hit) {
+      ++hits;
+      EXPECT_EQ(got, want) << b.ToString();
+      EXPECT_EQ(got.output_derived(), want.output_derived()) << b.ToString();
+    } else {
+      EXPECT_EQ(got, before);
+      EXPECT_EQ(got.output_derived(), before.output_derived());
+    }
+    if (rng.Chance(0.02)) store.Insert(random_box());
+    if (split < 0) return;
+    const DyadicInterval whole = b[split];
+    for (int bit = 0; bit < 2; ++bit) {
+      cursor.Write(&b, split, whole.Child(bit));
+      descend();
+      cursor.Write(&b, split, whole);
+    }
+  };
+  descend();
+  // Not vacuous: both outcomes occur, and the lookups did walk the trie.
+  EXPECT_GT(hits, 0);
+  EXPECT_LT(hits, lookups);
+  EXPECT_GT(visited, lookups);
 }
 
 INSTANTIATE_TEST_SUITE_P(
