@@ -160,8 +160,8 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   for (const Shard& shard : plan.shards) {
     bool met = false;
     DyadicBox hull;
+    DyadicBox clipped = DyadicBox::Universal(shard.box.dims());
     for (const DyadicBox& b : touched) {
-      DyadicBox clipped;
       if (!IntersectBoxes(b, shard.box, &clipped)) continue;
       hull = met ? DyadicHull(hull, clipped) : clipped;
       met = true;

@@ -21,13 +21,6 @@ Tetris::Tetris(const BoxOracle* oracle, const SplitSpace* space,
   assert(static_cast<int>(sao_.size()) == space_->dims());
 }
 
-DyadicBox Tetris::ToEngineOrder(const DyadicBox& orig) const {
-  DyadicBox b = DyadicBox::Universal(space_->dims());
-  for (int j = 0; j < space_->dims(); ++j) b[j] = orig[sao_[j]];
-  b.set_output_derived(orig.output_derived());
-  return b;
-}
-
 DyadicBox Tetris::ToOriginalOrder(const DyadicBox& engine) const {
   DyadicBox b = DyadicBox::Universal(space_->dims());
   for (int j = 0; j < space_->dims(); ++j) b[sao_[j]] = engine[j];
@@ -43,21 +36,22 @@ bool Tetris::InsertKb(const DyadicBox& engine_box) {
   return false;
 }
 
-DyadicBox Tetris::LoadGap(const DyadicBox& gap) {
-  DyadicBox eng = ToEngineOrder(gap);
-  if (InsertKb(eng)) {
+void Tetris::LoadGap(const DyadicBox& gap, DyadicBox* eng) {
+  for (int j = 0; j < eng->dims(); ++j) (*eng)[j] = gap[sao_[j]];
+  eng->set_output_derived(gap.output_derived());
+  if (InsertKb(*eng)) {
     ++stats_.boxes_loaded;
-    if (options_.proof_log) options_.proof_log->AddAxiom(eng);
+    if (options_.proof_log) options_.proof_log->AddAxiom(*eng);
   }
-  return eng;
 }
 
 bool Tetris::LoadProbeGaps(const DyadicBox& b, DyadicBox* w) {
   bool any = false;
   bool witness_found = false;
+  DyadicBox eng = DyadicBox::Universal(b.dims());
   oracle_->Probe(ToOriginalOrder(b), [&](const DyadicBox& g) {
     any = true;
-    const DyadicBox eng = LoadGap(g);
+    LoadGap(g, &eng);
     if (eng.Contains(b)) {
       *w = eng;
       witness_found = true;
@@ -158,10 +152,11 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
 
 RunStatus Tetris::Run(const OutputSink& sink) {
   // Initialize(A) — line 1 of Algorithm 2: each gap box of B goes into A
-  // as the oracle emits it.
+  // as the oracle emits it, permuted into one reused engine-order box.
   if (options_.init == TetrisOptions::Init::kPreloaded) {
-    const bool ok =
-        oracle_->EnumerateAll([this](const DyadicBox& g) { LoadGap(g); });
+    DyadicBox eng = DyadicBox::Universal(space_->dims());
+    const bool ok = oracle_->EnumerateAll(
+        [&](const DyadicBox& g) { LoadGap(g, &eng); });
     assert(ok && "preloaded mode requires an enumerable oracle");
     (void)ok;
   }

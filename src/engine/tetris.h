@@ -35,9 +35,10 @@
 // Gap boxes of B are never stored outside A. The preload inserts each box
 // as the oracle's enumeration emits it (BoxOracle's sink contract), and a
 // reloaded probe loads each box that contains the point as the oracle
-// emits it; both copy the box into SAO order on the way in. So A sees the
-// oracle's boxes in the oracle's order, and the engine allocates nothing
-// per gap box beyond A's own growth.
+// emits it; both permute the box into SAO order on the way in, through
+// one engine-order box reused for every gap of the call. So A sees the
+// oracle's boxes in the oracle's order, and the engine allocates (or
+// zero-fills) nothing per gap box beyond A's own growth.
 #ifndef TETRIS_ENGINE_TETRIS_H_
 #define TETRIS_ENGINE_TETRIS_H_
 
@@ -161,11 +162,11 @@ class Tetris {
   // has none (`b` is an output). Kept out of line so that SettleUnitBox's
   // output path stays small.
   [[gnu::noinline]] bool LoadProbeGaps(const DyadicBox& b, DyadicBox* w);
-  // Inserts the gap box `gap` of B (original order) into A as an axiom
-  // and returns it in engine order.
-  DyadicBox LoadGap(const DyadicBox& gap);
+  // Permutes the gap box `gap` of B (original order) into `*eng`, a box
+  // of the space's dimension that the caller reuses for every gap, and
+  // inserts it into A as an axiom.
+  void LoadGap(const DyadicBox& gap, DyadicBox* eng);
 
-  DyadicBox ToEngineOrder(const DyadicBox& orig) const;
   DyadicBox ToOriginalOrder(const DyadicBox& engine) const;
   bool InsertKb(const DyadicBox& engine_box);
 

@@ -9,6 +9,8 @@
 #ifndef TETRIS_GEOMETRY_BOX_RESTRICT_H_
 #define TETRIS_GEOMETRY_BOX_RESTRICT_H_
 
+#include <cassert>
+
 #include "geometry/dyadic_box.h"
 
 namespace tetris {
@@ -16,16 +18,19 @@ namespace tetris {
 /// Intersection of two same-dimensionality dyadic boxes. Dyadic intervals
 /// intersect iff comparable, and then the intersection is the longer one;
 /// so the box intersection is the componentwise-longer box, or empty.
-/// Returns false (and leaves *out* untouched) when the boxes are disjoint.
+/// Writes it, with a's provenance bit, into `*out`, a box of a's
+/// dimension, so a clipping loop reuses one box for every gap. Returns
+/// false (and leaves `*out` untouched) when the boxes are disjoint.
 inline bool IntersectBoxes(const DyadicBox& a, const DyadicBox& b,
                            DyadicBox* out) {
-  DyadicBox r = DyadicBox::Universal(a.dims());
-  r.set_output_derived(a.output_derived());
+  assert(out->dims() == a.dims());
   for (int i = 0; i < a.dims(); ++i) {
     if (!a[i].ComparableWith(b[i])) return false;
-    r[i] = a[i].IntersectComparable(b[i]);
   }
-  *out = r;
+  for (int i = 0; i < a.dims(); ++i) {
+    (*out)[i] = a[i].IntersectComparable(b[i]);
+  }
+  out->set_output_derived(a.output_derived());
   return true;
 }
 

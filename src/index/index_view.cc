@@ -26,8 +26,8 @@ void IndexView::GapsContaining(const uint64_t* t, BoxSink sink) const {
   // the in-box probe always survives: two dyadic intervals containing
   // the same point are comparable, so its clip cannot fail — the
   // postcondition (nothing iff Contains) carries over.
+  DyadicBox clipped = DyadicBox::Universal(box_.dims());
   base_->GapsContaining(t, [&](const DyadicBox& g) {
-    DyadicBox clipped;
     if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
   });
 }
@@ -36,8 +36,8 @@ void IndexView::AllGaps(BoxSink sink) const {
   EmitBoxComplement(box_, sink);
   // Pruned: only the base gaps meeting the box can survive the clip, so
   // let the base skip the rest of its enumeration up front.
+  DyadicBox clipped = DyadicBox::Universal(box_.dims());
   base_->GapsIntersecting(box_, [&](const DyadicBox& g) {
-    DyadicBox clipped;
     if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
   });
 }

@@ -23,8 +23,8 @@ void RestrictedOracle::Probe(const DyadicBox& point, BoxSink sink) const {
   // complement slabs already cover the outside). A result containing
   // the in-box probe always survives the clip, so probe-emptiness is
   // preserved.
+  DyadicBox clipped = DyadicBox::Universal(box_.dims());
   base_->Probe(point, [&](const DyadicBox& g) {
-    DyadicBox clipped;
     if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
   });
 }
@@ -34,8 +34,8 @@ bool RestrictedOracle::EnumerateAll(BoxSink sink) const {
   // Only base boxes meeting the subcube can survive the clip, so ask for
   // exactly those — a pruned base (materialized store, sorted index)
   // then skips the rest of its enumeration.
+  DyadicBox clipped = DyadicBox::Universal(box_.dims());
   return base_->EnumerateIntersecting(box_, [&](const DyadicBox& g) {
-    DyadicBox clipped;
     if (IntersectBoxes(g, box_, &clipped)) sink(clipped);
   });
 }

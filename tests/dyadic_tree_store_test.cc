@@ -232,7 +232,17 @@ TEST_P(StoreProperty, CursorAgreesWithRootWalk) {
       EXPECT_EQ(got, before);
       EXPECT_EQ(got.output_derived(), before.output_derived());
     }
-    if (rng.Chance(0.02)) store.Insert(random_box());
+    // Inserts between lookups, most of them near b, as the skeleton's
+    // resolvents are: on b's path, they add roots the cursor must see.
+    if (rng.Chance(0.05)) {
+      DyadicBox x = random_box();
+      for (int i = 0; i < n; ++i) {
+        if (b[i].len > 0 && rng.Chance(0.8)) {
+          x[i] = b[i].Prefix(1 + static_cast<int>(rng.Below(b[i].len)));
+        }
+      }
+      store.Insert(x);
+    }
     if (split < 0) return;
     const DyadicInterval whole = b[split];
     for (int bit = 0; bit < 2; ++bit) {

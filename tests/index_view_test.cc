@@ -223,7 +223,7 @@ TEST(RestrictedOracleTest, MatchesMaterializedRestriction) {
     std::vector<DyadicBox> all;
     ASSERT_TRUE(base.EnumerateAll(AppendTo(&all)));
     for (const DyadicBox& b : all) {
-      DyadicBox c;
+      DyadicBox c = DyadicBox::Universal(b.dims());
       if (IntersectBoxes(b, box, &c)) clipped.push_back(c);
     }
     ref.AddAll(clipped);
