@@ -1,6 +1,5 @@
 #include "engine/join_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 
@@ -40,11 +39,6 @@ std::optional<JoinAlgorithm> TetrisAlgorithmOf(EngineKind kind) {
 }
 
 namespace {
-
-void Canonicalize(std::vector<Tuple>* tuples) {
-  std::sort(tuples->begin(), tuples->end());
-  tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
-}
 
 // Derives the GAO Leapfrog / Generic Join should run under from the
 // column orders of per-atom SortedIndexes: each index's trie order
@@ -316,7 +310,7 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
   }
 
   if (result.ok) {
-    Canonicalize(&result.tuples);
+    CanonicalizeTuples(&result.tuples);
     result.stats.output_tuples = result.tuples.size();
     result.stats.memory.intermediate_bytes =
         result.stats.baseline.max_intermediate_bytes;

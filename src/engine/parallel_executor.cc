@@ -221,10 +221,7 @@ EngineResult RunTetrisViewShard(const TetrisShardContext& ctx,
   JoinRunResult run =
       RunTetrisJoin(*ctx.query, ptrs, ctx.depth, ctx.algo, ctx.order);
   result.tuples = std::move(run.tuples);
-  std::sort(result.tuples.begin(), result.tuples.end());
-  result.tuples.erase(
-      std::unique(result.tuples.begin(), result.tuples.end()),
-      result.tuples.end());
+  CanonicalizeTuples(&result.tuples);
   result.stats.tetris = run.stats;
   result.stats.input_gap_boxes = run.input_gap_boxes;
   result.stats.oracle_probes = run.oracle_probes;

@@ -1,9 +1,19 @@
 #include "relation/relation.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 namespace tetris {
+
+void CanonicalizeTuples(std::vector<Tuple>* tuples) {
+  if (std::adjacent_find(tuples->begin(), tuples->end(),
+                         std::greater_equal<Tuple>()) == tuples->end()) {
+    return;
+  }
+  std::sort(tuples->begin(), tuples->end());
+  tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
+}
 
 Relation Relation::Make(std::string name, std::vector<std::string> attrs,
                         std::vector<Tuple> tuples) {

@@ -28,6 +28,12 @@ namespace tetris {
 /// uses Relation's flat buffer instead.
 using Tuple = std::vector<uint64_t>;
 
+/// Sorts `tuples` lexicographically and removes duplicates: the canonical
+/// form of every engine result and delta. A run that is already strictly
+/// increasing (one comparison pass) is left as it is, so an engine that
+/// emits in order pays no sort.
+void CanonicalizeTuples(std::vector<Tuple>* tuples);
+
 /// A non-owning view of one row inside a flat arity-strided buffer.
 /// Valid as long as the owning buffer is neither mutated nor destroyed.
 class TupleRef {

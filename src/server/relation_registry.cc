@@ -7,12 +7,6 @@ namespace tetris {
 
 namespace {
 
-// Sorts and dedups a delta side (RelationDelta's canonical form).
-void CanonicalizeTuples(std::vector<Tuple>* tuples) {
-  std::sort(tuples->begin(), tuples->end());
-  tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
-}
-
 // Shared arity validation of row-level mutations.
 bool CheckArity(const char* verb, const std::string& name,
                 const Relation& old, const std::vector<Tuple>& tuples,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
 #include "index/dyadic_index.h"
 #include "index/kdtree_index.h"
@@ -10,6 +12,7 @@
 #include "index/rtree_index.h"
 #include "index/sorted_index.h"
 #include "util/rng.h"
+#include "workload/generators.h"
 
 namespace tetris {
 namespace {
@@ -164,6 +167,39 @@ TEST(JoinRunner, WorksWithKdTreeAndRTreeIndexes) {
   auto res_mix = RunTetrisJoin(q, {&rs, &sk, &tr}, d,
                                JoinAlgorithm::kTetrisPreloaded);
   EXPECT_EQ(Sorted(res_mix.tuples), expected);
+}
+
+// The one-pass skeleton settles the points of the space in SAO-
+// lexicographic order, so under the identity SAO a raw run is already
+// strictly increasing: the property CanonicalizeTuples's early return
+// relies on.
+TEST(JoinRunner, IdentitySaoOutputIsStrictlyIncreasing) {
+  std::vector<QueryInstance> instances;
+  for (uint64_t seed : {1, 2, 3}) {
+    instances.push_back(RandomTriangle(300, 5, seed));
+    instances.push_back(RandomPath(3, 200, 5, seed));
+    instances.push_back(RandomCycle(4, 150, 4, seed));
+  }
+  size_t outputs = 0;
+  for (const QueryInstance& inst : instances) {
+    const JoinQuery& q = inst.query;
+    std::vector<int> identity(q.num_attrs());
+    std::iota(identity.begin(), identity.end(), 0);
+    const auto owned = MakeSaoConsistentIndexes(q, identity, inst.depth);
+    for (JoinAlgorithm algo : {JoinAlgorithm::kTetrisPreloaded,
+                               JoinAlgorithm::kTetrisReloaded,
+                               JoinAlgorithm::kTetrisPreloadedNoCache}) {
+      const JoinRunResult r = RunTetrisJoin(q, IndexPtrs(owned), inst.depth,
+                                            algo, identity);
+      EXPECT_EQ(std::adjacent_find(r.tuples.begin(), r.tuples.end(),
+                                   std::greater_equal<Tuple>()),
+                r.tuples.end())
+          << "algo=" << static_cast<int>(algo);
+      EXPECT_EQ(r.stats.outputs, static_cast<int64_t>(r.tuples.size()));
+      outputs += r.tuples.size();
+    }
+  }
+  EXPECT_GT(outputs, 0u);
 }
 
 // Randomized integration sweep across query shapes, index types, and all
