@@ -13,9 +13,14 @@ namespace {
 // --- JSON reader -----------------------------------------------------
 
 struct Parser {
+  // Requests nest 3 deep (a query's tuple rows); anything past this is
+  // rejected with an error row.
+  static constexpr int kMaxNesting = 64;
+
   const std::string& text;
   size_t pos = 0;
   std::string error;
+  int depth = 0;  // arrays and objects open around `pos`
 
   bool Fail(const std::string& msg) {
     error = msg + " at offset " + std::to_string(pos);
@@ -71,6 +76,68 @@ struct Parser {
     return true;
   }
 
+  // The array at `pos` (its '['), element by element.
+  bool Array(JsonValue* out) {
+    ++pos;
+    out->type = JsonValue::Type::kArray;
+    SkipSpace();
+    if (pos < text.size() && text[pos] == ']') {
+      ++pos;
+      return true;
+    }
+    while (true) {
+      out->array.emplace_back();
+      if (!Value(&out->array.back())) return false;
+      SkipSpace();
+      if (pos >= text.size()) return Fail("unterminated array");
+      if (text[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      if (text[pos] == ']') {
+        ++pos;
+        return true;
+      }
+      return Fail("expected ',' or ']'");
+    }
+  }
+
+  // The object at `pos` (its '{'), member by member.
+  bool Object(JsonValue* out) {
+    ++pos;
+    out->type = JsonValue::Type::kObject;
+    SkipSpace();
+    if (pos < text.size() && text[pos] == '}') {
+      ++pos;
+      return true;
+    }
+    while (true) {
+      SkipSpace();
+      std::string key;
+      if (pos >= text.size() || !String(&key)) {
+        return Fail("expected object key");
+      }
+      SkipSpace();
+      if (pos >= text.size() || text[pos] != ':') {
+        return Fail("expected ':'");
+      }
+      ++pos;
+      out->object.emplace_back(std::move(key), JsonValue{});
+      if (!Value(&out->object.back().second)) return false;
+      SkipSpace();
+      if (pos >= text.size()) return Fail("unterminated object");
+      if (text[pos] == ',') {
+        ++pos;
+        continue;
+      }
+      if (text[pos] == '}') {
+        ++pos;
+        return true;
+      }
+      return Fail("expected ',' or '}'");
+    }
+  }
+
   bool Value(JsonValue* out) {
     SkipSpace();
     if (pos >= text.size()) return Fail("unexpected end of input");
@@ -82,63 +149,17 @@ struct Parser {
       out->type = JsonValue::Type::kString;
       return String(&out->string);
     }
-    if (c == '[') {
-      ++pos;
-      out->type = JsonValue::Type::kArray;
-      SkipSpace();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
+    if (c == '[' || c == '{') {
+      // A bound on nesting keeps one hostile line from recursing the
+      // parser (and later the value's destructor) off the stack.
+      if (depth == kMaxNesting) {
+        return Fail("nesting deeper than " + std::to_string(kMaxNesting) +
+                    " levels");
       }
-      while (true) {
-        out->array.emplace_back();
-        if (!Value(&out->array.back())) return false;
-        SkipSpace();
-        if (pos >= text.size()) return Fail("unterminated array");
-        if (text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (text[pos] == ']') {
-          ++pos;
-          return true;
-        }
-        return Fail("expected ',' or ']'");
-      }
-    }
-    if (c == '{') {
-      ++pos;
-      out->type = JsonValue::Type::kObject;
-      SkipSpace();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        SkipSpace();
-        std::string key;
-        if (pos >= text.size() || !String(&key)) {
-          return Fail("expected object key");
-        }
-        SkipSpace();
-        if (pos >= text.size() || text[pos] != ':') {
-          return Fail("expected ':'");
-        }
-        ++pos;
-        out->object.emplace_back(std::move(key), JsonValue{});
-        if (!Value(&out->object.back().second)) return false;
-        SkipSpace();
-        if (pos >= text.size()) return Fail("unterminated object");
-        if (text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (text[pos] == '}') {
-          ++pos;
-          return true;
-        }
-        return Fail("expected ',' or '}'");
-      }
+      ++depth;
+      const bool ok = c == '[' ? Array(out) : Object(out);
+      --depth;
+      return ok;
     }
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
       char* end = nullptr;
@@ -321,7 +342,7 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 }
 
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
-  Parser p{text, 0, {}};
+  Parser p{text, 0, {}, 0};
   *out = JsonValue{};
   if (!p.Value(out)) {
     *error = p.error;

@@ -52,14 +52,16 @@ TEST(ServeProtocolTest, JsonParsesScalarsArraysAndObjects) {
 }
 
 TEST(ServeProtocolTest, JsonRejectsMalformedInput) {
-  for (const char* bad :
-       {"", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "\"unterminated",
-        "{\"a\":1} extra", "1 2", "{'a':1}", "[1 2]", "\"bad \\x escape\"",
-        "nan"}) {
+  // The last line nests 200,000 arrays, which used to recurse the parser
+  // off the stack.
+  for (const std::string& bad : std::vector<std::string>{
+           "", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "\"unterminated",
+           "{\"a\":1} extra", "1 2", "{'a':1}", "[1 2]",
+           "\"bad \\x escape\"", "nan", std::string(200000, '[')}) {
     JsonValue v;
     std::string error;
-    EXPECT_FALSE(ParseJson(bad, &v, &error)) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_FALSE(ParseJson(bad, &v, &error)) << bad.substr(0, 40);
+    EXPECT_FALSE(error.empty()) << bad.substr(0, 40);
   }
 }
 
@@ -363,6 +365,27 @@ TEST(ServeProtocolTest, RunServeExitCodesFollowTheSession) {
   const int exit_code = cli::RunServe(args.argc(), args.argv());
   testing::internal::GetCapturedStdout();
   EXPECT_EQ(exit_code, 1);  // the unknown-relation error row
+  std::remove(path.c_str());
+}
+
+// A line nested far past any request gets an error row instead of
+// crashing the session: the next line is still served, and the error
+// makes the exit code 1.
+TEST(ServeProtocolTest, RunServeSurvivesADeeplyNestedLine) {
+  const std::string path = WriteSessionFile(
+      "serve_deep.jsonl",
+      std::string(200000, '[') + "\n" +
+          "{\"op\":\"register\",\"name\":\"R\",\"attrs\":[\"a\",\"b\"],"
+          "\"tuples\":[[1,2]]}\n"
+          "{\"op\":\"query\",\"relations\":[\"R\"]}\n");
+  Argv args({path});
+  testing::internal::CaptureStdout();
+  const int exit_code = cli::RunServe(args.argc(), args.argv());
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(exit_code, 1) << out;
+  EXPECT_NE(out.find("\"row_type\":\"error\""), std::string::npos) << out;
+  EXPECT_NE(out.find("nesting deeper than"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"row_type\":\"run\""), std::string::npos) << out;
   std::remove(path.c_str());
 }
 
