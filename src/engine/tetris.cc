@@ -1,5 +1,6 @@
 #include "engine/tetris.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "engine/proof_log.h"
@@ -90,7 +91,7 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
   // shares, so the lookup starts there (at the last level for a point);
   // the cursor holds the walk over the components before it.
   const int split_dim = space_->FirstThickDim(*b);
-  const int level = split_dim < 0 ? b->dims() - 1 : split_dim;
+  const int level = split_dim >= 0 ? split_dim : std::max(b->dims() - 1, 0);
   // Lines 1-2: a box of A covers b; the lookup writes it into w.
   const bool hit = kb_.FindContaining(*b, level, &cursor_, w,
                                       &stats_.kb_nodes_visited);

@@ -20,6 +20,18 @@
 // is written over the first witness in place. Only a second witness
 // that settles the node by itself is copied up (see Skeleton below).
 //
+// The KB lookup goes through a cursor (DyadicTreeStore::Cursor). Every
+// node box is <unit, ..., unit, partial, λ, ..., λ>, and its unit
+// components before the split dimension stay fixed across its subtree.
+// The cursor keeps the trie walk over them: per dimension j, the level-j
+// trie roots reached through components 0..j-1. A lookup at the split
+// dimension k (the last dimension, for a point) walks only levels k..n-1
+// and finds the box a walk from the root would. The skeleton writes the
+// split component through the cursor, on the child write and on the
+// restore, which cuts it back to level k; a lookup rebuilds it when A's
+// size() has changed since it was built; and Run resets it. Debug builds
+// check every lookup against the root walk (FindContaining).
+//
 // A run is one skeleton call on <λ,...,λ> (TetrisSkeleton2: paper,
 // proof of Theorem D.2 and footnote 13). Every point A leaves uncovered
 // is settled where the descent reaches it, against the input oracle B:

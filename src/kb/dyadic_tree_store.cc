@@ -157,11 +157,10 @@ int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
   return found;
 }
 
-bool DyadicTreeStore::FindContaining(const DyadicBox& b, DyadicBox* out,
-                                     int64_t* nodes_visited) const {
-  int64_t visited = 0;
+bool DyadicTreeStore::FindContaining(const DyadicBox& b,
+                                     DyadicBox* out) const {
+  int64_t visited = 0;  // not reported
   const int32_t id = FindRec(root_, b, 0, &visited);
-  if (nodes_visited != nullptr) *nodes_visited += visited;
   if (id < 0) return false;
   CopyBox(id, out);
   return true;
@@ -170,7 +169,7 @@ bool DyadicTreeStore::FindContaining(const DyadicBox& b, DyadicBox* out,
 bool DyadicTreeStore::FindContaining(const DyadicBox& b, int level,
                                      Cursor* cursor, DyadicBox* out,
                                      int64_t* nodes_visited) const {
-  assert(level >= 0 && level < dims_);
+  assert(level >= 0 && (level < dims_ || level == 0));
   Cursor& c = *cursor;
   if (c.depth_ < 0 || c.kb_size_ != count_) {
     c.roots_.assign(1, root_);  // R_0

@@ -110,18 +110,15 @@ class DyadicTreeStore {
   /// pool into `*out` (which must be a dims()-dimensional box; `out` may
   /// alias `b`) and returns true. A miss returns false and leaves `*out`
   /// untouched. Prefers coarser (shorter-prefix) boxes, which tend to
-  /// cover more of the target's siblings on backtracking. When
-  /// `nodes_visited` is given, adds the number of trie nodes the walk
-  /// entered to it.
-  bool FindContaining(const DyadicBox& b, DyadicBox* out,
-                      int64_t* nodes_visited = nullptr) const;
+  /// cover more of the target's siblings on backtracking.
+  bool FindContaining(const DyadicBox& b, DyadicBox* out) const;
 
   /// FindContaining(b, out) through `cursor`: the same result, walking
   /// only levels `level`..dims()-1 from the cursor's level-`level` roots.
   /// `b` is the box the cursor follows (its components 0..level-1 were
   /// last set through cursor->Write, or the cursor was reset since), and
-  /// `level` is in [0, dims()). Adds the trie nodes entered, the cursor's
-  /// descent included, to `*nodes_visited`.
+  /// `level` is in [0, dims()), or 0 when dims() is 0. Adds the trie
+  /// nodes entered, the cursor's descent included, to `*nodes_visited`.
   bool FindContaining(const DyadicBox& b, int level, Cursor* cursor,
                       DyadicBox* out, int64_t* nodes_visited) const;
 
