@@ -52,8 +52,8 @@ TEST(ServeProtocolTest, JsonParsesScalarsArraysAndObjects) {
 }
 
 TEST(ServeProtocolTest, JsonRejectsMalformedInput) {
-  // The last line nests 200,000 arrays, which used to recurse the parser
-  // off the stack.
+  // The last input nests 200,000 arrays: deep enough to overflow the
+  // stack of a parser that recurses without a nesting bound.
   for (const std::string& bad : std::vector<std::string>{
            "", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "\"unterminated",
            "{\"a\":1} extra", "1 2", "{'a':1}", "[1 2]",
@@ -368,9 +368,9 @@ TEST(ServeProtocolTest, RunServeExitCodesFollowTheSession) {
   std::remove(path.c_str());
 }
 
-// A line nested far past any request gets an error row instead of
-// crashing the session: the next line is still served, and the error
-// makes the exit code 1.
+// A line nested far past any request gets an error row and the session
+// goes on: the next line is still served, and the error makes the exit
+// code 1.
 TEST(ServeProtocolTest, RunServeSurvivesADeeplyNestedLine) {
   const std::string path = WriteSessionFile(
       "serve_deep.jsonl",
