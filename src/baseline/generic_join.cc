@@ -50,6 +50,11 @@ class Gj {
   }
 
   std::vector<Tuple> Run() {
+    // An atom that binds no variable takes part at no level, but an
+    // empty one still empties the join.
+    for (const AtomState& st : atoms_) {
+      if (st.sorted.empty()) return {};
+    }
     Search(0);
     return std::move(out_);
   }

@@ -28,6 +28,7 @@ class TrieIter {
                   sorted_.end());
   }
 
+  bool empty() const { return sorted_.empty(); }
   int num_levels() const { return static_cast<int>(level_cols_.size()); }
   const std::vector<int>& level_cols() const { return level_cols_; }
 
@@ -126,6 +127,11 @@ class Lftj {
   }
 
   std::vector<Tuple> Run() {
+    // An atom that binds no variable takes part at no level, but an
+    // empty one still empties the join.
+    for (const TrieIter& t : tries_) {
+      if (t.empty()) return {};
+    }
     Search(0);
     return std::move(out_);
   }

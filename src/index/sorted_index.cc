@@ -58,6 +58,16 @@ SortedIndex::SortedIndex(const Relation& rel, std::vector<int> order,
   rows_ = perm->size();
   perm_ = std::move(perm);
   perm_data_ = perm_->data();
+  // The inner level: the leading value at every kFenceStride-th rank.
+  auto fence = std::make_shared<std::vector<uint64_t>>();
+  if (k_ > 0) {
+    fence->reserve((rows_ + kFenceStride - 1) / kFenceStride);
+    for (size_t i = 0; i < rows_; i += kFenceStride) {
+      fence->push_back(at(i, 0));
+    }
+  }
+  fence_ = std::move(fence);
+  fence_data_ = fence_->data();
 }
 
 SortedIndex::SortedIndex(const Relation& rel, int depth)
@@ -71,6 +81,8 @@ SortedIndex::SortedIndex(const SortedIndex& o)
       perm_(o.perm_),
       perm_data_(o.perm_data_),
       rows_(o.rows_),
+      fence_(o.fence_),
+      fence_data_(o.fence_data_),
       pin_(o.pin_),
       added_(o.added_),
       removed_(o.removed_) {
@@ -79,6 +91,18 @@ SortedIndex::SortedIndex(const SortedIndex& o)
 
 size_t SortedIndex::LowerBound(size_t lo, size_t hi, int level,
                                uint64_t v) const {
+  if (level == 0 && hi - lo > kFenceStride) {
+    // The leading column is sorted over every rank, so the fence slots
+    // inside [lo, hi) bound the answer to one leaf: past the last slot
+    // below v, up to the first slot at or above it.
+    const size_t f_lo = (lo + kFenceStride - 1) / kFenceStride;
+    const size_t f_hi = (hi + kFenceStride - 1) / kFenceStride;
+    const size_t f = static_cast<size_t>(
+        std::lower_bound(fence_data_ + f_lo, fence_data_ + f_hi, v) -
+        fence_data_);
+    if (f < f_hi) hi = f * kFenceStride;
+    if (f > f_lo) lo = (f - 1) * kFenceStride + 1;
+  }
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     if (at(mid, level) < v) {
@@ -117,9 +141,44 @@ bool SortedIndex::IsRemoved(size_t rank) const {
                             static_cast<uint32_t>(rank));
 }
 
+size_t SortedIndex::GroupEnd(size_t lo, size_t hi, int level,
+                             uint64_t v) const {
+  if (lo == hi || at(lo, level) > v) return lo;
+  // Gallop from the group's first rank, doubling the step while the
+  // value holds, then search the last step's span.
+  size_t known = lo;  // at(known, level) == v
+  size_t step = 1;
+  while (step < hi - known && at(known + step, level) <= v) {
+    known += step;
+    step *= 2;
+  }
+  size_t a = known + 1;
+  size_t b = step < hi - known ? known + step : hi;
+  while (a < b) {
+    const size_t mid = a + (b - a) / 2;
+    if (at(mid, level) <= v) {
+      a = mid + 1;
+    } else {
+      b = mid;
+    }
+  }
+  return a;
+}
+
 bool SortedIndex::FindBaseRank(const uint64_t* key, size_t* rank) const {
   const size_t k = static_cast<size_t>(k_);
   size_t lo = 0, hi = rows_;
+  if (rows_ > kFenceStride) {
+    // Rows leading with key[0] start in the leaf after the last slot
+    // below it and end before the first slot above it.
+    const size_t slots = fence_->size();
+    const auto [first, last] =
+        std::equal_range(fence_data_, fence_data_ + slots, key[0]);
+    const size_t f = static_cast<size_t>(first - fence_data_);
+    const size_t g = static_cast<size_t>(last - fence_data_);
+    if (f > 0) lo = (f - 1) * kFenceStride + 1;
+    if (g < slots) hi = g * kFenceStride;
+  }
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     const uint64_t* r = base_ + static_cast<size_t>(perm_data_[mid]) * k;
@@ -176,10 +235,12 @@ bool SortedIndex::PredLiveValue(size_t lo, size_t bpos, size_t alo,
   uint64_t best = 0;
   // Base side: walk value groups right-to-left; each skipped group is
   // fully tombstoned, so the walk is bounded by the tombstone count.
+  // With no tombstones the adjacent rank's value is live.
   size_t hi = bpos;
   while (hi > lo) {
     const uint64_t g = at(hi - 1, level);
-    const size_t glo = LowerBound(lo, hi, level, g);
+    const size_t glo =
+        removed_.empty() ? hi - 1 : LowerBound(lo, hi, level, g);
     if (RemovedIn(glo, hi) < hi - glo) {
       have = true;
       best = g;
@@ -200,13 +261,12 @@ bool SortedIndex::PredLiveValue(size_t lo, size_t bpos, size_t alo,
 
 bool SortedIndex::SuccLiveValue(size_t bpos, size_t hi, size_t apos,
                                 size_t ahi, int level, uint64_t* v) const {
-  const uint64_t dom_max = (uint64_t{1} << d_) - 1;
   bool have = false;
   uint64_t best = 0;
   size_t lo = bpos;
   while (lo < hi) {
     const uint64_t g = at(lo, level);
-    const size_t ghi = g == dom_max ? hi : LowerBound(lo, hi, level, g + 1);
+    const size_t ghi = removed_.empty() ? lo + 1 : GroupEnd(lo, hi, level, g);
     if (RemovedIn(lo, ghi) < ghi - lo) {
       have = true;
       best = g;
@@ -237,7 +297,12 @@ void SortedIndex::EmitBand(DyadicBox* slot, int level, uint64_t lo_val,
   comp = DyadicInterval::Lambda();
 }
 
+void SortedIndex::NullaryGap(BoxSink sink) const {
+  if (rows() == 0) sink(DyadicBox::Universal(0));
+}
+
 void SortedIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
+  if (k_ == 0) return NullaryGap(sink);
   uint64_t p[kMaxDims];
   for (int level = 0; level < k_; ++level) p[level] = t[ord_[level]];
 
@@ -247,8 +312,7 @@ void SortedIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
   for (int level = 0; level < k_; ++level) {
     const uint64_t v = p[level];
     const size_t sub_lo = LowerBound(lo, hi, level, v);
-    const size_t sub_hi =
-        v == dom_max ? hi : LowerBound(sub_lo, hi, level, v + 1);
+    const size_t sub_hi = GroupEnd(sub_lo, hi, level, v);
     const size_t asub_lo = AddedLowerBound(alo, ahi, level, v);
     const size_t asub_hi =
         v == dom_max ? ahi : AddedLowerBound(asub_lo, ahi, level, v + 1);
@@ -324,6 +388,7 @@ void SortedIndex::AllGapsRec(size_t lo, size_t hi, size_t alo, size_t ahi,
 }
 
 void SortedIndex::AllGaps(BoxSink sink) const {
+  if (k_ == 0) return NullaryGap(sink);
   DyadicBox slot = DyadicBox::Universal(k_);
   AllGapsRec(0, rows_, 0, added_count(), 0, &slot, sink);
 }
@@ -389,6 +454,7 @@ void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
 }
 
 void SortedIndex::GapsIntersecting(const DyadicBox& box, BoxSink sink) const {
+  if (k_ == 0) return NullaryGap(sink);
   DyadicBox slot = DyadicBox::Universal(k_);
   GapsIntersectingRec(0, rows_, 0, added_count(), 0, box, &slot, sink);
 }
@@ -451,7 +517,10 @@ std::shared_ptr<const SortedIndex> SortedIndex::Promote(
   // the buffer the shared permutation indexes into.
   if (next->pin_ == nullptr) next->pin_ = std::move(old_version);
   next->ApplyDelta(added, removed);
-  if (ShouldCompact(next->overlay_rows(), new_version.size())) {
+  // The overlay cannot hold a 0-ary addition (its rows have no values);
+  // a 0-ary relation has at most one row, so it is rebuilt instead.
+  if (base->k_ == 0 ||
+      ShouldCompact(next->overlay_rows(), new_version.size())) {
     if (compacted != nullptr) *compacted = true;
     return std::make_shared<const SortedIndex>(new_version, base->order_,
                                                base->d_);

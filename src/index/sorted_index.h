@@ -71,12 +71,18 @@ class SortedIndex : public Index {
   void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
   std::string Describe() const override;
 
-  /// Permutation (rows·4) plus overlay footprint; the base row payload
-  /// belongs to the relation, not the index.
+  /// Permutation (rows·4) plus fence (8 bytes per kFenceStride rows)
+  /// plus overlay footprint; the base row payload belongs to the
+  /// relation, not the index.
   size_t MemoryBytes() const override {
-    return rows_ * sizeof(uint32_t) + added_.size() * sizeof(uint64_t) +
+    return rows_ * sizeof(uint32_t) + fence_->size() * sizeof(uint64_t) +
+           added_.size() * sizeof(uint64_t) +
            removed_.size() * sizeof(uint32_t);
   }
+
+  /// Base ranks per fence slot: a level-0 search reads the fence, then
+  /// one leaf of at most kFenceStride - 1 ranks.
+  static constexpr size_t kFenceStride = 16;
 
   const std::vector<int>& order() const { return order_; }
 
@@ -127,14 +133,19 @@ class SortedIndex : public Index {
     return added_[a * static_cast<size_t>(k_) + level];
   }
   // First base rank in [lo, hi) whose `level` value is >= v (the range
-  // shares a prefix above `level`, so that column slice is sorted).
+  // shares a prefix above `level`, so that column slice is sorted). At
+  // level 0 the fence narrows the search to one leaf first.
   size_t LowerBound(size_t lo, size_t hi, int level, uint64_t v) const;
+  // First base rank in [lo, hi) whose `level` value is > v, given that
+  // the range's values are >= v: the end of v's group starting at lo,
+  // found by galloping from lo.
+  size_t GroupEnd(size_t lo, size_t hi, int level, uint64_t v) const;
   // Same over the overlay rows [alo, ahi).
   size_t AddedLowerBound(size_t alo, size_t ahi, int level, uint64_t v) const;
   // Tombstoned base ranks within [lo, hi).
   size_t RemovedIn(size_t lo, size_t hi) const;
   bool IsRemoved(size_t rank) const;
-  // Base rank of the permuted key, if present.
+  // Base rank of the permuted key, if present (narrowed by the fence).
   bool FindBaseRank(const uint64_t* key, size_t* rank) const;
   // First overlay row >= the permuted key (full-row lex order).
   size_t AddedLowerBoundFull(const uint64_t* key) const;
@@ -146,6 +157,9 @@ class SortedIndex : public Index {
   // Smallest live value above: mirror of PredLiveValue.
   bool SuccLiveValue(size_t bpos, size_t hi, size_t apos, size_t ahi,
                      int level, uint64_t* v) const;
+  // A 0-ary index's one gap: the whole 0-dimensional space, emitted iff
+  // no row (the empty tuple) is live.
+  void NullaryGap(BoxSink sink) const;
   // Emits the dyadic decomposition of the band gap [lo_val, hi_val] at
   // trie `level` through `*slot`, which holds the key prefix's unit
   // intervals above `level` and λ from `level` on, and is left that way.
@@ -174,6 +188,11 @@ class SortedIndex : public Index {
   std::shared_ptr<const std::vector<uint32_t>> perm_;
   const uint32_t* perm_data_ = nullptr;
   size_t rows_ = 0;  // perm_->size()
+  /// The inner B-tree level: the leading (level-0) value of every
+  /// kFenceStride-th base rank, built with the permutation and shared
+  /// with it across promoted copies. Empty for a 0-ary index.
+  std::shared_ptr<const std::vector<uint64_t>> fence_;
+  const uint64_t* fence_data_ = nullptr;
   /// Keeps the base buffer's owning (retired) version alive once the
   /// index outlives the registry epoch it was built under.
   std::shared_ptr<const Relation> pin_;

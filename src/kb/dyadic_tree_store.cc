@@ -160,7 +160,8 @@ int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
 bool DyadicTreeStore::FindContaining(const DyadicBox& b,
                                      DyadicBox* out) const {
   int64_t visited = 0;  // not reported
-  const int32_t id = FindRec(root_, b, 0, &visited);
+  const int32_t id =
+      dims_ == 0 ? nodes_[root_].down : FindRec(root_, b, 0, &visited);
   if (id < 0) return false;
   CopyBox(id, out);
   return true;
@@ -170,6 +171,10 @@ bool DyadicTreeStore::FindContaining(const DyadicBox& b, int level,
                                      Cursor* cursor, DyadicBox* out,
                                      int64_t* nodes_visited) const {
   assert(level >= 0 && (level < dims_ || level == 0));
+  if (dims_ == 0) {
+    ++*nodes_visited;
+    return FindContaining(b, out);
+  }
   Cursor& c = *cursor;
   if (c.depth_ < 0 || c.kb_size_ != count_) {
     c.roots_.assign(1, root_);  // R_0
@@ -220,6 +225,7 @@ void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,
 
 void DyadicTreeStore::CollectContaining(const DyadicBox& b,
                                         std::vector<DyadicBox>* out) const {
+  if (dims_ == 0) return CollectNullary(out);
   CollectRec(root_, b, 0, out);
 }
 
@@ -285,7 +291,13 @@ void DyadicTreeStore::IntersectRec(int32_t node, const DyadicBox& b,
 
 void DyadicTreeStore::CollectIntersecting(const DyadicBox& b,
                                           std::vector<DyadicBox>* out) const {
+  if (dims_ == 0) return CollectNullary(out);
   IntersectRec(root_, b, 0, out);
+}
+
+void DyadicTreeStore::CollectNullary(std::vector<DyadicBox>* out) const {
+  const int32_t id = nodes_[root_].down;
+  if (id >= 0) out->push_back(MaterializeBox(id));
 }
 
 bool DyadicTreeStore::ContainsExact(const DyadicBox& b) const {
@@ -315,7 +327,11 @@ void DyadicTreeStore::AllRec(int32_t node, int level,
 std::vector<DyadicBox> DyadicTreeStore::AllBoxes() const {
   std::vector<DyadicBox> out;
   out.reserve(count_);
-  AllRec(root_, 0, &out);
+  if (dims_ == 0) {
+    CollectNullary(&out);
+  } else {
+    AllRec(root_, 0, &out);
+  }
   return out;
 }
 

@@ -188,6 +188,11 @@ class DyadicTreeStore {
   void SubtreeRec(int32_t node, const DyadicBox& b, int level,
                   std::vector<DyadicBox>* out) const;
   void AllRec(int32_t node, int level, std::vector<DyadicBox>* out) const;
+  // A 0-dimension store holds at most the one 0-dimension box, and
+  // Insert walks no level to store it: the root's `down` is its id. The
+  // walks above start at level 0, so the public calls answer this case
+  // first; this appends the box, if stored.
+  void CollectNullary(std::vector<DyadicBox>* out) const;
 
   int dims_;
   size_t count_ = 0;

@@ -72,33 +72,37 @@ class TupleRef {
 /// Attribute names tie relation columns to query attributes (vars(R)).
 class Relation {
  public:
-  /// Forward iterator over rows, yielding TupleRef proxies.
+  /// Forward iterator over rows, yielding TupleRef proxies. It counts
+  /// rows rather than buffer positions: a 0-ary relation holding the
+  /// empty tuple has one row and an empty buffer.
   class RowIterator {
    public:
-    RowIterator(const uint64_t* p, int k) : p_(p), k_(k) {}
+    RowIterator(const uint64_t* p, int k, size_t i) : p_(p), k_(k), i_(i) {}
     TupleRef operator*() const { return TupleRef(p_, k_); }
     RowIterator& operator++() {
       p_ += k_;
+      ++i_;
       return *this;
     }
-    bool operator!=(const RowIterator& o) const { return p_ != o.p_; }
+    bool operator!=(const RowIterator& o) const { return i_ != o.i_; }
 
    private:
     const uint64_t* p_;
     int k_;
+    size_t i_;
   };
 
   /// An iterable view over all rows: `for (TupleRef t : rel.rows())`.
   class RowRange {
    public:
-    RowRange(const uint64_t* begin, const uint64_t* end, int k)
-        : begin_(begin), end_(end), k_(k) {}
-    RowIterator begin() const { return RowIterator(begin_, k_); }
-    RowIterator end() const { return RowIterator(end_, k_); }
+    RowRange(const uint64_t* begin, size_t rows, int k)
+        : begin_(begin), rows_(rows), k_(k) {}
+    RowIterator begin() const { return RowIterator(begin_, k_, 0); }
+    RowIterator end() const { return RowIterator(nullptr, k_, rows_); }
 
    private:
     const uint64_t* begin_;
-    const uint64_t* end_;
+    size_t rows_;
     int k_;
   };
 
@@ -117,9 +121,7 @@ class Relation {
   TupleRef row(size_t i) const {
     return TupleRef(data_.data() + i * attrs_.size(), arity());
   }
-  RowRange rows() const {
-    return RowRange(data_.data(), data_.data() + data_.size(), arity());
-  }
+  RowRange rows() const { return RowRange(data_.data(), rows_, arity()); }
   /// The flat row-major buffer, size() * arity() values.
   const std::vector<uint64_t>& raw() const { return data_; }
 

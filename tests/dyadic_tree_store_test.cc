@@ -79,6 +79,34 @@ TEST(DyadicTreeStore, UniversalBoxCoversAll) {
   EXPECT_EQ(found, DyadicBox::Universal(2));
 }
 
+// A 0-dimension store (the space of a query whose atoms bind no
+// variable) holds at most the one 0-dimension box, and every lookup
+// answers from it.
+TEST(DyadicTreeStore, ZeroDimensionStoreHoldsTheEmptyBox) {
+  DyadicTreeStore store(0);
+  const DyadicBox empty = DyadicBox::Universal(0);
+  DyadicBox found = empty;
+  DyadicTreeStore::Cursor cursor;
+  int64_t visited = 0;
+  EXPECT_FALSE(store.FindContaining(empty, &found));
+  EXPECT_FALSE(store.FindContaining(empty, 0, &cursor, &found, &visited));
+  std::vector<DyadicBox> boxes;
+  store.CollectContaining(empty, &boxes);
+  EXPECT_TRUE(boxes.empty());
+
+  ASSERT_TRUE(store.Insert(empty));
+  EXPECT_FALSE(store.Insert(empty)) << "duplicate must be rejected";
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(store.FindContaining(empty, &found));
+  EXPECT_TRUE(store.FindContaining(empty, 0, &cursor, &found, &visited));
+  EXPECT_EQ(visited, 2);
+  EXPECT_TRUE(store.ContainsExact(empty));
+  store.CollectContaining(empty, &boxes);
+  store.CollectIntersecting(empty, &boxes);
+  EXPECT_EQ(boxes, std::vector<DyadicBox>(2, empty));
+  EXPECT_EQ(store.AllBoxes(), std::vector<DyadicBox>{empty});
+}
+
 TEST(DyadicTreeStore, CollectContainingFindsAllSupersets) {
   DyadicTreeStore store(2);
   DyadicBox a = DyadicBox::Of({kLam, Iv(0b1, 1)});

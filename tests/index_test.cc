@@ -357,7 +357,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(IndexCase{1, 4, 6, 11}, IndexCase{2, 3, 10, 22},
                       IndexCase{2, 4, 30, 33}, IndexCase{3, 3, 40, 44},
                       IndexCase{3, 2, 5, 55}, IndexCase{4, 2, 12, 66},
-                      IndexCase{2, 5, 1, 77}, IndexCase{2, 3, 0, 88}));
+                      IndexCase{2, 5, 1, 77}, IndexCase{2, 3, 0, 88},
+                      IndexCase{0, 3, 0, 99}, IndexCase{0, 3, 1, 111}));
 
 // Differential: the pruned GapsIntersecting enumeration must equal the
 // filtered full enumeration, for every index type (SortedIndex overrides

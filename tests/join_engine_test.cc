@@ -125,6 +125,44 @@ TEST(JoinEngineTest, StripedEmptyInstancesHaveEmptyOutput) {
   CrossValidate(cycle);
 }
 
+// A 0-ary atom is a boolean: the empty relation E() empties any join it
+// takes part in, and F() = {()} leaves it unchanged. Every engine, plain,
+// sharded and batched, must agree; before the fix each engine group got
+// half of these four queries wrong.
+TEST(JoinEngineTest, NullaryAtomsActAsBooleans) {
+  const Relation e("E", {});
+  const Relation f = Relation::Make("F", {}, {Tuple{}});
+  const Relation r = Relation::Make("R", {"A"}, {{1}, {3}});
+  struct Case {
+    const char* name;
+    std::vector<const Relation*> rels;
+    std::vector<Tuple> want;
+  };
+  const Case cases[] = {{"E()", {&e}, {}},
+                        {"E()*R(A)", {&e, &r}, {}},
+                        {"F()", {&f}, {Tuple{}}},
+                        {"F()*R(A)", {&f, &r}, {{1}, {3}}}};
+  EngineOptions plain;
+  EngineOptions sharded;
+  sharded.shards = 4;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const JoinQuery q = JoinQuery::Build(c.rels);
+    for (EngineKind kind : AllEngineKinds()) {
+      SCOPED_TRACE(EngineKindName(kind));
+      for (const EngineOptions& opt : {plain, sharded}) {
+        SCOPED_TRACE(opt.shards);
+        const EngineResult got = RunJoin(q, kind, opt);
+        ASSERT_TRUE(got.ok) << got.error;
+        EXPECT_EQ(got.tuples, c.want);
+      }
+      const BatchResult batch = RunBatch({}, {q}, kind);
+      ASSERT_TRUE(batch.ok) << batch.error;
+      EXPECT_EQ(batch.results[0].tuples, c.want);
+    }
+  }
+}
+
 // R(a,b) = {(v,2),(3,4)} and S(b,c) = {(2,5),(4,6)}: the join is
 // {(v,2,5),(3,4,6)} whatever v is.
 QueryInstance TwoRowPath(uint64_t v) {

@@ -170,9 +170,12 @@ TEST(ShardPlannerTest, EstimateBoundsSortedIndexFootprint) {
   const Atom& atom = q.query.atoms()[0];
   SortedIndex index(*atom.rel, q.depth);
   // The estimate is the shard's row-payload proxy (rows·arity·8); the
-  // permutation-view index costs rows·4 on top of the shared buffer, so
-  // the estimate strictly upper-bounds index residency at arity >= 1.
-  EXPECT_EQ(index.MemoryBytes(), atom.rel->size() * sizeof(uint32_t));
+  // permutation-view index costs rows·4 plus an 8-byte fence slot per 16
+  // rows on top of the shared buffer, so the estimate strictly
+  // upper-bounds index residency at arity >= 1.
+  const size_t rows = atom.rel->size();
+  EXPECT_EQ(index.MemoryBytes(),
+            rows * sizeof(uint32_t) + (rows + 15) / 16 * sizeof(uint64_t));
   EXPECT_GT(EstimateAtomBytes(atom.rel->size(),
                               static_cast<int>(atom.var_ids.size())),
             index.MemoryBytes());

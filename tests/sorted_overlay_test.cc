@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,10 @@ std::vector<std::string> BoxKeys(const std::vector<DyadicBox>& boxes) {
   std::sort(keys.begin(), keys.end());
   return keys;
 }
+
+// The fence a base permutation over `rows` rows carries: one 8-byte
+// slot per 16 ranks, rounded up.
+size_t FenceBytes(size_t rows) { return (rows + 15) / 16 * sizeof(uint64_t); }
 
 Tuple RandomTupleOf(Rng* rng, int k, int d) {
   Tuple t(k);
@@ -181,9 +186,11 @@ TEST(SortedOverlayTest, PromotedMatchesFreshRebuildRandomized) {
       EXPECT_EQ(promoted->pin().get(), old_rel.get());
       EXPECT_EQ(promoted->overlay_rows(),
                 eff.added.size() + eff.removed.size());
-      // Permutation view + overlay footprint, never a materialized copy.
-      EXPECT_LE(promoted->MemoryBytes(),
+      // Permutation view + fence + overlay footprint, never a
+      // materialized copy.
+      EXPECT_EQ(promoted->MemoryBytes(),
                 old_rel->size() * sizeof(uint32_t) +
+                    FenceBytes(old_rel->size()) +
                     eff.added.size() * static_cast<size_t>(k) *
                         sizeof(uint64_t) +
                     eff.removed.size() * sizeof(uint32_t));
@@ -272,7 +279,8 @@ TEST(SortedOverlayTest, CompactionBoundaryFoldsTheOverlay) {
     EXPECT_TRUE(compacted);
     EXPECT_EQ(p->overlay_rows(), 0u);
     EXPECT_EQ(p->pin(), nullptr);
-    EXPECT_EQ(p->MemoryBytes(), new_rel.size() * sizeof(uint32_t));
+    EXPECT_EQ(p->MemoryBytes(), new_rel.size() * sizeof(uint32_t) +
+                                    FenceBytes(new_rel.size()));
     ExpectIndexesAgree(*p, SortedIndex(new_rel, d), new_rel, &rng, d, add);
   }
 }
@@ -282,7 +290,8 @@ TEST(SortedOverlayTest, OverlayBookkeepingSemantics) {
   auto rel = std::make_shared<const Relation>(Relation::Make(
       "R", {"A", "B"}, {{1, 1}, {2, 2}, {3, 3}}));
   auto base = std::make_shared<const SortedIndex>(*rel, d);
-  EXPECT_EQ(base->MemoryBytes(), 3 * sizeof(uint32_t));
+  // Three ranks and one fence slot.
+  EXPECT_EQ(base->MemoryBytes(), 3 * sizeof(uint32_t) + sizeof(uint64_t));
   EXPECT_EQ(base->Describe(), "btree(c0,c1)");
 
   // Remove a base row and add a new one.
@@ -290,8 +299,8 @@ TEST(SortedOverlayTest, OverlayBookkeepingSemantics) {
   auto p = SortedIndex::Promote(base, rel, v2, {{5, 5}}, {{2, 2}});
   EXPECT_EQ(p->rows(), 3u);
   EXPECT_EQ(p->overlay_rows(), 2u);
-  EXPECT_EQ(p->MemoryBytes(),
-            3 * sizeof(uint32_t) + 2 * sizeof(uint64_t) + sizeof(uint32_t));
+  EXPECT_EQ(p->MemoryBytes(), 3 * sizeof(uint32_t) + sizeof(uint64_t) +
+                                  2 * sizeof(uint64_t) + sizeof(uint32_t));
   EXPECT_EQ(p->Describe(), "btree(c0,c1)+ovl{1a,1r}");
   EXPECT_FALSE(p->Contains({2, 2}));
   EXPECT_TRUE(p->Contains({5, 5}));
@@ -306,6 +315,230 @@ TEST(SortedOverlayTest, OverlayBookkeepingSemantics) {
   EXPECT_TRUE(q->Contains({2, 2}));
   EXPECT_FALSE(q->Contains({5, 5}));
   EXPECT_EQ(q->Describe(), "btree(c0,c1)");
+}
+
+// The overlay has no room for a 0-ary row, so a 0-ary promotion
+// rebuilds: adding the empty tuple fills the relation, and removing it
+// again leaves the one 0-dimension gap.
+TEST(SortedOverlayTest, NullaryPromotionRebuilds) {
+  auto empty = std::make_shared<const Relation>(Relation("E", {}));
+  auto full = std::make_shared<const Relation>(
+      Relation::Make("E", {}, {Tuple{}}));
+  auto base = std::make_shared<const SortedIndex>(*empty, 3);
+  bool compacted = false;
+  auto filled = SortedIndex::Promote(base, empty, *full, {Tuple{}}, {},
+                                     &compacted);
+  EXPECT_TRUE(compacted);
+  EXPECT_TRUE(filled->Contains(Tuple{}));
+  std::vector<DyadicBox> gaps;
+  filled->AllGaps(AppendTo(&gaps));
+  EXPECT_TRUE(gaps.empty());
+  auto emptied = SortedIndex::Promote(filled, full, *empty, {}, {Tuple{}},
+                                      &compacted);
+  EXPECT_TRUE(compacted);
+  EXPECT_FALSE(emptied->Contains(Tuple{}));
+  emptied->GapsContaining(nullptr, AppendTo(&gaps));
+  EXPECT_EQ(gaps, std::vector<DyadicBox>{DyadicBox::Universal(0)});
+}
+
+// Reference for GapsContaining: the band at the first level where the
+// permuted probe leaves `sorted` (the rows permuted into index order,
+// sorted and deduplicated), as maximal aligned blocks left to right,
+// each in relation column order under the probe's unit prefix. Empty
+// when the probe is a row. A linear scan per level, independent of the
+// index's search.
+std::vector<DyadicBox> ReferenceBand(const std::vector<Tuple>& sorted,
+                                     const std::vector<int>& order, int d,
+                                     const Tuple& t) {
+  const int k = static_cast<int>(order.size());
+  const uint64_t dom_max = (uint64_t{1} << d) - 1;
+  Tuple p(k);
+  for (int l = 0; l < k; ++l) p[l] = t[order[l]];
+  size_t lo = 0, hi = sorted.size();
+  for (int level = 0; level < k; ++level) {
+    uint64_t band_lo = 0, band_hi = dom_max;
+    size_t eq_lo = hi, eq_hi = hi;
+    for (size_t i = lo; i < hi; ++i) {
+      const uint64_t v = sorted[i][level];
+      if (v < p[level]) {
+        band_lo = v + 1;
+      } else if (v > p[level]) {
+        band_hi = std::min(band_hi, v - 1);
+      } else {
+        if (eq_lo == hi) eq_lo = i;
+        eq_hi = i + 1;
+      }
+    }
+    if (eq_lo < eq_hi) {
+      lo = eq_lo;
+      hi = eq_hi;
+      continue;
+    }
+    std::vector<DyadicBox> out;
+    for (uint64_t cur = band_lo; cur <= band_hi;) {
+      int s = 0;
+      while (s < d && cur % (uint64_t{2} << s) == 0 &&
+             cur + (uint64_t{2} << s) - 1 <= band_hi) {
+        ++s;
+      }
+      DyadicBox b = DyadicBox::Universal(k);
+      for (int i = 0; i < level; ++i) {
+        b[order[i]] = DyadicInterval::Unit(p[i], d);
+      }
+      b[order[level]] = {cur >> s, static_cast<uint8_t>(d - s)};
+      out.push_back(b);
+      cur += uint64_t{1} << s;
+    }
+    return out;
+  }
+  return {};
+}
+
+std::vector<std::string> BoxSequence(const std::vector<DyadicBox>& boxes) {
+  std::vector<std::string> keys;
+  for (const DyadicBox& b : boxes) keys.push_back(b.ToString());
+  return keys;
+}
+
+// Every GapsContaining box sequence equals the reference band, and
+// Contains agrees with the rows.
+void ExpectReferenceBands(const SortedIndex& index, const Relation& rel,
+                          const std::vector<int>& order, int d,
+                          const std::vector<Tuple>& probes) {
+  std::vector<Tuple> sorted;
+  for (TupleRef t : rel.rows()) {
+    Tuple p(order.size());
+    for (size_t l = 0; l < order.size(); ++l) p[l] = t[order[l]];
+    sorted.push_back(std::move(p));
+  }
+  std::sort(sorted.begin(), sorted.end());
+  for (const Tuple& t : probes) {
+    std::vector<DyadicBox> got;
+    index.GapsContaining(t.data(), AppendTo(&got));
+    const std::vector<DyadicBox> want = ReferenceBand(sorted, order, d, t);
+    ASSERT_EQ(BoxSequence(got), BoxSequence(want))
+        << index.Describe() << " probe " << DyadicBox::Point(t, d).ToString();
+    ASSERT_EQ(index.Contains(t), rel.Contains(t)) << index.Describe();
+  }
+}
+
+// Probe exactness at the fence's scale: sizes around the 16-rank leaf
+// (0, 1, 15, 16, 17, 33) and 4,099 rows, identity and reversed layouts,
+// a uniform leading column and one with only two distinct values, and
+// probes at 0 and 2^d - 1. A fresh build must match the reference band;
+// a promotion with additions and tombstones (the slow neighbour path,
+// fully tombstoned groups included) must match it too, and emit every
+// enumeration in a fresh build's order.
+TEST(SortedOverlayTest, ProbesExactAtFenceScale) {
+  const int d = 12;
+  const uint64_t dom_max = (uint64_t{1} << d) - 1;
+  const size_t sizes[] = {0, 1, 15, 16, 17, 33, 4099};
+  uint64_t seed = 0;
+  for (int k : {2, 3}) {
+    for (bool two_leads : {false, true}) {
+      for (bool reversed : {false, true}) {
+        std::vector<int> order(k);
+        for (int c = 0; c < k; ++c) order[c] = reversed ? k - 1 - c : c;
+        for (size_t n : sizes) {
+          SCOPED_TRACE("k=" + std::to_string(k) + " two_leads=" +
+                       std::to_string(two_leads) + " reversed=" +
+                       std::to_string(reversed) + " n=" + std::to_string(n));
+          Rng rng(++seed * 7919);
+          auto draw = [&]() {
+            Tuple t = RandomTupleOf(&rng, k, d);
+            if (two_leads) t[order[0]] = rng.Below(2) ? 2 : dom_max;
+            return t;
+          };
+          std::set<Tuple> distinct;
+          if (n >= 2) {
+            // The domain's ends appear in the data too.
+            Tuple lo_row(k, 0), hi_row(k, dom_max);
+            if (two_leads) lo_row[order[0]] = 2;
+            distinct.insert(lo_row);
+            distinct.insert(hi_row);
+          }
+          while (distinct.size() < n) distinct.insert(draw());
+          auto rel = std::make_shared<const Relation>(Relation::Make(
+              "R", k == 2 ? std::vector<std::string>{"A", "B"}
+                          : std::vector<std::string>{"A", "B", "C"},
+              std::vector<Tuple>(distinct.begin(), distinct.end())));
+          ASSERT_EQ(rel->size(), n);
+
+          // Rows, their neighbours and the domain's ends per component,
+          // and random points.
+          std::vector<Tuple> probes = {Tuple(k, 0), Tuple(k, dom_max)};
+          for (int i = 0; i < 48 && n > 0; ++i) {
+            const Tuple row = rel->row(rng.Below(n)).ToTuple();
+            probes.push_back(row);
+            for (int c = 0; c < k; ++c) {
+              for (uint64_t v : {uint64_t{0}, dom_max, row[c] - 1, row[c] + 1}) {
+                Tuple t = row;
+                t[c] = v & dom_max;
+                probes.push_back(t);
+              }
+            }
+          }
+          for (int i = 0; i < 48; ++i) probes.push_back(draw());
+          for (int i = 0; i < 16; ++i) probes.push_back(RandomTupleOf(&rng, k, d));
+
+          auto base = std::make_shared<const SortedIndex>(*rel, order, d);
+          ExpectReferenceBands(*base, *rel, order, d, probes);
+
+          // Additions and tombstones, within the overlay's budget: new
+          // rows, random removals, and a whole leading-value group.
+          std::vector<Tuple> add, del;
+          const size_t budget = SortedIndex::kCompactSlack + n / 16;
+          for (size_t i = 0; i < budget / 2; ++i) add.push_back(draw());
+          if (n > 0) {
+            const uint64_t lead = rel->row(rng.Below(n))[order[0]];
+            std::vector<Tuple> group;
+            for (TupleRef t : rel->rows()) {
+              if (t[order[0]] == lead) group.push_back(t.ToTuple());
+            }
+            if (group.size() <= budget / 4) del = group;
+            while (del.size() < budget / 2) {
+              del.push_back(rel->row(rng.Below(n)).ToTuple());
+            }
+          }
+          const EffectiveDelta eff = MakeEffective(*rel, add, del);
+          const Relation next = ApplyDeltaToRelation(*rel, eff);
+          bool compacted = true;
+          auto promoted = SortedIndex::Promote(base, rel, next, eff.added,
+                                               eff.removed, &compacted);
+          ASSERT_FALSE(compacted);
+          ASSERT_EQ(promoted->overlay_rows(),
+                    eff.added.size() + eff.removed.size());
+          probes.insert(probes.end(), eff.added.begin(), eff.added.end());
+          probes.insert(probes.end(), eff.removed.begin(), eff.removed.end());
+          ExpectReferenceBands(*promoted, next, order, d, probes);
+
+          const SortedIndex fresh(next, order, d);
+          std::vector<DyadicBox> pa, fa;
+          promoted->AllGaps(AppendTo(&pa));
+          fresh.AllGaps(AppendTo(&fa));
+          EXPECT_EQ(BoxSequence(pa), BoxSequence(fa));
+          for (int i = 0; i < 8; ++i) {
+            DyadicBox box = DyadicBox::Universal(k);
+            for (int c = 0; c < k; ++c) {
+              const int len = static_cast<int>(rng.Below(d + 1));
+              box[c] = {rng.Below(uint64_t{1} << len),
+                        static_cast<uint8_t>(len)};
+            }
+            std::vector<DyadicBox> pi, fi, filtered;
+            promoted->GapsIntersecting(box, AppendTo(&pi));
+            fresh.GapsIntersecting(box, AppendTo(&fi));
+            for (const DyadicBox& g : fa) {
+              if (box.Intersects(g)) filtered.push_back(g);
+            }
+            EXPECT_EQ(BoxSequence(fi), BoxSequence(filtered))
+                << "box=" << box.ToString();
+            EXPECT_EQ(BoxSequence(pi), BoxSequence(fi))
+                << "box=" << box.ToString();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SortedOverlayTest, ConcurrentProbesDuringPromotionChain) {
