@@ -130,6 +130,25 @@ void BM_SortedIndexProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_SortedIndexProbe)->Arg(1024)->Arg(65536);
 
+// The same probe at join-certificate scale under a permuted layout:
+// reversed column order over 2^18 rows at depth 16. BM_SortedIndexProbe's
+// identity layout over a canonical relation has sequential ranks; here
+// each rank points anywhere in the base buffer, so a search step costs a
+// cache miss unless the fence level narrows it first.
+void BM_SortedIndexProbePermuted(benchmark::State& state) {
+  const int d = 16;
+  Relation r = RandomRelation("R", {"A", "B"}, state.range(0), d, 5);
+  SortedIndex ix(r, {1, 0}, d);
+  Rng rng(17);
+  size_t gaps = 0;
+  for (auto _ : state) {
+    const uint64_t t[2] = {rng.Below(1 << d), rng.Below(1 << d)};
+    ix.GapsContaining(t, [&gaps](const DyadicBox&) { ++gaps; });
+    benchmark::DoNotOptimize(gaps);
+  }
+}
+BENCHMARK(BM_SortedIndexProbePermuted)->Arg(262144);
+
 // The rebuild-free append path: promote a shared base index across
 // `overlay` 1-row epochs (delta overlays, no rebuild), then measure
 // GapsContaining latency through the overlay. Arg = overlay rows;

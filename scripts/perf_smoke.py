@@ -116,7 +116,8 @@ def collect(build_dir, cal):
         "--benchmark_filter="
         "BM_OrderedResolve|BM_KbInsert|BM_KbFindContaining/1024|"
         "BM_DyadicCover|BM_SortedIndexBuild/4096|"
-        "BM_SortedIndexProbe/1024|BM_SortedIndexAppendProbe/0|"
+        "BM_SortedIndexProbe/1024|BM_SortedIndexProbePermuted/262144|"
+        "BM_SortedIndexAppendProbe/0|"
         "BM_SortedIndexAppendProbe/16|BM_RunJoin",
         "--benchmark_format=json",
         # A plain double keeps old google-benchmark happy (newer

@@ -7,15 +7,23 @@
 // level — exactly the GAO-consistent gap boxes of Minesweeper [50] —
 // dyadically decomposed per Proposition B.14.
 //
-// Storage is a *permutation view*: instead of materializing its own
-// sorted rows × arity × 8-byte copy, the index keeps a uint32_t row
-// permutation over the relation's flat buffer, lexicographically sorted
-// in index order and deduplicated. Level descents are binary searches
-// that read the base buffer through the permutation, building is a sort
-// of row ids with no gather (a no-op sort when the relation is canonical
-// and the layout is the identity order), and MemoryBytes() is rows·4
-// instead of rows·arity·8 — every layout of a relation shares the one
-// canonical buffer.
+// Storage is a *permutation view* with one inner B-tree level. Instead
+// of materializing its own sorted rows × arity × 8-byte copy, the index
+// keeps a uint32_t row permutation over the relation's flat buffer,
+// lexicographically sorted in index order and deduplicated: the leaf
+// level. Building is a sort of row ids with no gather (a no-op sort when
+// the relation is canonical and the layout is the identity order), so
+// every layout of a relation shares the one canonical buffer. Reading a
+// key through the permutation is two dependent loads, both cache misses
+// under a permuted layout, so above the leaves sits the *fence*: the
+// leading column's value at every kFenceStride-th (16th) rank, one
+// contiguous array built with the permutation. A level-0 search reads
+// the fence, then one leaf of at most 15 ranks; a deeper level searches
+// only its prefix's range; and a probe finds the end of its key group by
+// galloping from the group's start. So a probe does one full search per
+// level. MemoryBytes() is rows·4 plus 8 bytes per 16 rows (0.5 bytes a
+// row) instead of rows·arity·8; materializing the leading column
+// instead of the fence would cost 8 bytes a row.
 //
 // On top of the base permutation sits a *delta overlay*: a small sorted
 // side-structure of added rows (flat, permuted into index order) and

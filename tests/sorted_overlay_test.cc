@@ -482,7 +482,8 @@ TEST(SortedOverlayTest, ProbesExactAtFenceScale) {
           for (int i = 0; i < 16; ++i) probes.push_back(RandomTupleOf(&rng, k, d));
 
           auto base = std::make_shared<const SortedIndex>(*rel, order, d);
-          ExpectReferenceBands(*base, *rel, order, d, probes);
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectReferenceBands(*base, *rel, order, d, probes));
 
           // Additions and tombstones, within the overlay's budget: new
           // rows, random removals, and a whole leading-value group.
@@ -510,7 +511,8 @@ TEST(SortedOverlayTest, ProbesExactAtFenceScale) {
                     eff.added.size() + eff.removed.size());
           probes.insert(probes.end(), eff.added.begin(), eff.added.end());
           probes.insert(probes.end(), eff.removed.begin(), eff.removed.end());
-          ExpectReferenceBands(*promoted, next, order, d, probes);
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectReferenceBands(*promoted, next, order, d, probes));
 
           const SortedIndex fresh(next, order, d);
           std::vector<DyadicBox> pa, fa;
