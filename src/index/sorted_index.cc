@@ -168,16 +168,10 @@ size_t SortedIndex::GroupEnd(size_t lo, size_t hi, int level,
 bool SortedIndex::FindBaseRank(const uint64_t* key, size_t* rank) const {
   const size_t k = static_cast<size_t>(k_);
   size_t lo = 0, hi = rows_;
-  if (rows_ > kFenceStride) {
-    // Rows leading with key[0] start in the leaf after the last slot
-    // below it and end before the first slot above it.
-    const size_t slots = fence_->size();
-    const auto [first, last] =
-        std::equal_range(fence_data_, fence_data_ + slots, key[0]);
-    const size_t f = static_cast<size_t>(first - fence_data_);
-    const size_t g = static_cast<size_t>(last - fence_data_);
-    if (f > 0) lo = (f - 1) * kFenceStride + 1;
-    if (g < slots) hi = g * kFenceStride;
+  if (k_ > 0) {
+    // Only the group of rows leading with key[0] can hold the key.
+    lo = LowerBound(0, rows_, 0, key[0]);
+    hi = GroupEnd(lo, rows_, 0, key[0]);
   }
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;

@@ -153,7 +153,8 @@ class SortedIndex : public Index {
   // Tombstoned base ranks within [lo, hi).
   size_t RemovedIn(size_t lo, size_t hi) const;
   bool IsRemoved(size_t rank) const;
-  // Base rank of the permuted key, if present (narrowed by the fence).
+  // Base rank of the permuted key, if present: a full-row search within
+  // the key's level-0 group.
   bool FindBaseRank(const uint64_t* key, size_t* rank) const;
   // First overlay row >= the permuted key (full-row lex order).
   size_t AddedLowerBoundFull(const uint64_t* key) const;
