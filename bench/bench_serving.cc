@@ -354,7 +354,7 @@ int main(int argc, char** argv) {
     rep.Summary("index_compactions", static_cast<double>(ix.compactions()),
                 "");
     rep.Summary("index_bytes", static_cast<double>(ix.MemoryBytes()),
-                "rows*4 permutation view + overlay");
+                "rows*4 permutation + rows/16*8 fence + overlay");
     rep.Summary("append_index_rebuilds", static_cast<double>(rebuilds),
                 "acceptance: 0 (1-row append is rebuild-free)");
     if (ix.promotes() < 1) {
