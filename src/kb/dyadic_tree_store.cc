@@ -150,7 +150,7 @@ int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
   int32_t found = -1;
   WalkPath(node, b[level], visited, [&](const Node& nd) {
     if (nd.down < 0) return false;
-    found = level + 1 == dims_ ? nd.down
+    found = level + 1 >= dims_ ? nd.down
                                : FindRec(nd.down, b, level + 1, visited);
     return found >= 0;
   });
@@ -160,8 +160,7 @@ int32_t DyadicTreeStore::FindRec(int32_t node, const DyadicBox& b,
 bool DyadicTreeStore::FindContaining(const DyadicBox& b,
                                      DyadicBox* out) const {
   int64_t visited = 0;  // not reported
-  const int32_t id =
-      dims_ == 0 ? nodes_[root_].down : FindRec(root_, b, 0, &visited);
+  const int32_t id = FindRec(root_, b, 0, &visited);
   if (id < 0) return false;
   CopyBox(id, out);
   return true;
@@ -171,10 +170,6 @@ bool DyadicTreeStore::FindContaining(const DyadicBox& b, int level,
                                      Cursor* cursor, DyadicBox* out,
                                      int64_t* nodes_visited) const {
   assert(level >= 0 && (level < dims_ || level == 0));
-  if (dims_ == 0) {
-    ++*nodes_visited;
-    return FindContaining(b, out);
-  }
   Cursor& c = *cursor;
   if (c.depth_ < 0 || c.kb_size_ != count_) {
     c.roots_.assign(1, root_);  // R_0
@@ -213,7 +208,7 @@ void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,
   int64_t visited = 0;  // not reported
   WalkPath(node, b[level], &visited, [&](const Node& nd) {
     if (nd.down >= 0) {
-      if (level + 1 == dims_) {
+      if (level + 1 >= dims_) {
         out->push_back(MaterializeBox(nd.down));
       } else {
         CollectRec(nd.down, b, level + 1, out);
@@ -225,7 +220,6 @@ void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,
 
 void DyadicTreeStore::CollectContaining(const DyadicBox& b,
                                         std::vector<DyadicBox>* out) const {
-  if (dims_ == 0) return CollectNullary(out);
   CollectRec(root_, b, 0, out);
 }
 
@@ -233,7 +227,7 @@ void DyadicTreeStore::SubtreeRec(int32_t node, const DyadicBox& b, int level,
                                  std::vector<DyadicBox>* out) const {
   const Node& nd = nodes_[node];
   if (nd.down >= 0) {
-    if (level + 1 == dims_) {
+    if (level + 1 >= dims_) {
       out->push_back(MaterializeBox(nd.down));
     } else {
       IntersectRec(nd.down, b, level + 1, out);
@@ -257,7 +251,7 @@ void DyadicTreeStore::IntersectRec(int32_t node, const DyadicBox& b,
   for (;;) {
     const Node& nd = nodes_[node];
     if (nd.down >= 0) {
-      if (level + 1 == dims_) {
+      if (level + 1 >= dims_) {
         out->push_back(MaterializeBox(nd.down));
       } else {
         IntersectRec(nd.down, b, level + 1, out);
@@ -291,13 +285,7 @@ void DyadicTreeStore::IntersectRec(int32_t node, const DyadicBox& b,
 
 void DyadicTreeStore::CollectIntersecting(const DyadicBox& b,
                                           std::vector<DyadicBox>* out) const {
-  if (dims_ == 0) return CollectNullary(out);
   IntersectRec(root_, b, 0, out);
-}
-
-void DyadicTreeStore::CollectNullary(std::vector<DyadicBox>* out) const {
-  const int32_t id = nodes_[root_].down;
-  if (id >= 0) out->push_back(MaterializeBox(id));
 }
 
 bool DyadicTreeStore::ContainsExact(const DyadicBox& b) const {
@@ -313,7 +301,7 @@ void DyadicTreeStore::AllRec(int32_t node, int level,
                              std::vector<DyadicBox>* out) const {
   const Node& nd = nodes_[node];
   if (nd.down >= 0) {
-    if (level + 1 == dims_) {
+    if (level + 1 >= dims_) {
       out->push_back(MaterializeBox(nd.down));
     } else {
       AllRec(nd.down, level + 1, out);
@@ -327,11 +315,7 @@ void DyadicTreeStore::AllRec(int32_t node, int level,
 std::vector<DyadicBox> DyadicTreeStore::AllBoxes() const {
   std::vector<DyadicBox> out;
   out.reserve(count_);
-  if (dims_ == 0) {
-    CollectNullary(&out);
-  } else {
-    AllRec(root_, 0, &out);
-  }
+  AllRec(root_, 0, &out);
   return out;
 }
 

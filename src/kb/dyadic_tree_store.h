@@ -153,7 +153,9 @@ class DyadicTreeStore {
   /// explicit nodes can terminate a stored box's component, so lookups
   /// never stop mid-edge. `down` is the root of the (level+1) trie on
   /// every level but the last, where it is the stored-box id instead —
-  /// a node never needs both.
+  /// a node never needs both. A 0-dimension store walks no level: its
+  /// root has no children and its `down` is the one box's id, so the
+  /// walks treat level 0 as the last level (`level + 1 >= dims_`).
   struct Node {
     uint64_t edge_bits = 0;       ///< label of the edge entering this node
     int32_t child[2] = {-1, -1};  ///< by first bit after this node's prefix
@@ -188,11 +190,6 @@ class DyadicTreeStore {
   void SubtreeRec(int32_t node, const DyadicBox& b, int level,
                   std::vector<DyadicBox>* out) const;
   void AllRec(int32_t node, int level, std::vector<DyadicBox>* out) const;
-  // A 0-dimension store holds at most the one 0-dimension box, and
-  // Insert walks no level to store it: the root's `down` is its id. The
-  // walks above start at level 0, so the public calls answer this case
-  // first; this appends the box, if stored.
-  void CollectNullary(std::vector<DyadicBox>* out) const;
 
   int dims_;
   size_t count_ = 0;

@@ -65,6 +65,40 @@ TEST(JoinServiceTest, CachedMatchesUncachedAcrossAllEngines) {
   }
 }
 
+// A 0-ary relation is a boolean on the served path too: cold reads,
+// reads patched after a write to it, and reads patched after a write to
+// the other atom all answer like the relation's truth value.
+TEST(JoinServiceTest, NullaryRelationActsAsABoolean) {
+  for (EngineKind kind : AllEngineKinds()) {
+    SCOPED_TRACE(EngineKindName(kind));
+    JoinService service;
+    std::string error;
+    ASSERT_TRUE(service.Register(Relation("E", {}), &error)) << error;
+    ASSERT_TRUE(service.Register(Relation::Make("R", {"A"}, {{1}, {3}}),
+                                 &error))
+        << error;
+    auto expect = [&](std::vector<std::string> relations,
+                      const std::vector<Tuple>& want) {
+      QueryRequest q;
+      q.relations = std::move(relations);
+      q.engine = kind;
+      const QueryResponse r = service.Execute(q);
+      ASSERT_TRUE(r.result->ok) << r.result->error;
+      EXPECT_EQ(r.result->tuples, want);
+    };
+    expect({"E", "R"}, {});
+    expect({"E"}, {});
+    ASSERT_TRUE(service.AppendRows("E", {Tuple{}}, &error)) << error;
+    expect({"E", "R"}, {{1}, {3}});
+    expect({"E"}, {Tuple{}});
+    ASSERT_TRUE(service.AppendRows("R", {{5}}, &error)) << error;
+    expect({"E", "R"}, {{1}, {3}, {5}});
+    ASSERT_TRUE(service.DeleteRows("E", {Tuple{}}, &error)) << error;
+    expect({"E", "R"}, {});
+    expect({"E"}, {});
+  }
+}
+
 TEST(JoinServiceTest, EpochBumpMakesStaleEntriesUnreachable) {
   JoinService service;
   std::string error;
