@@ -1,32 +1,38 @@
-// Cross-query batching over shared shard plans.
+// The shard pipeline, and cross-query batching on top of it.
 //
-// The paper's Tetris engine amortizes its geometric certificate work
-// across the whole output space; this layer amortizes the *harness*
-// work across a whole batch of queries over the same relations. A
-// sequential sweep of RunJoin pays full index-build + shard-planning
-// cost per query and puts a barrier between queries — a skewed shard of
-// query A leaves workers idle that query B could use. RunBatch instead:
+// A sharded, batched, patched or served run is one computation: cut the
+// output space into dyadic boxes with the paper's root-level
+// Split-First-Thick-Dimension step (engine/shard_planner.h), run the
+// engine once per box, merge. RunShardPipeline is that computation, and
+// RunJoin (sharded), RunBatch and PatchJoin (engine/incremental.h) are
+// thin entry points over it. It takes queries that passed
+// ValidateEngineOptions (engine/join_engine.h) and:
 //
-//   (a) builds each relation's base indexes EXACTLY ONCE per batch and
-//       shares them across every query's shards through the existing
-//       zero-copy IndexView stack (index/index_view.h) — a relation
-//       referenced by five queries is indexed once, not five times;
-//   (b) plans dyadic-prefix shards ONCE per distinct output-space
-//       signature (depth + per-atom relation/attribute binding) and
-//       reuses the ShardPlan — its row buckets are the expensive part —
-//       across every query that shares it;
-//   (c) schedules the cross-product of queries × shards as ONE task set
-//       on the work-stealing executor (engine/parallel_executor.h), so
-//       shards of different queries interleave freely instead of
-//       synchronizing at per-query barriers;
-//   (d) calibrates the per-engine-family cost model ONCE per batch (the
-//       probe pass of engine/cost_model.h) and shares the fit with
-//       every plan, reusing the probe outputs as those shards' results.
+//   (a) gives each Tetris-family query its base indexes: the caller's
+//       EngineOptions::indexes, else the shared (relation, layout)
+//       IndexCache (engine/index_cache.h) — a relation referenced by
+//       five queries is indexed once — and shards probe them through
+//       zero-copy IndexViews (index/index_view.h);
+//   (b) under a memory budget, calibrates the per-engine-family cost
+//       model ONCE (engine/cost_model.h) and reuses the probe outputs as
+//       those shards' results;
+//   (c) plans shards ONCE per distinct output-space signature and shares
+//       the ShardPlan — its row buckets are the expensive part — across
+//       every query that has it;
+//   (d) runs every non-empty (query, shard) pair as ONE task set on the
+//       work-stealing executor (engine/parallel_executor.h), so shards of
+//       different queries interleave instead of meeting at per-query
+//       barriers, abandoning unstarted tasks past a deadline;
+//   (e) merges each query's shard outputs by shard id into one canonical
+//       EngineResult, tuple-identical to the sequential unsharded run.
 //
-// Results are per-query EngineResults, tuple-identical to what a
-// sequential per-query RunJoin would produce (tests/batch_runner_test.cc
-// asserts this across all 11 engines), plus batch-level amortization
-// stats.
+// A patch is a one-query run with a touched-box filter: only the shards
+// meeting a touched box run, each over its touched-box hull, and
+// PatchJoin splices the fresh outputs into the old result.
+//
+// RunBatch's results are tuple-identical to what a sequential per-query
+// RunJoin would produce (tests/batch_runner_test.cc asserts this across
+// all 11 engines), plus batch-level amortization stats.
 #ifndef TETRIS_ENGINE_BATCH_RUNNER_H_
 #define TETRIS_ENGINE_BATCH_RUNNER_H_
 
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "engine/join_engine.h"
+#include "geometry/dyadic_box.h"
 #include "query/join_query.h"
 #include "relation/relation.h"
 
@@ -184,6 +191,49 @@ struct BatchResult {
 BatchResult RunBatch(const std::vector<const Relation*>& relations,
                      const std::vector<JoinQuery>& queries, EngineKind kind,
                      const BatchOptions& options = {});
+
+/// One query of a pipeline run; it must have passed
+/// ValidateEngineOptions with the run's depth.
+struct ShardQuery {
+  const JoinQuery* query = nullptr;
+  /// EngineOptions::order: the Tetris family's SAO hint (empty =
+  /// DefaultSao), the baselines' GAO hint.
+  std::vector<int> order;
+  /// EngineOptions::indexes: the Tetris family's base indexes, one per
+  /// atom. Empty = fetched from BatchOptions::index_cache, else built
+  /// once through a run-local IndexCache.
+  std::vector<const Index*> indexes;
+  /// A patch's touched boxes (engine/incremental.h); nullptr = every
+  /// shard runs. Otherwise only the shards meeting a touched box run:
+  /// the Tetris family over the hull of the touched boxes a shard meets,
+  /// clipped to it; the baselines over the whole shard. The merged
+  /// result then holds only the re-run boxes' tuples and no shard_runs.
+  const std::vector<DyadicBox>* touched = nullptr;
+};
+
+/// What the pipeline hands back.
+struct ShardPipelineResult {
+  /// One merged EngineResult per query, in input order, with the run's
+  /// BatchStats and notes: RunBatch's result for these queries.
+  BatchResult batch;
+  /// Per query, the boxes its touched-box filter re-ran, in shard order;
+  /// empty without a filter.
+  std::vector<std::vector<DyadicBox>> rerun_boxes;
+};
+
+/// The shard pipeline under RunJoin, RunBatch and PatchJoin (see the
+/// file comment). `options.depth` is the grid depth every query was
+/// validated at; `options.orders` is ignored, each query brings its
+/// own. Per-query failures (a deadline, a failed shard) land in that
+/// query's EngineResult. Each result's `wall_ms` is its attributed time
+/// (BatchResult::results), and `stats.threads` is the number of workers
+/// the task set used.
+ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
+                                     EngineKind kind,
+                                     const BatchOptions& options);
+
+/// Appends `s` to `*note` with "; " separation; no-op when `s` is empty.
+void AppendNote(std::string* note, const std::string& s);
 
 }  // namespace tetris
 

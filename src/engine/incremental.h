@@ -12,20 +12,19 @@
 //   * a REMOVED tuple can only destroy output points whose R-projection
 //     was that tuple — again all inside its touched box.
 //
-// PatchJoin exploits this through the existing dyadic-prefix shard
-// decomposition (engine/shard_planner.h): plan the output space into
-// disjoint subcubes and re-run ONLY the shards whose box intersects a
-// touched box, through the same shard primitives a full sharded run
-// uses, scheduled on the work-stealing executor. A met shard re-runs
+// PatchJoin exploits this as a one-query run of the shard pipeline
+// (engine/batch_runner.h) with a touched-box filter: plan the output
+// space into disjoint subcubes (engine/shard_planner.h) and re-run ONLY
+// the shards whose box intersects a touched box. A met shard re-runs
 // only the hull of its touched boxes: the smallest dyadic box holding
 // every touched box that meets the shard, clipped to it (per dimension,
 // the longest common prefix of the clipped intervals). The Tetris
 // family runs that hull through zero-copy IndexViews — Tetris
 // restricted to a box is Tetris over views clipped to it — so a 1-row
 // delta runs on one line of the output space even when the plan is a
-// single shard. The baselines re-run the whole met shard from a lazily
-// materialized copy. The hull never exceeds the shard, so a patch never
-// re-runs more of the output space than the met shards.
+// single shard. The baselines re-run the whole met shard. The hull never
+// exceeds the shard, so a patch never re-runs more of the output space
+// than the met shards.
 //
 // The fresh outputs are then spliced into the previous result: old
 // tuples inside a re-run box are dropped (the re-run recomputes that
@@ -102,9 +101,11 @@ struct PatchResult {
 /// from TouchedOutputBoxes over every delta since `old_tuples` was
 /// computed. An empty `touched` returns `old_tuples` unchanged without
 /// planning.
-/// Options follow RunJoin semantics (order hint, depth, shard count,
-/// memory budget, executor); engines that cannot evaluate the query
-/// fail the same way RunJoin does. Never throws.
+/// The options pass the check a sharded RunJoin's pass
+/// (ValidateEngineOptions), so a patch fails with the same error; the
+/// shard count plans as in RunBatch (0 or 1 = one shard, kAutoShards =
+/// sized from the thread cap), and the memory budget calibrates the
+/// cost model as in every budgeted run. Never throws.
 PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const EngineOptions& options,
                       const std::vector<Tuple>& old_tuples,

@@ -7,7 +7,7 @@
 #include "baseline/leapfrog.h"
 #include "baseline/pairwise_join.h"
 #include "baseline/yannakakis.h"
-#include "engine/parallel_executor.h"
+#include "engine/batch_runner.h"
 #include "index/sorted_index.h"
 
 namespace tetris {
@@ -59,10 +59,6 @@ bool DeriveGaoFromIndexes(const JoinQuery& query,
       return false;
     }
     const Atom& atom = query.atoms()[i];
-    if (si->arity() != static_cast<int>(atom.var_ids.size())) {
-      *error = "indexes: index arity disagrees with its atom";
-      return false;
-    }
     const std::vector<int>& order = si->order();
     for (size_t l = 0; l + 1 < order.size(); ++l) {
       const int u = atom.var_ids[order[l]];
@@ -146,102 +142,121 @@ bool EngineSupports(EngineKind kind, const JoinQuery& query) {
   return query.ToHypergraph().IsAlphaAcyclic();
 }
 
+std::string ValidateParallelism(int shards, int threads) {
+  if (shards < kAutoShards) return "shards: want -1 (auto), 0/1 (off), or >= 2";
+  if (threads < 0) return "threads: want 0 (the executor's full width) or >= 1";
+  return "";
+}
+
+std::string ValidateEngineOptions(const JoinQuery& query, EngineKind kind,
+                                  const EngineOptions& options,
+                                  bool plans_shards, int* depth) {
+  std::string error = ValidateParallelism(options.shards, options.threads);
+  if (!error.empty()) return error;
+  if (!EngineSupports(kind, query)) {
+    return std::string(EngineKindName(kind)) +
+           ": engine does not support this query";
+  }
+  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
+  const int n = query.num_attrs();
+  if (!options.order.empty()) {
+    if (!IsPermutation(options.order, n)) {
+      return "order: not a permutation of the query attribute ids";
+    }
+    if (algo.has_value() && ChoosesOwnSao(*algo)) {
+      return "order: Balance-lifted variants choose their own SAO";
+    }
+  }
+  // Every box of a run has one component per dimension: the attributes,
+  // or the Balance lift's 2n-2. A plain baseline builds no box.
+  const int dims = algo.has_value() && ChoosesOwnSao(*algo) ? 2 * n - 2 : n;
+  if ((algo.has_value() || plans_shards) && dims > kMaxDims) {
+    return kQueryTooWideError;
+  }
+  const std::vector<const Index*>& indexes = options.indexes;
+  if (!indexes.empty()) {
+    if (indexes.size() != query.atoms().size()) {
+      return "indexes: need exactly one index per query atom";
+    }
+    if (plans_shards && !algo.has_value()) {
+      return "indexes: only the Tetris family combines custom indexes with "
+             "sharded execution (views restrict probes to the shard box; "
+             "the baselines rescan materialized shard copies)";
+    }
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (indexes[i]->arity() !=
+          static_cast<int>(query.atoms()[i].var_ids.size())) {
+        return "indexes: index arity disagrees with its atom";
+      }
+    }
+  }
+  // With no explicit depth, caller-supplied indexes set it.
+  const int d = options.depth > 0 ? options.depth
+                : indexes.empty() ? query.MinDepth()
+                                  : indexes[0]->depth();
+  if (algo.has_value()) {
+    // The engine's grid depth and every index's depth must agree, or
+    // probes return gap boxes the space cannot split down to and the
+    // run never terminates.
+    for (const Index* ix : indexes) {
+      if (ix->depth() != d) {
+        return "indexes: index depth disagrees with the engine depth "
+               "(build them at the same depth, or set "
+               "EngineOptions::depth to match)";
+      }
+    }
+  }
+  // A grid shallower than the data cannot represent it: indexes and
+  // shard boxes built at that depth misbehave silently.
+  if ((algo.has_value() || plans_shards) && d < query.MinDepth()) {
+    return "depth: too small for the data (need at least "
+           "query.MinDepth())";
+  }
+  if (algo.has_value() && d > kMaxDepth) return kGridTooDeepError;
+  if (depth != nullptr) *depth = d;
+  return "";
+}
+
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options) {
   EngineResult result;
   result.stats.engine = kind;
   const auto start = std::chrono::steady_clock::now();
 
-  const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
-  if (!options.order.empty()) {
-    if (!IsPermutation(options.order, query.num_attrs())) {
-      result.error = "order: not a permutation of the query attribute ids";
-      return result;
-    }
-    if (tetris_algo.has_value() && ChoosesOwnSao(*tetris_algo)) {
-      result.error = "order: Balance-lifted variants choose their own SAO";
-      return result;
-    }
-  }
-  if (!options.indexes.empty() &&
-      options.indexes.size() != query.atoms().size()) {
-    result.error = "indexes: need exactly one index per query atom";
-    return result;
-  }
-  if (options.shards < kAutoShards) {
-    result.error = "shards: want -1 (auto), 0/1 (off), or >= 2";
-    return result;
-  }
-  if (options.threads < 0) {
-    result.error = "threads: want 0 (hardware concurrency) or >= 1";
-    return result;
-  }
-
-  // Sharded execution: plan dyadic-prefix shards and fan out to the
-  // parallel executor, which re-enters RunJoin per shard with plain
-  // sequential options. A thread count other than 1 implies sharding
-  // (shards are the unit of parallelism).
-  const bool wants_sharding =
+  // A shard count, a thread count other than 1 or a memory budget asks
+  // for sharded execution (shards are the unit of parallelism).
+  const bool sharded =
       options.shards == kAutoShards || options.shards > 1 ||
       options.memory_budget_bytes > 0 || options.threads != 1;
-  if (wants_sharding) {
-    EngineOptions sharded = options;
-    if (sharded.shards == 0 || sharded.shards == 1) {
-      sharded.shards = kAutoShards;
-    }
-    return RunShardedJoin(query, kind, sharded);
-  }
+  int depth = 0;
+  result.error =
+      ValidateEngineOptions(query, kind, options, sharded, &depth);
+  if (!result.error.empty()) return result;
 
-  if (tetris_algo.has_value()) {
-    // A grid shallower than the data cannot represent it: indexes built
-    // at that depth misbehave silently, so reject up front (the custom-
-    // index path re-checks below because it may adopt the indexes'
-    // depth instead).
-    if (options.depth > 0 && options.depth < query.MinDepth()) {
-      result.error = "depth: too small for the data "
-                     "(need at least query.MinDepth())";
-      return result;
-    }
-    int depth = options.depth > 0 ? options.depth : query.MinDepth();
-    // With no explicit depth, caller-supplied indexes set it (their
-    // agreement is checked below).
-    if (!options.indexes.empty() && options.depth == 0) {
-      depth = options.indexes[0]->depth();
-    }
-    if (depth > kMaxDepth) {
-      result.error = kGridTooDeepError;
-      return result;
-    }
+  const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
+  if (sharded) {
+    // A batch of one through the shard pipeline; 0 or 1 shards with
+    // sharding asked for by the other knobs means the planner's choice.
+    BatchOptions batch;
+    batch.depth = depth;
+    batch.shards = options.shards == 0 || options.shards == 1
+                       ? kAutoShards
+                       : options.shards;
+    batch.threads = options.threads;
+    batch.memory_budget_bytes = options.memory_budget_bytes;
+    batch.executor = options.executor;
+    result = std::move(RunShardPipeline({{&query, options.order,
+                                          options.indexes, nullptr}},
+                                        kind, batch)
+                           .batch.results[0]);
+  } else if (tetris_algo.has_value()) {
     // The SAO, resolved once: every index built below follows it.
     std::vector<int> sao = options.order.empty()
                                ? DefaultSao(query, *tetris_algo)
                                : options.order;
     std::vector<std::unique_ptr<Index>> owned;
     std::vector<const Index*> indexes = options.indexes;
-    if (!options.indexes.empty()) {
-      // The engine's grid depth and every index's depth must agree, or
-      // probes return gap boxes the space cannot split down to and the
-      // run never terminates; the depth must also cover the data.
-      for (size_t i = 0; i < options.indexes.size(); ++i) {
-        if (options.indexes[i]->depth() != depth) {
-          result.error = "indexes: index depth disagrees with the "
-                         "engine depth (build them at the same depth, "
-                         "or set EngineOptions::depth to match)";
-          return result;
-        }
-        const Atom& atom = query.atoms()[i];
-        if (options.indexes[i]->arity() !=
-            static_cast<int>(atom.var_ids.size())) {
-          result.error = "indexes: index arity disagrees with its atom";
-          return result;
-        }
-      }
-      if (depth < query.MinDepth()) {
-        result.error = "indexes: depth too small for the data "
-                       "(need at least query.MinDepth())";
-        return result;
-      }
-    } else {
+    if (indexes.empty()) {
       owned = MakeSaoConsistentIndexes(query, sao, depth);
       indexes = IndexPtrs(owned);
     }
@@ -309,7 +324,7 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
     }
   }
 
-  if (result.ok) {
+  if (result.ok && !sharded) {
     CanonicalizeTuples(&result.tuples);
     result.stats.output_tuples = result.tuples.size();
     result.stats.memory.intermediate_bytes =

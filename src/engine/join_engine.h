@@ -201,9 +201,30 @@ struct EngineOptions {
 };
 
 /// Evaluates `query` with the chosen engine. Never throws: unsupported
-/// engine/query combinations come back with `ok == false`.
+/// engine/query combinations come back with `ok == false`. Sharded runs
+/// (`shards`, `threads` or `memory_budget_bytes` asking for them) go
+/// through the shard pipeline of engine/batch_runner.h as a batch of
+/// one.
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options = {});
+
+/// The shard and thread counts every entry point accepts; the error
+/// text, empty when both are valid. RunBatch checks them once for the
+/// whole batch; ValidateEngineOptions checks them first.
+std::string ValidateParallelism(int shards, int threads);
+
+/// The one option check in front of RunJoin (plain and sharded),
+/// RunBatch's queries and PatchJoin, so every path rejects the same
+/// input with the same text: ValidateParallelism, engine support, the
+/// order hint, the custom indexes, the grid depth and the query's width
+/// (kQueryTooWideError). `plans_shards` says the path cuts the output
+/// space into shard boxes, which every engine then needs to fit. Returns
+/// the error, empty when the options are valid; on success `*depth`
+/// (when non-null) receives the effective grid depth: `options.depth`,
+/// else the custom indexes' depth, else query.MinDepth().
+std::string ValidateEngineOptions(const JoinQuery& query, EngineKind kind,
+                                  const EngineOptions& options,
+                                  bool plans_shards, int* depth = nullptr);
 
 }  // namespace tetris
 

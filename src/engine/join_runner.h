@@ -75,6 +75,18 @@ inline constexpr char kGridTooDeepError[] =
     "depth: above kMaxDepth = 62, the deepest dyadic grid (every value "
     "must be below 2^62)";
 
+/// The one error every entry point returns when a query needs more
+/// dimensions than a DyadicBox holds (kMaxDims = 16): more than 16
+/// attributes on the Tetris family, more than 16 lifted dimensions
+/// (2n-2 for n attributes) on the Balance-lifted variants, and more than
+/// 16 attributes on any engine whose path plans shard boxes (sharded,
+/// batched, patched and served runs). A plain unsharded baseline builds
+/// no box and still answers.
+inline constexpr char kQueryTooWideError[] =
+    "query: more dimensions than a dyadic box holds (at most 16 "
+    "attributes, 9 on the Balance-lifted variants, which lift n "
+    "attributes to 2n-2 dimensions)";
+
 /// Which engine configuration evaluates the join.
 enum class JoinAlgorithm {
   kTetrisPreloaded,         ///< A := B(Q) (worst-case bounds, §4.3)

@@ -28,7 +28,9 @@ int32_t DyadicTreeStore::NewNode(uint64_t edge_bits, int edge_len) {
 
 void DyadicTreeStore::CopyBox(int32_t id, DyadicBox* out) const {
   assert(out->dims() == dims_);
-  const DyadicInterval* comps = &pool_[static_cast<size_t>(id) * dims_];
+  // pool_.data(), not &pool_[...]: a 0-dimension store has an empty pool.
+  const DyadicInterval* comps =
+      pool_.data() + static_cast<size_t>(id) * dims_;
   for (int i = 0; i < dims_; ++i) (*out)[i] = comps[i];
   out->set_output_derived(flags_[id] != 0);
 }

@@ -30,9 +30,6 @@ class Hypergraph {
   int num_vertices() const { return n_; }
   const std::vector<std::vector<int>>& edges() const { return edges_; }
 
-  /// Bitmask of edge `e`'s vertices.
-  uint32_t EdgeMask(int e) const { return edge_masks_[e]; }
-
   /// Runs GYO elimination. Returns true iff α-acyclic; on success `order`
   /// (if non-null) receives the vertex elimination order (first removed
   /// first).

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/bit_ops.h"
-
 namespace tetris {
 
 JoinQuery JoinQuery::Build(std::vector<const Relation*> rels) {
@@ -42,8 +40,8 @@ Hypergraph JoinQuery::ToHypergraph() const {
 int JoinQuery::MinDepth() const {
   uint64_t max_val = 0;
   for (const Atom& a : atoms_) max_val = std::max(max_val, a.rel->MaxValue());
-  // The bit width of max_val (at least 1). BitsFor(max_val + 1) would
-  // wrap to 0 at UINT64_MAX.
+  // The bit width of max_val (at least 1), computed from max_val itself:
+  // max_val + 1 would wrap to 0 at UINT64_MAX.
   return 64 - __builtin_clzll(max_val | 1);
 }
 

@@ -46,11 +46,6 @@ class RelationView {
   /// payload the shard planner budgets with.
   size_t PayloadBytes() const;
 
-  /// Bytes the view itself keeps resident: one row index per tuple.
-  size_t ViewBytes() const {
-    return rows_ == nullptr ? 0 : rows_->size() * sizeof(size_t);
-  }
-
   /// Owning restricted copy (the lazy-materialization path). The result
   /// keeps the base's name and attributes and is canonical.
   Relation Materialize() const;

@@ -303,8 +303,8 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
           return finish();
         }
         // An engine that cannot patch this query cannot run it fresh
-        // either (validation is mirrored) — but fall through anyway so
-        // the error comes from the canonical RunBatch path.
+        // either (both pass ValidateEngineOptions) — but fall through
+        // anyway so the error comes from the canonical RunBatch path.
       }
     }
   }

@@ -145,11 +145,6 @@ class JoinService {
                   std::string* error, RelationDelta* delta = nullptr);
   bool DeleteRows(const std::string& name, const std::vector<Tuple>& tuples,
                   std::string* error, RelationDelta* delta = nullptr);
-  /// Back-compat alias for AppendRows.
-  bool Append(const std::string& name, const std::vector<Tuple>& tuples,
-              std::string* error) {
-    return AppendRows(name, tuples, error);
-  }
   bool Drop(const std::string& name, std::string* error);
 
   /// Runs (or serves from cache, or patches) one query. Never throws;

@@ -117,12 +117,6 @@ class RelationRegistry {
   bool AppendRows(const std::string& name, const std::vector<Tuple>& tuples,
                   std::string* error, RelationDelta* delta = nullptr);
 
-  /// Back-compat alias for AppendRows (drops the delta).
-  bool Append(const std::string& name, const std::vector<Tuple>& tuples,
-              std::string* error) {
-    return AppendRows(name, tuples, error, nullptr);
-  }
-
   /// Installs a new version of `name` with `tuples` removed, with the
   /// same delta-log contract as AppendRows (deleting absent tuples is
   /// an effectively empty delta). Fails on an unknown name or an arity

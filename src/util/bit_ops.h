@@ -9,13 +9,6 @@
 
 namespace tetris {
 
-/// Number of bits needed to represent values in [0, n): ceil(log2(n)).
-/// bits_for(0) and bits_for(1) are 0.
-inline int BitsFor(uint64_t n) {
-  if (n <= 1) return 0;
-  return 64 - __builtin_clzll(n - 1);
-}
-
 /// A mask with the low `len` bits set. len must be in [0, 63].
 inline uint64_t LowMask(int len) {
   return (uint64_t{1} << len) - 1;

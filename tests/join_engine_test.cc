@@ -258,6 +258,155 @@ TEST(JoinEngineTest, GridsDeeperThanMaxDepthAreRejected) {
   EXPECT_EQ(r.tuples, TwoRowPathJoin(1));
 }
 
+// A path A0 - A1 - ... over {0, 1} with `attrs` attributes whose every
+// edge relation E<i>(A<i>, A<i+1>) forbids (1, 1): its answers are the
+// attrs-bit strings with no two adjacent ones, Fibonacci(attrs + 2) of
+// them.
+QueryInstance NoAdjacentOnesPath(int attrs) {
+  QueryInstance q;
+  for (int i = 0; i + 1 < attrs; ++i) {
+    q.storage.push_back(std::make_unique<Relation>(Relation::Make(
+        "E" + std::to_string(i),
+        {"A" + std::to_string(i), "A" + std::to_string(i + 1)},
+        {{0, 0}, {0, 1}, {1, 0}})));
+  }
+  q.Bind();
+  return q;
+}
+
+size_t Fibonacci(int k) {
+  size_t a = 0, b = 1;
+  for (int i = 0; i < k; ++i) {
+    const size_t next = a + b;
+    a = b;
+    b = next;
+  }
+  return a;
+}
+
+// A DyadicBox holds kMaxDims = 16 components. The Tetris family builds
+// boxes of the query's dimensions on every path (2n-2 of them on the
+// Balance-lifted variants), and every engine does once its path plans
+// shard boxes: sharded, batched, patched and served runs. Each such path
+// refuses a wider query with one error instead of crashing or answering
+// wrong; a plain baseline builds no box and keeps answering.
+TEST(JoinEngineTest, QueriesWiderThanADyadicBoxAreRejected) {
+  for (int attrs : {9, 10, 16, 17}) {
+    SCOPED_TRACE(std::to_string(attrs) + " attributes");
+    QueryInstance q = NoAdjacentOnesPath(attrs);
+    ASSERT_EQ(q.query.num_attrs(), attrs);
+    const size_t want = Fibonacci(attrs + 2);
+    // A changed E0 row touches one box; a box of 17 dimensions cannot
+    // even be formed, so the widest case patches on no touched box.
+    const std::vector<DyadicBox> touched =
+        attrs <= kMaxDims
+            ? TouchedOutputBoxes(q.query, q.depth, "E0", {{1, 1}})
+            : std::vector<DyadicBox>{};
+    JoinService service;
+    std::string error;
+    QueryRequest request;
+    for (const auto& rel : q.storage) {
+      ASSERT_TRUE(service.Register(*rel, &error)) << error;
+      request.relations.push_back(rel->name());
+    }
+    EngineOptions sharded;
+    sharded.shards = 4;
+    for (EngineKind kind : AllEngineKinds()) {
+      SCOPED_TRACE(EngineKindName(kind));
+      const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
+      const int dims =
+          algo.has_value() && ChoosesOwnSao(*algo) ? 2 * attrs - 2 : attrs;
+      const bool fits = dims <= kMaxDims;
+      auto expect = [&](const EngineResult& r, bool ok) {
+        if (ok) {
+          ASSERT_TRUE(r.ok) << r.error;
+          EXPECT_EQ(r.tuples.size(), want);
+        } else {
+          EXPECT_FALSE(r.ok) << r.tuples.size() << " tuples";
+          EXPECT_EQ(r.error, kQueryTooWideError);
+        }
+      };
+      expect(RunJoin(q.query, kind), fits || !algo.has_value());
+      expect(RunJoin(q.query, kind, sharded), fits);
+      const BatchResult batch = RunBatch({}, {q.query}, kind);
+      ASSERT_TRUE(batch.ok) << batch.error;
+      expect(batch.results[0], fits);
+      const std::vector<Tuple> old =
+          RunJoin(q.query, EngineKind::kLeapfrog).tuples;
+      expect(PatchJoin(q.query, kind, {}, old, touched).result, fits);
+      request.engine = kind;
+      expect(*service.Execute(request).result, fits);
+    }
+  }
+}
+
+// Every entry point runs the one option check, ValidateEngineOptions, so
+// a bad input fails plain and sharded RunJoin, RunBatch and PatchJoin
+// with the same text. RunBatch reports a bad shard or thread count for
+// the whole batch and a bad order hint for its query alone; it takes no
+// custom indexes.
+TEST(JoinEngineTest, BadOptionsFailAlikeOnEveryPath) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/40, /*d=*/4,
+                                   /*seed=*/7);
+  const auto owned = MakeSaoConsistentIndexes(q.query, {0, 1, 2}, q.depth);
+  const Relation unary = Relation::Make("U", {"A"}, {{1}});
+  const SortedIndex unary_index(unary, q.depth);
+  enum class Batch { kBatchLevel, kPerQuery, kNone };
+  struct Case {
+    std::string what;
+    EngineKind kind;
+    EngineOptions opts;
+    Batch batch;
+  };
+  std::vector<Case> cases(6);
+  cases[0] = {"threads -1", EngineKind::kTetrisPreloaded, {},
+              Batch::kBatchLevel};
+  cases[0].opts.threads = -1;
+  cases[1] = {"shards -2", EngineKind::kLeapfrog, {}, Batch::kBatchLevel};
+  cases[1].opts.shards = -2;
+  cases[2] = {"one index for three atoms", EngineKind::kTetrisReloaded, {},
+              Batch::kNone};
+  cases[2].opts.indexes = {owned[0].get()};
+  cases[3] = {"index arity mismatch", EngineKind::kTetrisPreloaded, {},
+              Batch::kNone};
+  cases[3].opts.order = {0, 1, 2};
+  cases[3].opts.indexes = {&unary_index, owned[1].get(), owned[2].get()};
+  cases[4] = {"order not a permutation", EngineKind::kGenericJoin, {},
+              Batch::kPerQuery};
+  cases[4].opts.order = {0, 0, 1};
+  cases[5] = {"order on a Balance-lifted variant",
+              EngineKind::kTetrisPreloadedLB, {}, Batch::kPerQuery};
+  cases[5].opts.order = {2, 0, 1};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const EngineResult plain = RunJoin(q.query, c.kind, c.opts);
+    ASSERT_FALSE(plain.ok);
+    ASSERT_FALSE(plain.error.empty());
+    EngineOptions sharded = c.opts;
+    sharded.memory_budget_bytes = 1 << 20;  // shards whatever else is set
+    const EngineResult s = RunJoin(q.query, c.kind, sharded);
+    EXPECT_FALSE(s.ok);
+    EXPECT_EQ(s.error, plain.error);
+    const PatchResult patch = PatchJoin(q.query, c.kind, c.opts, {}, {});
+    EXPECT_FALSE(patch.result.ok);
+    EXPECT_EQ(patch.result.error, plain.error);
+    if (c.batch == Batch::kNone) continue;
+    BatchOptions bopts;
+    bopts.shards = c.opts.shards == 0 ? kAutoShards : c.opts.shards;
+    bopts.threads = c.opts.threads;
+    if (!c.opts.order.empty()) bopts.orders = {c.opts.order};
+    const BatchResult batch = RunBatch({}, {q.query}, c.kind, bopts);
+    if (c.batch == Batch::kBatchLevel) {
+      EXPECT_FALSE(batch.ok);
+      EXPECT_EQ(batch.error, plain.error);
+    } else {
+      ASSERT_TRUE(batch.ok) << batch.error;
+      EXPECT_FALSE(batch.results[0].ok);
+      EXPECT_EQ(batch.results[0].error, plain.error);
+    }
+  }
+}
+
 TEST(JoinEngineTest, CliqueOnRandomGraph) {
   QueryInstance q = CliqueOnRandomGraph(/*k=*/3, /*nodes=*/24,
                                         /*edges=*/80, /*seed=*/11);

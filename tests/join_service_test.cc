@@ -131,7 +131,7 @@ TEST(JoinServiceTest, EpochBumpMakesStaleEntriesUnreachable) {
 
   // Appending the closing tuple restores the join through yet another
   // epoch; the empty cached result is equally unreachable.
-  ASSERT_TRUE(service.Append("S", {{2, 3}}, &error)) << error;
+  ASSERT_TRUE(service.AppendRows("S", {{2, 3}}, &error)) << error;
   const QueryResponse two = service.Execute(query);
   EXPECT_FALSE(two.cache_hit);
   ASSERT_TRUE(two.result->ok) << two.result->error;
@@ -525,7 +525,7 @@ TEST(JoinServiceTest, SnapshotsStayConsistentUnderConcurrentMutations) {
                            static_cast<uint64_t>(100 + k)), &error))
             << error;
       } else {
-        EXPECT_TRUE(service.Append(
+        EXPECT_TRUE(service.AppendRows(
             "S", {{static_cast<uint64_t>(k % 32), 1}}, &error))
             << error;
       }

@@ -117,9 +117,10 @@ TEST(ParallelForTest, CoversTheWholeRange) {
   constexpr int kN = 57;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  ParallelFor(/*threads=*/3, kN, [&hits](int i) { ++hits[i]; });
+  ParallelFor(nullptr, /*max_parallel=*/3, kN,
+              [&hits](int i) { ++hits[i]; });
   for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  ParallelFor(/*threads=*/3, 0, [](int) { FAIL(); });
+  ParallelFor(nullptr, /*max_parallel=*/3, 0, [](int) { FAIL(); });
 }
 
 // Sharded output == unsharded output, engine by engine. This is the

@@ -44,7 +44,7 @@ TEST(RelationRegistryTest, MutationsBumpOneGlobalEpoch) {
   ASSERT_TRUE(reg.Replace(Pairs("R", {{7, 8}}), &error)) << error;
   EXPECT_EQ(reg.Snap().Find("R")->epoch, 3u);
   EXPECT_EQ(reg.Snap().Find("S")->epoch, 2u);
-  ASSERT_TRUE(reg.Append("S", {{9, 9}}, &error)) << error;
+  ASSERT_TRUE(reg.AppendRows("S", {{9, 9}}, &error)) << error;
   EXPECT_EQ(reg.Snap().Find("S")->epoch, 4u);
   ASSERT_TRUE(reg.Drop("S", &error)) << error;
   EXPECT_EQ(reg.epoch(), 5u);
@@ -60,12 +60,12 @@ TEST(RelationRegistryTest, RejectsBadMutations) {
   EXPECT_NE(error.find("already registered"), std::string::npos) << error;
   EXPECT_FALSE(reg.Replace(Pairs("Q", {}), &error));
   EXPECT_NE(error.find("not registered"), std::string::npos) << error;
-  EXPECT_FALSE(reg.Append("Q", {{1, 2}}, &error));
+  EXPECT_FALSE(reg.AppendRows("Q", {{1, 2}}, &error));
   EXPECT_FALSE(reg.Drop("Q", &error));
 
   // An arity-mismatched append fails without installing anything.
   const uint64_t before = reg.epoch();
-  EXPECT_FALSE(reg.Append("R", {{1, 2, 3}}, &error));
+  EXPECT_FALSE(reg.AppendRows("R", {{1, 2, 3}}, &error));
   EXPECT_NE(error.find("arity"), std::string::npos) << error;
   EXPECT_EQ(reg.epoch(), before);
   EXPECT_EQ(reg.Snap().Find("R")->rel->size(), 1u);
@@ -76,7 +76,7 @@ TEST(RelationRegistryTest, AppendIsCopyOnWrite) {
   std::string error;
   ASSERT_TRUE(reg.Register(Pairs("R", {{1, 2}}), &error)) << error;
   RegistrySnapshot old = reg.Snap();
-  ASSERT_TRUE(reg.Append("R", {{3, 4}, {1, 2}}, &error)) << error;
+  ASSERT_TRUE(reg.AppendRows("R", {{3, 4}, {1, 2}}, &error)) << error;
   // The pinned old version is untouched; the new one merged and
   // deduplicated into a distinct Relation object.
   EXPECT_EQ(old.Find("R")->rel->size(), 1u);

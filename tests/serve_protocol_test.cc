@@ -389,6 +389,45 @@ TEST(ServeProtocolTest, RunServeSurvivesADeeplyNestedLine) {
   std::remove(path.c_str());
 }
 
+// A served query plans shard boxes of one dimension per attribute, and a
+// DyadicBox holds 16: a query over one 17-column relation gets an error
+// row on every Tetris engine and on leapfrog, never a signal, and the
+// session exits 1.
+TEST(ServeProtocolTest, RunServeRejectsQueriesWiderThanADyadicBox) {
+  std::string attrs, zeros, ones;
+  for (int c = 0; c < 17; ++c) {
+    const std::string sep = c == 0 ? "" : ",";
+    attrs += sep + "\"a" + std::to_string(c) + "\"";
+    zeros += sep + "0";
+    ones += sep + "1";
+  }
+  std::string session = "{\"op\":\"register\",\"name\":\"W\",\"attrs\":[" +
+                        attrs + "],\"tuples\":[[" + zeros + "],[" + ones +
+                        "]]}\n";
+  const std::vector<std::string> engines = {
+      "tetris-preloaded",   "tetris-reloaded",    "tetris-preloaded-nocache",
+      "tetris-preloaded-lb", "tetris-reloaded-lb", "leapfrog"};
+  for (const std::string& engine : engines) {
+    session += "{\"op\":\"query\",\"relations\":[\"W\"],\"engine\":\"" +
+               engine + "\",\"scenario\":\"wide_" + engine + "\"}\n";
+  }
+  const std::string path = WriteSessionFile("serve_wide.jsonl", session);
+  Argv args({path});
+  testing::internal::CaptureStdout();
+  const int exit_code = cli::RunServe(args.argc(), args.argv());
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(exit_code, 1) << out;
+  for (const std::string& engine : engines) {
+    SCOPED_TRACE(engine);
+    const size_t at = out.find("\"scenario\":\"wide_" + engine + "\"");
+    ASSERT_NE(at, std::string::npos) << out;
+    const std::string row = out.substr(at, out.find('\n', at) - at);
+    EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << row;
+    EXPECT_NE(row.find(kQueryTooWideError), std::string::npos) << row;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ServeProtocolTest, RunServeRejectsBadFlags) {
   // Overflowing byte counts — the named ParseByteCount regressions —
   // and junk values must fail flag parsing (exit 2), not wrap silently.
