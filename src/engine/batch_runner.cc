@@ -21,18 +21,6 @@
 
 namespace tetris {
 
-std::string OutputSpaceSignature(
-    const JoinQuery& query, int depth,
-    const std::function<std::string(const Relation&)>& stamp) {
-  std::string sig = std::to_string(depth) + "|" +
-                    std::to_string(query.num_attrs());
-  for (const Atom& atom : query.atoms()) {
-    sig += "|" + stamp(*atom.rel) + ":";
-    for (int v : atom.var_ids) sig += std::to_string(v) + ",";
-  }
-  return sig;
-}
-
 void AppendNote(std::string* note, const std::string& s) {
   if (s.empty()) return;
   if (!note->empty()) *note += "; ";
@@ -41,16 +29,21 @@ void AppendNote(std::string* note, const std::string& s) {
 
 namespace {
 
-// The pipeline's plan-sharing signature: OutputSpaceSignature with atoms
-// stamped by Relation address. Address identity is exactly right within
-// one call (the caller pins every relation) and deliberately NOT durable
-// across calls — the server's ResultCache stamps by name@epoch instead.
+// The pipeline's plan-sharing signature: depth, attribute count and per
+// atom its relation's address and binding, all that planning reads.
+// Address identity is right within one call (the caller pins every
+// relation), not across calls; the ResultCache keys by name@epoch.
 std::string PlanSignature(const JoinQuery& query, int depth) {
-  return OutputSpaceSignature(query, depth, [](const Relation& rel) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%p", static_cast<const void*>(&rel));
-    return std::string(buf);
-  });
+  std::string sig =
+      std::to_string(depth) + "|" + std::to_string(query.num_attrs());
+  char buf[32];
+  for (const Atom& atom : query.atoms()) {
+    std::snprintf(buf, sizeof(buf), "|%p:",
+                  static_cast<const void*>(atom.rel));
+    sig += buf;
+    for (int v : atom.var_ids) sig += std::to_string(v) + ",";
+  }
+  return sig;
 }
 
 constexpr const char kDeadlineError[] =
@@ -71,6 +64,7 @@ struct QueryRun {
   std::vector<const Index*> base;  // Tetris family: one per atom
   size_t base_index_bytes = 0;
   const ShardPlan* plan = nullptr;
+  const ShardRowGroups* groups = nullptr;  // empty but for split baselines
   std::vector<EngineResult> shards;  // by shard id
   std::string note;
 };
@@ -103,7 +97,8 @@ void AccumulateShardStats(RunStats* into, const RunStats& s) {
 // One Tetris-family shard: per-atom IndexViews confine every probe and
 // gap scan to `box` — no tuple is copied, no index rebuilt. `box` may be
 // any dyadic box (a patch passes a touched-box hull inside the shard),
-// and the run returns exactly the join's tuples inside it.
+// and the run returns exactly the join's tuples inside it. The
+// universal box (a plain run) probes the base indexes themselves.
 EngineResult RunViewShard(const QueryRun& q, JoinAlgorithm algo,
                           const DyadicBox& box, EngineKind kind) {
   EngineResult result;
@@ -111,22 +106,24 @@ EngineResult RunViewShard(const QueryRun& q, JoinAlgorithm algo,
   const auto start = std::chrono::steady_clock::now();
   const JoinQuery& query = *q.in->query;
   const std::vector<Atom>& atoms = query.atoms();
+  const bool universal = box.SupportMask() == 0;
   std::vector<IndexView> views;
-  views.reserve(atoms.size());
-  for (size_t a = 0; a < atoms.size(); ++a) {
-    const Atom& atom = atoms[a];
-    DyadicBox abox =
-        DyadicBox::Universal(static_cast<int>(atom.var_ids.size()));
-    for (size_t c = 0; c < atom.var_ids.size(); ++c) {
-      abox[static_cast<int>(c)] = box[atom.var_ids[c]];
-    }
-    views.emplace_back(q.base[a], abox);
-  }
   std::vector<const Index*> ptrs;
-  ptrs.reserve(views.size());
-  for (const IndexView& v : views) ptrs.push_back(&v);
-  JoinRunResult run =
-      RunTetrisJoin(query, ptrs, q.opts.depth, algo, q.opts.order);
+  if (!universal) {
+    views.reserve(atoms.size());
+    for (size_t a = 0; a < atoms.size(); ++a) {
+      const Atom& atom = atoms[a];
+      DyadicBox abox =
+          DyadicBox::Universal(static_cast<int>(atom.var_ids.size()));
+      for (size_t c = 0; c < atom.var_ids.size(); ++c) {
+        abox[static_cast<int>(c)] = box[atom.var_ids[c]];
+      }
+      views.emplace_back(q.base[a], abox);
+      ptrs.push_back(&views.back());
+    }
+  }
+  JoinRunResult run = RunTetrisJoin(query, universal ? q.base : ptrs,
+                                    q.opts.depth, algo, q.opts.order);
   result.tuples = std::move(run.tuples);
   CanonicalizeTuples(&result.tuples);
   result.stats.tetris = run.stats;
@@ -135,8 +132,7 @@ EngineResult RunViewShard(const QueryRun& q, JoinAlgorithm algo,
   result.stats.memory.kb_bytes = static_cast<size_t>(run.stats.kb_peak_bytes);
   result.stats.memory.index_bytes = run.index_bytes;  // views: a few words
   result.stats.output_tuples = result.tuples.size();
-  result.stats.memory.output_bytes =
-      EstimateAtomBytes(result.tuples.size(), query.num_attrs());
+  result.stats.memory.output_bytes = TupleBytes(result.tuples);
   result.ok = true;
   result.stats.wall_ms = MsSince(start);
   return result;
@@ -146,17 +142,21 @@ EngineResult RunViewShard(const QueryRun& q, JoinAlgorithm algo,
 // inside it): zero-copy views for the Tetris family. A baseline runs a
 // one-shard plan on the original relations, and any other shard on a
 // restricted copy that exists only inside this call — materialized when
-// the worker picks the shard up, dropped when it finishes — so at most
-// `threads` copies are resident at once.
+// the worker picks the shard up (from the run's row groups; a probe plan
+// has none), dropped when it finishes — so at most `threads` copies are
+// resident at once.
 EngineResult RunShard(const QueryRun& q, EngineKind kind,
                       const ShardPlan& plan, int shard,
                       const DyadicBox& box) {
   if (const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind)) {
     return RunViewShard(q, *algo, box, kind);
   }
-  if (plan.split_bits == 0) return RunJoin(*q.in->query, kind, q.opts);
-  MaterializedShard ms = MaterializeShard(*q.in->query, plan, shard);
-  EngineResult r = RunJoin(ms.query, kind, q.opts);
+  if (plan.split_bits == 0) {
+    return RunBaselineJoin(*q.in->query, kind, q.opts.order);
+  }
+  MaterializedShard ms = MaterializeShard(*q.in->query, plan, shard,
+                                          &plan == q.plan ? q.groups : nullptr);
+  EngineResult r = RunBaselineJoin(ms.query, kind, q.opts.order);
   // The copy is this shard's resident input for the whole run — count
   // it, or the budget check would certify shards whose input copy alone
   // dwarfs the budget.
@@ -236,8 +236,7 @@ ShardCostModel Calibrate(const QueryRun& q, EngineKind kind,
 // `memory_budget_bytes` (0 = no budget) in shard_note, and surfaces
 // `shared_index_bytes` (the always-resident base indexes of a zero-copy
 // run) in the merged memory counters. A failed shard fails the merge.
-EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
-                            const ShardPlan& plan,
+EngineResult MergeShardRuns(EngineKind kind, const ShardPlan& plan,
                             std::vector<EngineResult> shard_results,
                             size_t memory_budget_bytes,
                             size_t shared_index_bytes, bool report_shards) {
@@ -305,8 +304,7 @@ EngineResult MergeShardRuns(const JoinQuery& query, EngineKind kind,
   result.stats.memory.intermediate_bytes =
       std::max(result.stats.memory.intermediate_bytes,
                result.stats.baseline.max_intermediate_bytes);
-  result.stats.memory.output_bytes =
-      EstimateAtomBytes(result.tuples.size(), query.num_attrs());
+  result.stats.memory.output_bytes = TupleBytes(result.tuples);
   return result;
 }
 
@@ -324,11 +322,14 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   const int depth = options.depth;
   const size_t budget = options.memory_budget_bytes;
   const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
-  WorkStealingPool& pool = options.executor != nullptr
-                               ? *options.executor
-                               : WorkStealingPool::Global();
-  const int requested =
-      options.threads == 0 ? pool.threads() : options.threads;
+  // Read only for threads = 0 or when more than one worker may run, so
+  // a sequential run never creates the global executor.
+  auto pool_width = [&options] {
+    return (options.executor != nullptr ? *options.executor
+                                        : WorkStealingPool::Global())
+        .threads();
+  };
+  const int requested = options.threads == 0 ? pool_width() : options.threads;
 
   // (a) Base indexes through the (relation, layout) cache: one build per
   // distinct layout the run touches, however many (query, atom) slots
@@ -404,18 +405,25 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   popt.memory_budget_bytes = budget;
   popt.depth = depth;
   popt.cost_model = &model;
-  std::map<std::string, ShardPlan> plans;  // by signature
+  // A baseline shard runs on a copy of its rows: a split plan's rows,
+  // grouped by shard once, let the copies read each row once.
+  std::map<std::string, std::pair<ShardPlan, ShardRowGroups>> plans;
   for (QueryRun& run : runs) {
     const JoinQuery& query = *run.in->query;
     // A lone query shares its plan with no one: skip its signature.
     auto [it, fresh] = plans.try_emplace(
         runs.size() == 1 ? std::string() : PlanSignature(query, depth));
+    auto& [plan, groups] = it->second;
     if (fresh) {
-      it->second = PlanShards(query, popt);
-      stats.plan_bytes += it->second.PlanningBytes();
+      plan = PlanShards(query, popt);
+      if (!algo.has_value() && plan.split_bits > 0) {
+        groups = GroupShardRows(query, plan);
+      }
+      stats.plan_bytes += plan.PlanningBytes() + groups.bytes;
     }
-    run.plan = &it->second;
-    AppendNote(&run.note, run.plan->note);
+    run.plan = &plan;
+    run.groups = &groups;
+    AppendNote(&run.note, plan.note);
   }
   stats.plans = plans.size();
 
@@ -475,14 +483,13 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   }
   stats.tasks = tasks.size();
 
-  const int workers = std::max(
-      1, std::min({requested, pool.threads(),
-                   static_cast<int>(tasks.size())}));
+  int workers = std::min(requested, static_cast<int>(tasks.size()));
+  workers = workers > 1 ? std::min(workers, pool_width()) : 1;
   stats.threads = static_cast<size_t>(workers);
   const bool has_deadline =
       options.deadline != std::chrono::steady_clock::time_point{};
   const auto exec_start = std::chrono::steady_clock::now();
-  ParallelFor(&pool, workers, static_cast<int>(tasks.size()), [&](int t) {
+  auto run_task = [&](int t) {
     const Task& task = tasks[static_cast<size_t>(t)];
     const QueryRun& run = runs[task.q];
     EngineResult& slot =
@@ -496,7 +503,9 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       return;
     }
     slot = RunShard(run, kind, *run.plan, task.shard, task.box);
-  });
+  };
+  ParallelFor(options.executor, workers, static_cast<int>(tasks.size()),
+              run_task);
   const double exec_ms = MsSince(exec_start);
 
   // Wall-time attribution. Shard tasks of different queries ran
@@ -532,10 +541,10 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       continue;
     }
     // A patch's result lists no shards: most of them did not re-run.
-    merged = MergeShardRuns(*run.in->query, kind, *run.plan,
-                            std::move(run.shards), budget,
+    merged = MergeShardRuns(kind, *run.plan, std::move(run.shards), budget,
                             run.base_index_bytes,
                             /*report_shards=*/run.in->touched == nullptr);
+    merged.stats.plan_bytes += run.groups->bytes;
     merged.stats.threads = static_cast<size_t>(workers);
     merged.stats.wall_ms =
         stats.cpu_ms > 0.0

@@ -3,26 +3,32 @@
 // A sharded, batched, patched or served run is one computation: cut the
 // output space into dyadic boxes with the paper's root-level
 // Split-First-Thick-Dimension step (engine/shard_planner.h), run the
-// engine once per box, merge. RunShardPipeline is that computation, and
-// RunJoin (sharded), RunBatch and PatchJoin (engine/incremental.h) are
-// thin entry points over it. It takes queries that passed
+// engine once per box, merge. A plain Tetris run is the same computation
+// with one box, the universal one Tetris starts from. RunShardPipeline
+// is that computation, and RunJoin (every Tetris-family run, and every
+// sharded one), RunBatch and PatchJoin (engine/incremental.h) are thin
+// entry points over it. It takes queries that passed
 // ValidateEngineOptions (engine/join_engine.h) and:
 //
-//   (a) gives each Tetris-family query its base indexes: the caller's
+//   (a) resolves each Tetris-family query's SAO (the hint, else
+//       DefaultSao) and gives it its base indexes: the caller's
 //       EngineOptions::indexes, else the shared (relation, layout)
 //       IndexCache (engine/index_cache.h) — a relation referenced by
 //       five queries is indexed once — and shards probe them through
-//       zero-copy IndexViews (index/index_view.h);
+//       zero-copy IndexViews (index/index_view.h), or directly when the
+//       shard is the whole output space;
 //   (b) under a memory budget, calibrates the per-engine-family cost
 //       model ONCE (engine/cost_model.h) and reuses the probe outputs as
 //       those shards' results;
 //   (c) plans shards ONCE per distinct output-space signature and shares
-//       the ShardPlan — its row buckets are the expensive part — across
-//       every query that has it;
+//       the ShardPlan — row counts read off one scan of each atom a
+//       split pins — and, for a baseline, its rows grouped by shard for
+//       the shard copies, across every query that has it;
 //   (d) runs every non-empty (query, shard) pair as ONE task set on the
 //       work-stealing executor (engine/parallel_executor.h), so shards of
 //       different queries interleave instead of meeting at per-query
-//       barriers, abandoning unstarted tasks past a deadline;
+//       barriers, abandoning unstarted tasks past a deadline; a task set
+//       one worker runs executes inline and never touches the executor;
 //   (e) merges each query's shard outputs by shard id into one canonical
 //       EngineResult, tuple-identical to the sequential unsharded run.
 //
@@ -37,7 +43,6 @@
 #define TETRIS_ENGINE_BATCH_RUNNER_H_
 
 #include <chrono>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -50,18 +55,6 @@ namespace tetris {
 
 class WorkStealingPool;  // engine/parallel_executor.h
 class IndexCache;        // engine/index_cache.h
-
-/// The output-space signature of `query` at `depth`: the grid depth,
-/// the attribute count, and per atom a caller-supplied relation stamp
-/// plus the attribute binding — everything shard planning (and result
-/// caching) depends on. Queries with equal signatures restrict the same
-/// rows to the same subcubes. RunBatch stamps atoms by Relation address
-/// (plan sharing within one call); the server's ResultCache
-/// (src/server/result_cache.h) stamps by name@epoch so keys survive
-/// across calls and go stale the moment a relation mutates.
-std::string OutputSpaceSignature(
-    const JoinQuery& query, int depth,
-    const std::function<std::string(const Relation&)>& stamp);
 
 /// Per-batch knobs, all optional.
 struct BatchOptions {
@@ -231,6 +224,12 @@ struct ShardPipelineResult {
 ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
                                      EngineKind kind,
                                      const BatchOptions& options);
+
+/// Runs a baseline engine on `query` as it is, in trie order `gao`
+/// (empty = the engine's own); canonical result. Unchecked, like the
+/// pipeline: RunJoin calls it after ValidateEngineOptions.
+EngineResult RunBaselineJoin(const JoinQuery& query, EngineKind kind,
+                             const std::vector<int>& gao);
 
 /// Appends `s` to `*note` with "; " separation; no-op when `s` is empty.
 void AppendNote(std::string* note, const std::string& s);

@@ -7,7 +7,6 @@
 
 #include "engine/batch_runner.h"
 #include "engine/parallel_executor.h"
-#include "engine/shard_planner.h"
 
 namespace tetris {
 
@@ -87,6 +86,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     res.ok = true;
     res.tuples = old_tuples;
     res.stats.output_tuples = old_tuples.size();
+    res.stats.memory.output_bytes = TupleBytes(res.tuples);
     out.tuples_kept = old_tuples.size();
     out.note = "empty delta: result unchanged, 0 shards re-run";
     res.shard_note = out.note;
@@ -131,6 +131,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   // not a re-sort of the union.
   std::vector<std::vector<Tuple>> runs(2);
   std::vector<Tuple>& kept = runs[0];
+  kept.reserve(old_tuples.size());
   for (const Tuple& t : old_tuples) {
     if (std::none_of(rerun.begin(), rerun.end(), [&](const DyadicBox& box) {
           return box.ContainsPoint(t, depth);
@@ -142,8 +143,7 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   runs[1] = std::move(res.tuples);
   res.tuples = MergeSortedRuns(std::move(runs));
   res.stats.output_tuples = res.tuples.size();
-  res.stats.memory.output_bytes =
-      EstimateAtomBytes(res.tuples.size(), query.num_attrs());
+  res.stats.memory.output_bytes = TupleBytes(res.tuples);
   out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
              std::to_string(out.shards_total) + " shards from " +
              std::to_string(touched.size()) + " touched box(es); kept " +

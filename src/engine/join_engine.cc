@@ -217,6 +217,59 @@ std::string ValidateEngineOptions(const JoinQuery& query, EngineKind kind,
   return "";
 }
 
+EngineResult RunBaselineJoin(const JoinQuery& query, EngineKind kind,
+                             const std::vector<int>& gao) {
+  EngineResult result;
+  result.stats.engine = kind;
+  const auto start = std::chrono::steady_clock::now();
+  result.ok = true;
+  switch (kind) {
+    case EngineKind::kLeapfrog:
+      result.tuples = LeapfrogTriejoin(query, gao, &result.stats.seeks);
+      break;
+    case EngineKind::kGenericJoin:
+      result.tuples = GenericJoin(query, gao, &result.stats.probes);
+      break;
+    case EngineKind::kYannakakis: {
+      auto out = YannakakisJoin(query, &result.stats.baseline);
+      if (out.has_value()) {
+        result.tuples = std::move(*out);
+      } else {
+        result.ok = false;
+        result.error = "yannakakis: query is not alpha-acyclic";
+      }
+      break;
+    }
+    case EngineKind::kPairwiseHash:
+      result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kHash,
+                                       &result.stats.baseline);
+      break;
+    case EngineKind::kPairwiseSortMerge:
+      result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kSortMerge,
+                                       &result.stats.baseline);
+      break;
+    case EngineKind::kPairwiseNestedLoop:
+      result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kNestedLoop,
+                                       &result.stats.baseline);
+      break;
+    default:
+      result.ok = false;
+      result.error = "unknown engine kind";
+      break;
+  }
+  if (result.ok) {
+    CanonicalizeTuples(&result.tuples);
+    result.stats.output_tuples = result.tuples.size();
+    result.stats.memory.intermediate_bytes =
+        result.stats.baseline.max_intermediate_bytes;
+    result.stats.memory.output_bytes = TupleBytes(result.tuples);
+  }
+  result.stats.wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  return result;
+}
+
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options) {
   EngineResult result;
@@ -233,15 +286,14 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
       ValidateEngineOptions(query, kind, options, sharded, &depth);
   if (!result.error.empty()) return result;
 
-  const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
-  if (sharded) {
-    // A batch of one through the shard pipeline; 0 or 1 shards with
-    // sharding asked for by the other knobs means the planner's choice.
+  if (sharded || TetrisAlgorithmOf(kind).has_value()) {
+    // A batch of one through the shard pipeline; a plain run is one shard,
+    // and 0 or 1 shards on a sharded run mean the planner's choice.
     BatchOptions batch;
     batch.depth = depth;
-    batch.shards = options.shards == 0 || options.shards == 1
-                       ? kAutoShards
-                       : options.shards;
+    batch.shards = !sharded ? 1
+                   : options.shards > 1 ? options.shards
+                                        : kAutoShards;
     batch.threads = options.threads;
     batch.memory_budget_bytes = options.memory_budget_bytes;
     batch.executor = options.executor;
@@ -249,90 +301,24 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                                           options.indexes, nullptr}},
                                         kind, batch)
                            .batch.results[0]);
-  } else if (tetris_algo.has_value()) {
-    // The SAO, resolved once: every index built below follows it.
-    std::vector<int> sao = options.order.empty()
-                               ? DefaultSao(query, *tetris_algo)
-                               : options.order;
-    std::vector<std::unique_ptr<Index>> owned;
-    std::vector<const Index*> indexes = options.indexes;
-    if (indexes.empty()) {
-      owned = MakeSaoConsistentIndexes(query, sao, depth);
-      indexes = IndexPtrs(owned);
+    if (!sharded) {
+      // A plain run reports no shard plan.
+      RunStats& s = result.stats;
+      s.shards = s.threads = s.plan_bytes = 0;
+      s.max_shard_peak_bytes = s.estimated_max_shard_peak_bytes = 0;
+      result.shard_runs.clear();
+      result.shard_note.clear();
     }
-    JoinRunResult run =
-        RunTetrisJoin(query, indexes, depth, *tetris_algo, std::move(sao));
-    result.tuples = std::move(run.tuples);
-    result.stats.tetris = run.stats;
-    result.stats.input_gap_boxes = run.input_gap_boxes;
-    result.stats.oracle_probes = run.oracle_probes;
-    result.stats.memory.kb_bytes =
-        static_cast<size_t>(run.stats.kb_peak_bytes);
-    result.stats.memory.index_bytes = run.index_bytes;
-    result.ok = true;
   } else {
-    // An explicit order hint wins; otherwise SortedIndexes supply the
-    // trie order, so index ablations reach the WCOJ baselines too.
+    // A plain baseline builds no box, so it answers queries too wide for
+    // one. SortedIndexes supply the trie order when no hint does.
     std::vector<int> gao = options.order;
     if (gao.empty() && !options.indexes.empty() &&
-        (kind == EngineKind::kLeapfrog ||
-         kind == EngineKind::kGenericJoin)) {
-      if (!DeriveGaoFromIndexes(query, options.indexes, &gao,
-                                &result.error)) {
-        return result;
-      }
+        (kind == EngineKind::kLeapfrog || kind == EngineKind::kGenericJoin) &&
+        !DeriveGaoFromIndexes(query, options.indexes, &gao, &result.error)) {
+      return result;
     }
-    switch (kind) {
-      case EngineKind::kLeapfrog:
-        result.tuples =
-            LeapfrogTriejoin(query, gao, &result.stats.seeks);
-        result.ok = true;
-        break;
-      case EngineKind::kGenericJoin:
-        result.tuples =
-            GenericJoin(query, gao, &result.stats.probes);
-        result.ok = true;
-        break;
-      case EngineKind::kYannakakis: {
-        auto out = YannakakisJoin(query, &result.stats.baseline);
-        if (out.has_value()) {
-          result.tuples = std::move(*out);
-          result.ok = true;
-        } else {
-          result.error = "yannakakis: query is not alpha-acyclic";
-        }
-        break;
-      }
-      case EngineKind::kPairwiseHash:
-        result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kHash,
-                                         &result.stats.baseline);
-        result.ok = true;
-        break;
-      case EngineKind::kPairwiseSortMerge:
-        result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kSortMerge,
-                                         &result.stats.baseline);
-        result.ok = true;
-        break;
-      case EngineKind::kPairwiseNestedLoop:
-        result.tuples = PairwiseJoinPlan(query, PairwiseMethod::kNestedLoop,
-                                         &result.stats.baseline);
-        result.ok = true;
-        break;
-      default:
-        result.error = "unknown engine kind";
-        break;
-    }
-  }
-
-  if (result.ok && !sharded) {
-    CanonicalizeTuples(&result.tuples);
-    result.stats.output_tuples = result.tuples.size();
-    result.stats.memory.intermediate_bytes =
-        result.stats.baseline.max_intermediate_bytes;
-    result.stats.memory.output_bytes =
-        result.tuples.size() *
-        (sizeof(Tuple) +
-         static_cast<size_t>(query.num_attrs()) * sizeof(uint64_t));
+    result = RunBaselineJoin(query, kind, gao);
   }
   const auto end = std::chrono::steady_clock::now();
   result.stats.wall_ms =

@@ -58,7 +58,7 @@ const std::vector<EngineKind>& AllEngineKinds();
 bool EngineSupports(EngineKind kind, const JoinQuery& query);
 
 /// The join_runner algorithm behind a Tetris-family kind; nullopt for
-/// the baselines. The sharded executor uses it to pick the zero-copy
+/// the baselines. The shard pipeline uses it to pick the zero-copy
 /// view path (Tetris family) over lazy materialization (baselines).
 std::optional<JoinAlgorithm> TetrisAlgorithmOf(EngineKind kind);
 
@@ -70,7 +70,7 @@ struct MemoryStats {
   size_t kb_bytes = 0;            ///< peak knowledge-base A footprint
   size_t index_bytes = 0;         ///< per-atom index structures
   size_t intermediate_bytes = 0;  ///< largest materialized intermediate
-  size_t output_bytes = 0;        ///< canonical output buffer
+  size_t output_bytes = 0;        ///< canonical output (TupleBytes)
 
   /// Largest single resident structure — the budget number the future
   /// sharding / batching layers care about.
@@ -100,7 +100,7 @@ struct RunStats {
                                ///< Sharded runs: per-shard peaks, not
                                ///< concurrent sums.
 
-  // Sharded runs only (engine/parallel_executor.h); zero otherwise.
+  // Sharded runs only (engine/batch_runner.h); zero otherwise.
   size_t shards = 0;   ///< planned shard count (incl. empty shards)
   size_t threads = 0;  ///< executor workers the run may occupy
   size_t max_shard_peak_bytes = 0;  ///< max MemoryStats::PeakBytes() over
@@ -108,8 +108,8 @@ struct RunStats {
   /// The planner's cost-model prediction of max_shard_peak_bytes
   /// (engine/cost_model.h) — compare the two to audit the estimator.
   size_t estimated_max_shard_peak_bytes = 0;
-  /// Bytes the shard plan itself keeps resident (row buckets): 8 bytes
-  /// per (atom, tuple), independent of the shard count.
+  /// Bytes the shard plan keeps resident: its shards, one row offset per
+  /// (atom, bucket), and a split baseline plan's row groups.
   size_t plan_bytes = 0;
 };
 
@@ -201,10 +201,11 @@ struct EngineOptions {
 };
 
 /// Evaluates `query` with the chosen engine. Never throws: unsupported
-/// engine/query combinations come back with `ok == false`. Sharded runs
-/// (`shards`, `threads` or `memory_budget_bytes` asking for them) go
-/// through the shard pipeline of engine/batch_runner.h as a batch of
-/// one.
+/// engine/query combinations come back with `ok == false`. Tetris-family
+/// and sharded runs (`shards`, `threads` or `memory_budget_bytes` asking
+/// for it) go through the shard pipeline of engine/batch_runner.h as a
+/// batch of one; a plain Tetris run is its one-shard plan, run inline,
+/// with no shard fields. A plain baseline runs its engine directly.
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options = {});
 

@@ -123,11 +123,15 @@ void WorkStealingPool::Run(std::vector<std::function<void()>> tasks) {
 
 void ParallelFor(WorkStealingPool* pool, int max_parallel, int n,
                  const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  WorkStealingPool& p = pool != nullptr ? *pool : WorkStealingPool::Global();
-  int w = max_parallel <= 0 ? p.threads()
-                            : std::min(max_parallel, p.threads());
-  w = std::min(w, n);
+  // One task or one worker runs inline without touching the pool, so a
+  // sequential caller never creates the global executor.
+  int w = 1;
+  WorkStealingPool* p = nullptr;
+  if (n > 1 && max_parallel != 1) {
+    p = pool != nullptr ? pool : &WorkStealingPool::Global();
+    w = max_parallel <= 0 ? p->threads() : std::min(max_parallel, p->threads());
+    w = std::min(w, n);
+  }
   if (w <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
@@ -143,10 +147,11 @@ void ParallelFor(WorkStealingPool* pool, int max_parallel, int n,
       for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
     });
   }
-  p.Run(std::move(tasks));
+  p->Run(std::move(tasks));
 }
 
 std::vector<Tuple> MergeSortedRuns(std::vector<std::vector<Tuple>> runs) {
+  if (runs.size() == 1) return std::move(runs[0]);
   size_t total = 0;
   for (const std::vector<Tuple>& run : runs) total += run.size();
   std::vector<Tuple> out;

@@ -96,16 +96,18 @@ class WorkStealingPool {
 /// at most max_parallel of its workers (<= 0 = the pool's full width;
 /// always clamped to the pool width — the shared thread budget). Blocks
 /// until all complete; n <= 1 or an effective width of 1 runs inline on
-/// the calling thread. Results belong in caller-owned slots indexed by
-/// i, which keeps the outcome deterministic regardless of scheduling.
+/// the calling thread, and n <= 1 or max_parallel == 1 never touches
+/// the pool. Results belong in caller-owned slots indexed by i, which
+/// keeps the outcome deterministic regardless of scheduling.
 void ParallelFor(WorkStealingPool* pool, int max_parallel, int n,
                  const std::function<void(int)>& fn);
 
 /// Merges sorted runs into one sorted vector, moving every tuple once
 /// into a single buffer and merging adjacent runs pairwise, bottom-up
-/// (log2 of the run count passes). Empty runs are allowed. Equal tuples
-/// are all kept, as std::sort would keep them; the callers' runs are
-/// disjoint shard outputs, so their merge is already canonical.
+/// (log2 of the run count passes); a lone run is returned as it is.
+/// Empty runs are allowed. Equal tuples are all kept, as std::sort
+/// would keep them; the callers' runs are disjoint shard outputs, so
+/// their merge is already canonical.
 std::vector<Tuple> MergeSortedRuns(std::vector<std::vector<Tuple>> runs);
 
 }  // namespace tetris

@@ -1,15 +1,23 @@
 #include "engine/shard_planner.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <cstdio>
+#include <numeric>
 
 #include "engine/cost_model.h"
 #include "engine/join_runner.h"
-#include "relation/relation_view.h"
 
 namespace tetris {
 
 namespace {
+
+// Cap on budget/auto-driven *growth* of k (the number of prefix bits
+// split). Explicitly requested shard counts are honored beyond it, up to
+// the domain itself (num_attrs * depth prefix bits) and a hard
+// 2^20-shard ceiling.
+constexpr int kMaxGrowthBits = 8;
 
 // Split dimensions for levels 0..k-1: round-robin over the query
 // attributes, skipping dimensions already split down to unit depth —
@@ -46,105 +54,104 @@ DyadicBox ShardBox(int num_attrs, const std::vector<int>& dims, int id) {
   return box;
 }
 
-// Shard membership of an atom's tuples, computed in ONE pass: level j
-// (the r-th split of its dimension) pins shard-id bit (k-1-j) to bit
-// (depth-1-r) of the tuple's value in every column bound to that
-// dimension. The pinned-bit *positions* depend only on the atom, so
-// bucketing tuples by their pinned-bit values answers both the planner's
-// counting queries and any later materialization without rescanning the
-// relation once per shard: shard `id` holds exactly bucket[id & mask].
-// Tuples whose repeated-attribute columns disagree on a pinned bit can
-// match no shard and land in no bucket (they can also match no output).
-ShardPlan::AtomBuckets BucketAtomTuples(const Atom& atom,
-                                        const std::vector<int>& dims,
-                                        int depth) {
-  ShardPlan::AtomBuckets out;
-  const int k = static_cast<int>(dims.size());
-  // Per constrained level: its shard-id bit and the value bit each
-  // relevant column must supply.
+// The value bits of an atom's rows that the split pins: level j (the
+// r-th split of its dimension) pins shard-id bit (k-1-j) to bit
+// (depth-1-r) of the row's value in every column bound to that
+// dimension. The pinned *positions* depend only on the atom, so one key
+// per row — its pinned bits at their shard-id positions — answers both
+// the planner's counts and MaterializeShard's selection: shard `id`
+// holds exactly the rows keyed `id & id_mask`.
+struct AtomPins {
   struct Pin {
     int id_shift;
     int value_shift;
     std::vector<int> cols;
   };
   std::vector<Pin> pins;
-  std::unordered_map<int, int> splits_per_dim;
+  int id_mask = 0;
+
+  // The row's key; -1 when a repeated attribute's columns disagree on a
+  // pinned bit, so the row can match no shard (and no output).
+  int Key(TupleRef row) const {
+    int key = 0;
+    for (const Pin& pin : pins) {
+      const uint64_t bit = (row[pin.cols[0]] >> pin.value_shift) & 1;
+      for (size_t c = 1; c < pin.cols.size(); ++c) {
+        if (((row[pin.cols[c]] >> pin.value_shift) & 1) != bit) return -1;
+      }
+      key |= static_cast<int>(bit) << pin.id_shift;
+    }
+    return key;
+  }
+};
+
+AtomPins PinsOf(const Atom& atom, const std::vector<int>& dims, int depth) {
+  AtomPins out;
+  const int k = static_cast<int>(dims.size());
   for (int j = 0; j < k; ++j) {
-    const int dim = dims[j];
-    const int r = splits_per_dim[dim]++;
-    Pin pin;
+    const auto r = std::count(dims.begin(), dims.begin() + j, dims[j]);
+    AtomPins::Pin pin;
     pin.id_shift = k - 1 - j;
-    pin.value_shift = depth - 1 - r;
+    pin.value_shift = depth - 1 - static_cast<int>(r);
     for (size_t c = 0; c < atom.var_ids.size(); ++c) {
-      if (atom.var_ids[c] == dim) pin.cols.push_back(static_cast<int>(c));
+      if (atom.var_ids[c] == dims[j]) pin.cols.push_back(static_cast<int>(c));
     }
     if (pin.cols.empty()) continue;  // attribute not in this atom
     out.id_mask |= 1 << pin.id_shift;
-    pins.push_back(std::move(pin));
-  }
-  const Relation& rel = *atom.rel;
-  for (size_t t = 0; t < rel.size(); ++t) {
-    const TupleRef row = rel.row(t);
-    int key = 0;
-    bool contradiction = false;
-    for (const Pin& pin : pins) {
-      const int bit =
-          static_cast<int>((row[pin.cols[0]] >> pin.value_shift) & 1);
-      for (size_t c = 1; c < pin.cols.size(); ++c) {
-        if (static_cast<int>(
-                (row[pin.cols[c]] >> pin.value_shift) & 1) != bit) {
-          contradiction = true;  // repeated attribute, disagreeing bits
-          break;
-        }
-      }
-      if (contradiction) break;
-      key |= bit << pin.id_shift;
-    }
-    if (!contradiction) out.rows[key].push_back(t);
+    out.pins.push_back(std::move(pin));
   }
   return out;
 }
 
-std::vector<ShardPlan::AtomBuckets> BucketAllAtoms(
-    const JoinQuery& query, const std::vector<int>& dims, int depth) {
-  std::vector<ShardPlan::AtomBuckets> buckets;
-  buckets.reserve(query.atoms().size());
+// One atom's bucket offsets from ONE pass counting rows by key, and no
+// pass when no split pins the atom: then every shard holds every row.
+ShardPlan::AtomCounts CountAtomRows(const Atom& atom,
+                                    const std::vector<int>& dims,
+                                    int depth) {
+  const AtomPins pins = PinsOf(atom, dims, depth);
+  ShardPlan::AtomCounts out;
+  out.id_mask = pins.id_mask;
+  out.start.assign(static_cast<size_t>(pins.id_mask) + 2, 0);
+  if (pins.pins.empty()) {
+    out.start[1] = atom.rel->size();
+    return out;
+  }
+  for (TupleRef row : atom.rel->rows()) {
+    const int key = pins.Key(row);
+    if (key >= 0) ++out.start[static_cast<size_t>(key) + 1];
+  }
+  std::partial_sum(out.start.begin(), out.start.end(), out.start.begin());
+  return out;
+}
+
+// Splits `plan` along `dims` and describes the 2^k shards from the row
+// counts alone. A shard's payload is the SUM over its atoms: all
+// per-atom structures are resident at once during a run.
+void SplitPlan(const JoinQuery& query, std::vector<int> dims,
+               const ShardCostModel& model, ShardPlan* plan) {
+  const int k = static_cast<int>(dims.size());
+  plan->split_bits = k;
+  plan->split_dims = std::move(dims);
+  plan->counts.clear();
   for (const Atom& atom : query.atoms()) {
-    buckets.push_back(BucketAtomTuples(atom, dims, depth));
+    plan->counts.push_back(CountAtomRows(atom, plan->split_dims, plan->depth));
   }
-  return buckets;
-}
-
-size_t BucketCount(const ShardPlan::AtomBuckets& b, int id) {
-  auto it = b.rows.find(id & b.id_mask);
-  return it == b.rows.end() ? 0 : it->second.size();
-}
-
-// Restricted input payload of shard `id`: the SUM over atoms of the
-// restricted tuples' payload — all per-atom structures are resident
-// simultaneously during a run, so the estimate must be sum-shaped.
-size_t ShardPayload(const JoinQuery& query,
-                    const std::vector<ShardPlan::AtomBuckets>& buckets,
-                    int id) {
-  size_t payload = 0;
-  for (size_t a = 0; a < buckets.size(); ++a) {
-    payload += EstimateAtomBytes(
-        BucketCount(buckets[a], id),
-        static_cast<int>(query.atoms()[a].var_ids.size()));
-  }
-  return payload;
-}
-
-// Estimated peak resident bytes of the costliest shard under `model`.
-size_t MaxShardEstimate(const JoinQuery& query,
-                        const std::vector<ShardPlan::AtomBuckets>& buckets,
-                        int k, const ShardCostModel& model) {
-  size_t worst = 0;
+  plan->shards.assign(size_t{1} << k, Shard());
+  plan->max_estimated_peak_bytes = 0;
   for (int id = 0; id < (1 << k); ++id) {
-    worst = std::max(worst,
-                     model.EstimatePeak(ShardPayload(query, buckets, id)));
+    Shard& shard = plan->shards[static_cast<size_t>(id)];
+    shard.id = id;
+    shard.box = ShardBox(query.num_attrs(), plan->split_dims, id);
+    for (size_t a = 0; a < plan->counts.size(); ++a) {
+      const size_t count = plan->RowCount(id, a);
+      if (count == 0 && k > 0) shard.empty = true;
+      shard.payload_bytes += EstimateAtomBytes(
+          count, static_cast<int>(query.atoms()[a].var_ids.size()));
+    }
+    shard.estimated_peak_bytes = model.EstimatePeak(shard.payload_bytes);
+    plan->max_estimated_peak_bytes =
+        std::max(plan->max_estimated_peak_bytes, shard.estimated_peak_bytes);
   }
-  return worst;
 }
 
 // 64-bit shift: safe for any int input (a 2^30+1 request must clamp to
@@ -171,21 +178,15 @@ size_t EstimateAtomBytes(size_t tuples, int arity) {
   return tuples * static_cast<size_t>(arity) * sizeof(uint64_t);
 }
 
-const std::vector<size_t>* ShardPlan::AtomRows(int shard_id,
-                                               size_t atom) const {
-  const AtomBuckets& b = buckets[atom];
-  auto it = b.rows.find(shard_id & b.id_mask);
-  return it == b.rows.end() ? nullptr : &it->second;
+size_t ShardPlan::RowCount(int shard_id, size_t atom) const {
+  const AtomCounts& c = counts[atom];
+  const size_t b = static_cast<size_t>(shard_id & c.id_mask);
+  return c.start[b + 1] - c.start[b];
 }
 
 size_t ShardPlan::PlanningBytes() const {
   size_t total = shards.size() * sizeof(Shard);
-  for (const AtomBuckets& b : buckets) {
-    for (const auto& [key, rows] : b.rows) {
-      (void)key;
-      total += rows.size() * sizeof(size_t);
-    }
-  }
+  for (const AtomCounts& c : counts) total += c.start.size() * sizeof(size_t);
   return total;
 }
 
@@ -202,7 +203,7 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   };
   // The domain has n*depth prefix bits in total; splitting beyond that
   // would create shards finer than single points. 20 bits (1M shards) is
-  // a hard sanity ceiling on top. max_split_bits caps only budget/auto
+  // a hard sanity ceiling on top. kMaxGrowthBits caps only budget/auto
   // *growth* — explicit requests are honored up to the hard cap. A grid
   // deeper than kMaxDepth has no dyadic arithmetic to split with, so it
   // gets one unsplit shard (the Tetris family rejects it before planning).
@@ -214,8 +215,7 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   const long total_bits =
       splittable ? static_cast<long>(n) * plan.depth : 0;
   const int hard_cap = static_cast<int>(std::min<long>(20, total_bits));
-  const int growth_cap =
-      std::min(std::max(0, options.max_split_bits), hard_cap);
+  const int growth_cap = std::min(kMaxGrowthBits, hard_cap);
 
   int k;
   if (options.shards > 1) {
@@ -234,70 +234,76 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   } else {
     k = 0;
   }
-  plan.split_dims = SplitDims(n, plan.depth, k);
-  k = static_cast<int>(plan.split_dims.size());
-  plan.buckets = BucketAllAtoms(query, plan.split_dims, plan.depth);
+  SplitPlan(query, SplitDims(n, plan.depth, k), model, &plan);
 
   if (options.memory_budget_bytes > 0 && n > 0) {
     // Adaptive split: grow k while some shard's estimate exceeds the
     // budget. Explicitly requested shard counts are honoured as the
     // floor; the budget can only make the split finer.
-    size_t est = MaxShardEstimate(query, plan.buckets, k, model);
-    while (est > options.memory_budget_bytes && k < growth_cap) {
-      std::vector<int> next = SplitDims(n, plan.depth, k + 1);
-      if (static_cast<int>(next.size()) <= k) break;  // domain exhausted
-      plan.split_dims = std::move(next);
-      k = static_cast<int>(plan.split_dims.size());
-      plan.buckets = BucketAllAtoms(query, plan.split_dims, plan.depth);
-      est = MaxShardEstimate(query, plan.buckets, k, model);
+    const size_t budget = options.memory_budget_bytes;
+    while (plan.max_estimated_peak_bytes > budget &&
+           plan.split_bits < growth_cap) {
+      std::vector<int> next = SplitDims(n, plan.depth, plan.split_bits + 1);
+      // No finer split: the domain is exhausted.
+      if (static_cast<int>(next.size()) <= plan.split_bits) break;
+      SplitPlan(query, std::move(next), model, &plan);
     }
-    if (est > options.memory_budget_bytes) {
+    if (plan.max_estimated_peak_bytes > budget) {
       plan.budget_ok = false;
-      append_note("budget " + HumanBytes(options.memory_budget_bytes) +
+      append_note("budget " + HumanBytes(budget) +
                   " cannot be met: the finest allowed split (2^" +
-                  std::to_string(k) +
+                  std::to_string(plan.split_bits) +
                   " shards) still has an estimated per-shard peak of " +
-                  HumanBytes(est) + " (cost model: " + model.source +
+                  HumanBytes(plan.max_estimated_peak_bytes) +
+                  " (cost model: " + model.source +
                   ") — a single tuple's footprint may already exceed "
                   "the budget");
     }
   }
-  plan.split_bits = k;
-
-  // Describe the shards from the buckets (shard id selects each atom's
-  // bucket; no tuple is copied — consumers restrict probes to the box or
-  // materialize lazily via MaterializeShard).
-  plan.shards.reserve(static_cast<size_t>(1) << k);
-  for (int id = 0; id < (1 << k); ++id) {
-    Shard shard;
-    shard.id = id;
-    shard.box = ShardBox(n, plan.split_dims, id);
-    for (size_t a = 0; a < plan.buckets.size(); ++a) {
-      const size_t count = BucketCount(plan.buckets[a], id);
-      if (count == 0) shard.empty = true;
-      shard.payload_bytes += EstimateAtomBytes(
-          count, static_cast<int>(query.atoms()[a].var_ids.size()));
-    }
-    shard.estimated_peak_bytes = model.EstimatePeak(shard.payload_bytes);
-    plan.max_estimated_peak_bytes =
-        std::max(plan.max_estimated_peak_bytes, shard.estimated_peak_bytes);
-    plan.shards.push_back(shard);
-  }
   return plan;
 }
 
+ShardRowGroups GroupShardRows(const JoinQuery& query, const ShardPlan& plan) {
+  ShardRowGroups out;
+  out.ids.resize(query.atoms().size());
+  for (size_t a = 0; a < out.ids.size(); ++a) {
+    const Relation& rel = *query.atoms()[a].rel;
+    const AtomPins pins = PinsOf(query.atoms()[a], plan.split_dims, plan.depth);
+    if (pins.pins.empty()) continue;  // every shard holds every row
+    assert(rel.size() <= UINT32_MAX);
+    std::vector<size_t> next = plan.counts[a].start;  // write cursors
+    out.ids[a].resize(next.back());
+    for (size_t r = 0; r < rel.size(); ++r) {
+      const int key = pins.Key(rel.row(r));
+      if (key >= 0) out.ids[a][next[key]++] = static_cast<uint32_t>(r);
+    }
+    out.bytes += out.ids[a].size() * sizeof(uint32_t);
+  }
+  return out;
+}
+
 MaterializedShard MaterializeShard(const JoinQuery& query,
-                                   const ShardPlan& plan, int shard_id) {
+                                   const ShardPlan& plan, int shard_id,
+                                   const ShardRowGroups* groups) {
+  const ShardRowGroups own =
+      groups != nullptr ? ShardRowGroups() : GroupShardRows(query, plan);
+  if (groups == nullptr) groups = &own;
   MaterializedShard out;
   std::vector<const Relation*> ptrs;
-  ptrs.reserve(query.atoms().size());
   for (size_t a = 0; a < query.atoms().size(); ++a) {
-    const Atom& atom = query.atoms()[a];
-    const std::vector<size_t>* rows = plan.AtomRows(shard_id, a);
-    auto rel = std::make_unique<Relation>(
-        rows == nullptr
-            ? Relation(atom.rel->name(), atom.rel->attrs())
-            : RelationView(atom.rel, rows).Materialize());
+    const Relation& base = *query.atoms()[a].rel;
+    const ShardPlan::AtomCounts& c = plan.counts[a];
+    auto rel = std::make_unique<Relation>(base.name(), base.attrs());
+    if (c.id_mask == 0) {
+      *rel = base;  // no split pins the atom
+    } else {
+      const size_t b = static_cast<size_t>(shard_id & c.id_mask);
+      rel->Reserve(c.start[b + 1] - c.start[b]);
+      for (size_t i = c.start[b]; i < c.start[b + 1]; ++i) {
+        rel->AddRow(base.row(groups->ids[a][i]).data());
+      }
+    }
+    rel->Canonicalize();
     ptrs.push_back(rel.get());
     out.storage.push_back(std::move(rel));
   }

@@ -17,13 +17,13 @@
 // Shards are therefore independent — the parallel executor
 // (engine/parallel_executor.h) runs them concurrently on any engine.
 //
-// The plan is *lazy*: it never copies tuples. Each atom's rows are
-// bucketed once by their shard-id bits (8 bytes per row, independent of
-// the shard count), and a Shard is just a subcube plus bookkeeping.
-// Consumers either restrict probes to the subcube directly
-// (index/index_view.h — the zero-copy path the Tetris family uses) or
-// call MaterializeShard inside the worker task and drop the copy when
-// the shard finishes (the baselines' lazy path).
+// The plan is *lazy*: it never copies tuples and stores no row ids. It
+// counts each atom's rows by the shard-id bits their values pin, reading
+// no row of an atom no split pins (a one-shard plan costs nothing), and
+// a Shard is just a subcube plus bookkeeping. Consumers either restrict
+// probes to the subcube directly (index/index_view.h — the zero-copy
+// path the Tetris family uses) or materialize the shard's rows inside
+// the worker task and drop the copy when it finishes (the baselines).
 //
 // The planner is memory-aware: given a budget, it increases k until the
 // estimated resident footprint of every shard fits — scaling each
@@ -33,9 +33,9 @@
 #ifndef TETRIS_ENGINE_SHARD_PLANNER_H_
 #define TETRIS_ENGINE_SHARD_PLANNER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/dyadic_box.h"
@@ -65,12 +65,6 @@ struct ShardPlanOptions {
   /// Dyadic depth of the value domain; 0 = query.MinDepth().
   int depth = 0;
 
-  /// Cap on budget/auto-driven *growth* of k (the number of prefix bits
-  /// split). Explicitly requested shard counts are honored beyond it, up
-  /// to the domain itself (num_attrs * depth prefix bits) and a hard
-  /// 2^20-shard ceiling.
-  int max_split_bits = 8;
-
   /// Maps a shard's restricted payload to its estimated peak resident
   /// bytes. nullptr = the uncalibrated payload proxy (slope 1). The
   /// executor calibrates one per run from a probe pass
@@ -79,8 +73,7 @@ struct ShardPlanOptions {
 };
 
 /// One independent unit of work: a subcube of the output space plus
-/// per-shard bookkeeping. Owns no tuples — the rows restricted to this
-/// shard live in ShardPlan's shared buckets (`ShardPlan::AtomRows`).
+/// per-shard bookkeeping. Owns no tuples.
 struct Shard {
   int id = 0;
   DyadicBox box;  ///< the subcube, over query attribute dimensions
@@ -89,19 +82,20 @@ struct Shard {
   size_t payload_bytes = 0;
   /// The cost model's peak estimate for this shard.
   size_t estimated_peak_bytes = 0;
-  bool empty = false;  ///< some atom restricted to ∅ — output is empty
+  /// A split restricted some atom to ∅ — output is empty. Never set on
+  /// an unsplit plan's one shard: it is the plain run.
+  bool empty = false;
 };
 
-/// The planner's output. Resident footprint is one row index per
-/// (atom, tuple) — independent of the shard count (`PlanningBytes`).
+/// The planner's output. Resident footprint is the shards plus one row
+/// offset per (atom, bucket) (`PlanningBytes`): no row ids.
 struct ShardPlan {
-  /// Shard-membership buckets of one atom's rows: tuples keyed by the
-  /// shard-id bits this atom pins. Shard `id` owns bucket `id & id_mask`;
-  /// atoms not split on a bit share buckets across the shards that only
-  /// differ there.
-  struct AtomBuckets {
+  /// One atom's rows counted by the shard-id bits this atom pins: shard
+  /// `id` owns bucket b = `id & id_mask`, rows [start[b], start[b + 1])
+  /// of the atom's rows in key order.
+  struct AtomCounts {
     int id_mask = 0;
-    std::unordered_map<int, std::vector<size_t>> rows;
+    std::vector<size_t> start;  ///< id_mask + 2 offsets
   };
 
   std::vector<Shard> shards;  ///< 2^split_bits entries, ordered by id
@@ -115,15 +109,12 @@ struct ShardPlan {
   /// Human-readable planner diagnostics: budget misses, clamped shard
   /// counts. Empty when the plan is exactly what was asked for.
   std::string note;
-  /// Per-atom row buckets, shared across shards.
-  std::vector<AtomBuckets> buckets;
+  std::vector<AtomCounts> counts;  ///< by atom
 
-  /// Rows of atom `atom` restricted to shard `shard_id`, as indices into
-  /// the base relation; nullptr when the restriction is empty.
-  const std::vector<size_t>* AtomRows(int shard_id, size_t atom) const;
+  /// How many rows of atom `atom` shard `shard_id` holds.
+  size_t RowCount(int shard_id, size_t atom) const;
 
-  /// Bytes the plan keeps resident: the row buckets (the shards
-  /// themselves are a few words each).
+  /// Bytes the plan keeps resident: the shards and the row offsets.
   size_t PlanningBytes() const;
 };
 
@@ -140,9 +131,22 @@ struct MaterializedShard {
   JoinQuery query;
 };
 
-/// Materializes shard `shard_id` of `plan` against the original `query`.
+/// A plan's row ids in key order, per atom a split pins (AtomCounts
+/// gives each bucket's range): grouped once, 4 bytes a row, they let
+/// every shard of the plan be materialized without a scan.
+struct ShardRowGroups {
+  std::vector<std::vector<uint32_t>> ids;  ///< by atom; empty if unpinned
+  size_t bytes = 0;                        ///< resident size of `ids`
+};
+ShardRowGroups GroupShardRows(const JoinQuery& query, const ShardPlan& plan);
+
+/// Materializes shard `shard_id` of `plan` against the original `query`:
+/// each atom keeps the rows whose pinned bits select the shard, the key
+/// the plan counts by, as a canonical copy taken from `groups` (grouped
+/// here when nullptr).
 MaterializedShard MaterializeShard(const JoinQuery& query,
-                                   const ShardPlan& plan, int shard_id);
+                                   const ShardPlan& plan, int shard_id,
+                                   const ShardRowGroups* groups = nullptr);
 
 /// The planner's per-atom resident-footprint estimate: the payload of
 /// `tuples` arity-`arity` tuples, mirroring SortedIndex::MemoryBytes.

@@ -120,10 +120,10 @@ class MaterializedOracle : public BoxOracle {
 /// space. Probes outside `box` answer with the box's complement slabs
 /// containing the probe; probes inside defer to the base oracle with the
 /// results clipped to the box; EnumerateAll is the full complement, then
-/// the clipped base set. This is the kb-level member of the restriction
-/// view stack (relation/relation_view.h, index/index_view.h): it lets a
-/// raw BCP instance — or any live oracle — be sharded without copying
-/// its box set. Non-owning: the base must outlive the view.
+/// the clipped base set. This is the kb-level counterpart of
+/// index/index_view.h: it lets a raw BCP instance — or any live oracle —
+/// be sharded without copying its box set. Non-owning: the base must
+/// outlive the view.
 class RestrictedOracle : public BoxOracle {
  public:
   RestrictedOracle(const BoxOracle* base, DyadicBox box);

@@ -15,6 +15,11 @@ void CanonicalizeTuples(std::vector<Tuple>* tuples) {
   tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
 }
 
+size_t TupleBytes(const std::vector<Tuple>& tuples) {
+  const size_t arity = tuples.empty() ? 0 : tuples[0].size();
+  return tuples.size() * (sizeof(Tuple) + arity * sizeof(uint64_t));
+}
+
 Relation Relation::Make(std::string name, std::vector<std::string> attrs,
                         std::vector<Tuple> tuples) {
   Relation r(std::move(name), std::move(attrs));

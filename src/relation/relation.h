@@ -34,6 +34,11 @@ using Tuple = std::vector<uint64_t>;
 /// emits in order pays no sort.
 void CanonicalizeTuples(std::vector<Tuple>* tuples);
 
+/// Bytes a result of `tuples` holds: per row, its Tuple header and its
+/// values (every row of a result has the same arity). The one measure of
+/// MemoryStats::output_bytes and of cached results.
+size_t TupleBytes(const std::vector<Tuple>& tuples);
+
 /// A non-owning view of one row inside a flat arity-strided buffer.
 /// Valid as long as the owning buffer is neither mutated nor destroyed.
 class TupleRef {

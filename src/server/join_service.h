@@ -15,8 +15,9 @@
 //   2. SNAPSHOT — RelationRegistry::Snap() pins every named relation
 //      version the query touches; concurrent Replace/Append cannot tear
 //      the data out from under it.
-//   3. CACHE — the key is engine + OutputSpaceSignature with atoms
-//      stamped "name@epoch". A hit returns the shared cached result
+//   3. CACHE — the key is engine + the output-space signature (grid
+//      depth, attribute count, per atom its relation and binding) with
+//      atoms stamped "name@epoch". A hit returns the shared cached result
 //      without touching the engine (the order hint deliberately stays
 //      OUT of the key: it steers traversal, never the tuple set). A
 //      mutation bumps the epoch, so stale entries become unreachable by

@@ -10,9 +10,8 @@
 // fresh epoch instead of touching the old one. Readers call Snap() and
 // get a consistent {name -> (version, epoch)} map whose shared_ptrs pin
 // each version alive — an in-flight query never sees torn data, no
-// matter how many replaces land while it runs (the zero-copy
-// RelationView/IndexView stack only ever references the pinned
-// version).
+// matter how many replaces land while it runs (the zero-copy IndexViews
+// and the shard copies only ever reference the pinned version).
 //
 // Epochs are one global monotonic counter, not per-name counters, so a
 // (name, epoch) pair names one immutable version forever — exactly what

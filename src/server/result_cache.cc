@@ -8,8 +8,9 @@ namespace tetris {
 
 namespace {
 
-// Mirrors engine/batch_runner.h OutputSpaceSignature, with the stamp of
-// each atom produced by `stamped` — rebuildable from the structured
+// The output-space signature of the entry's query — grid depth,
+// attribute count and per atom its relation name (plus "@epoch" with
+// `with_epochs`) and attribute binding — rebuilt from the structured
 // meta, which is what lets surviving entries be restamped in place.
 std::string Signature(const CacheEntryMeta& meta, bool with_epochs) {
   std::string sig = meta.engine + "|" + std::to_string(meta.depth) + "|" +
@@ -161,12 +162,9 @@ void ResultCache::Clear() {
 }
 
 size_t ResultCache::EstimateBytes(const EngineResult& result) {
-  size_t payload = 0;
-  for (const Tuple& t : result.tuples) {
-    payload += sizeof(Tuple) + t.size() * sizeof(uint64_t);
-  }
-  // Entry bookkeeping + the stats/notes attached to the result.
-  return payload + sizeof(EngineResult) + 256;
+  // The tuples, plus entry bookkeeping and the stats/notes attached to
+  // the result.
+  return TupleBytes(result.tuples) + sizeof(EngineResult) + 256;
 }
 
 size_t ResultCache::entries() const {

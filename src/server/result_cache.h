@@ -2,9 +2,9 @@
 // with delta-precise invalidation and patch-base retention.
 //
 // KhamisNRR15's geometric decomposition makes result reuse unusually
-// precise: two queries with the same output-space signature
-// (engine/batch_runner.h OutputSpaceSignature — grid depth, attribute
-// count, per-atom relation + binding) over the same relation *versions*
+// precise: two queries with the same output-space signature (grid
+// depth, attribute count, per-atom relation + binding — what shard
+// planning depends on too) over the same relation *versions*
 // compute the same tuple set, so the service can answer the second one
 // without touching the engine at all. Keys embed each atom's
 // "name@epoch" stamp (server/relation_registry.h), which gives
@@ -82,11 +82,10 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The versioned entry key: engine + OutputSpaceSignature with atoms
-  /// stamped "name@epoch" — byte-identical to what
-  /// EngineKindName + "|" + OutputSpaceSignature(query, depth, stamp)
-  /// produces, rebuilt from the structured meta so surviving entries
-  /// can be restamped after an epoch bump.
+  /// The versioned entry key: EngineKindName + "|" + the output-space
+  /// signature with atoms stamped "name@epoch", rebuilt from the
+  /// structured meta so surviving entries can be restamped after an
+  /// epoch bump.
   static std::string Key(const CacheEntryMeta& meta);
 
   /// The unstamped signature (atoms stamped by name only): the identity
@@ -129,8 +128,8 @@ class ResultCache {
 
   void Clear();
 
-  /// The resident-byte estimate charged per entry: the tuple payload
-  /// plus per-entry bookkeeping overhead.
+  /// The resident-byte estimate charged per entry: the tuples
+  /// (TupleBytes) plus per-entry bookkeeping overhead.
   static size_t EstimateBytes(const EngineResult& result);
 
   size_t capacity_bytes() const { return capacity_bytes_; }

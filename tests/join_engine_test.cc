@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "engine/incremental.h"
 #include "engine/parallel_executor.h"
 #include "index/dyadic_index.h"
+#include "index/kdtree_index.h"
 #include "index/sorted_index.h"
 #include "server/join_service.h"
 #include "workload/generators.h"
@@ -56,6 +58,33 @@ void CrossValidate(const QueryInstance& q, bool check_brute_force = false) {
     std::sort(brute.begin(), brute.end());
     brute.erase(std::unique(brute.begin(), brute.end()), brute.end());
     EXPECT_EQ(reference, brute);
+  }
+}
+
+// This process's thread count, or -1 where /proc/self/status is absent.
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// A plain run executes inline on the calling thread: it starts no
+// thread, so it does not create the process-global executor either.
+// This test comes first, before any sharded run of this suite has
+// created that executor.
+TEST(JoinEngineTest, PlainRunsStartNoThread) {
+  const int before = ThreadCount();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/40, /*d=*/4,
+                                   /*seed=*/31);
+  for (EngineKind kind : AllEngineKinds()) {
+    SCOPED_TRACE(EngineKindName(kind));
+    if (!EngineSupports(kind, q.query)) continue;
+    EXPECT_TRUE(RunJoin(q.query, kind).ok);
+    EXPECT_EQ(ThreadCount(), before);
   }
 }
 
@@ -608,6 +637,110 @@ TEST(JoinEngineTest, StatsArePopulatedPerEngineFamily) {
   ASSERT_TRUE(hash.ok);
   EXPECT_GT(hash.stats.baseline.max_intermediate, 0u);
   EXPECT_GE(hash.stats.wall_ms, 0.0);
+}
+
+// A plain Tetris RunJoin is the shard pipeline's one-shard plan, which
+// probes the base indexes themselves: it does exactly the work of a
+// direct RunTetrisJoin on the same indexes, on every Tetris engine and
+// on any index type, builds the same default indexes when given none,
+// and reports no shard fields.
+TEST(JoinEngineTest, PlainTetrisRunDoesTheWorkOfADirectRun) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/5,
+                                   /*seed=*/17);
+  std::vector<std::unique_ptr<Index>> kd;
+  for (const Atom& atom : q.query.atoms()) {
+    kd.push_back(std::make_unique<KdTreeIndex>(*atom.rel, q.depth));
+  }
+  auto expect_same_work = [](const EngineResult& got,
+                             const JoinRunResult& want) {
+    ASSERT_TRUE(got.ok) << got.error;
+    const TetrisStats& g = got.stats.tetris;
+    EXPECT_EQ(g.resolutions, want.stats.resolutions);
+    EXPECT_EQ(g.boxes_loaded, want.stats.boxes_loaded);
+    EXPECT_EQ(g.kb_inserts, want.stats.kb_inserts);
+    EXPECT_EQ(g.skeleton_nodes, want.stats.skeleton_nodes);
+    EXPECT_EQ(g.kb_nodes_visited, want.stats.kb_nodes_visited);
+    EXPECT_EQ(got.stats.oracle_probes, want.oracle_probes);
+    EXPECT_EQ(got.stats.input_gap_boxes, want.input_gap_boxes);
+    EXPECT_EQ(got.stats.memory.index_bytes, want.index_bytes);
+    EXPECT_EQ(got.stats.memory.kb_bytes,
+              static_cast<size_t>(want.stats.kb_peak_bytes));
+    std::vector<Tuple> tuples = want.tuples;
+    CanonicalizeTuples(&tuples);
+    EXPECT_EQ(got.tuples, tuples);
+    // A plain run reports no shard plan.
+    EXPECT_EQ(got.stats.shards, 0u);
+    EXPECT_EQ(got.stats.threads, 0u);
+    EXPECT_EQ(got.stats.plan_bytes, 0u);
+    EXPECT_EQ(got.stats.max_shard_peak_bytes, 0u);
+    EXPECT_EQ(got.stats.estimated_max_shard_peak_bytes, 0u);
+    EXPECT_TRUE(got.shard_runs.empty());
+    EXPECT_TRUE(got.shard_note.empty());
+  };
+  for (EngineKind kind :
+       {EngineKind::kTetrisPreloaded, EngineKind::kTetrisReloaded,
+        EngineKind::kTetrisPreloadedNoCache, EngineKind::kTetrisPreloadedLB,
+        EngineKind::kTetrisReloadedLB}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const JoinAlgorithm algo = *TetrisAlgorithmOf(kind);
+    const std::vector<int> sao = DefaultSao(q.query, algo);
+    const auto sorted = MakeSaoConsistentIndexes(q.query, sao, q.depth);
+    for (const std::vector<const Index*>& indexes :
+         {IndexPtrs(sorted), IndexPtrs(kd)}) {
+      SCOPED_TRACE(indexes[0]->Describe());
+      EngineOptions opts;
+      opts.indexes = indexes;
+      expect_same_work(
+          RunJoin(q.query, kind, opts),
+          RunTetrisJoin(q.query, opts.indexes, q.depth, algo, sao));
+    }
+    SCOPED_TRACE("default indexes");
+    expect_same_work(RunJoin(q.query, kind),
+                     RunTetrisJoinDefaultIndexes(q.query, algo));
+  }
+}
+
+// Plain, sharded, batched and patched runs charge one result the same
+// output_bytes: what its std::vector<Tuple> holds (TupleBytes).
+TEST(JoinEngineTest, OutputBytesAgreeOnEveryPath) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/5,
+                                   /*seed=*/3);
+  for (EngineKind kind :
+       {EngineKind::kTetrisPreloaded, EngineKind::kLeapfrog}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const EngineResult plain = RunJoin(q.query, kind);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    ASSERT_FALSE(plain.tuples.empty());
+    EXPECT_EQ(plain.stats.memory.output_bytes, TupleBytes(plain.tuples));
+    EXPECT_EQ(plain.stats.memory.output_bytes,
+              plain.tuples.size() *
+                  (sizeof(Tuple) + q.query.num_attrs() * sizeof(uint64_t)));
+
+    EngineOptions sharded_opts;
+    sharded_opts.shards = 4;
+    const EngineResult sharded = RunJoin(q.query, kind, sharded_opts);
+    ASSERT_TRUE(sharded.ok) << sharded.error;
+    EXPECT_EQ(sharded.stats.memory.output_bytes,
+              plain.stats.memory.output_bytes);
+
+    const BatchResult batch = RunBatch({}, {q.query}, kind);
+    ASSERT_TRUE(batch.ok) << batch.error;
+    ASSERT_TRUE(batch.results[0].ok) << batch.results[0].error;
+    EXPECT_EQ(batch.results[0].stats.memory.output_bytes,
+              plain.stats.memory.output_bytes);
+
+    // A patch that re-runs the boxes of one row of R and keeps the rest.
+    const Relation& r = *q.query.atoms()[0].rel;
+    const std::vector<DyadicBox> touched = TouchedOutputBoxes(
+        q.query, q.depth, r.name(), {r.row(0).ToTuple()});
+    ASSERT_FALSE(touched.empty());
+    const PatchResult patched =
+        PatchJoin(q.query, kind, {}, plain.tuples, touched);
+    ASSERT_TRUE(patched.result.ok) << patched.result.error;
+    EXPECT_EQ(patched.result.tuples, plain.tuples);
+    EXPECT_EQ(patched.result.stats.memory.output_bytes,
+              plain.stats.memory.output_bytes);
+  }
 }
 
 // Leapfrog / Generic Join derive their trie order (GAO) from SortedIndex

@@ -370,7 +370,7 @@ TEST(RunShardedJoinTest, ShardedPeakStaysNearUnshardedWithoutCopies) {
   EXPECT_GE(sharded.stats.memory.index_bytes,
             plain.stats.memory.index_bytes);
 
-  // Planner residency: row indices, not tuple copies.
+  // Planner residency: row counts, not tuple copies.
   EXPECT_GT(sharded.stats.plan_bytes, 0u);
   size_t total_tuples = 0;
   for (const auto& atom : q.query.atoms()) total_tuples += atom.rel->size();

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "query/join_query.h"
-#include "relation/relation_view.h"
 #include "server/relation_registry.h"
 #include "util/rng.h"
 
@@ -173,18 +172,6 @@ TEST(Relation, RandomizedCanonicalizeMatchesTupleModel) {
     Tuple probe(k, 9);  // outside the value range above
     EXPECT_FALSE(r.Contains(probe));
   }
-}
-
-TEST(RelationView, MaterializeGathersRowsFromFlatBase) {
-  Relation base =
-      Relation::Make("R", {"A", "B"}, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
-  std::vector<size_t> rows = {1, 3};
-  RelationView view(&base, &rows);
-  EXPECT_EQ(view.size(), 2u);
-  EXPECT_EQ(view.tuple(0).ToTuple(), (Tuple{2, 3}));
-  Relation m = view.Materialize();
-  EXPECT_EQ(m.ToTuples(), (std::vector<Tuple>{{2, 3}, {6, 7}}));
-  EXPECT_EQ(view.PayloadBytes(), 2u * 2u * sizeof(uint64_t));
 }
 
 }  // namespace

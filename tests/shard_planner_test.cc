@@ -21,13 +21,27 @@ namespace {
 // compares with the original relation: every tuple must land in at least
 // one shard, and tuples fully constrained by the shard boxes land in
 // exactly one. Exercises the lazy path: shards own no tuples until
-// MaterializeShard copies them.
+// MaterializeShard copies them, each copy holds exactly the rows the plan
+// counted for it, and each row lies in the shard's box.
 void ExpectShardsCoverAtoms(const QueryInstance& q, const ShardPlan& plan) {
+  const ShardRowGroups groups = GroupShardRows(q.query, plan);
   for (size_t a = 0; a < q.query.atoms().size(); ++a) {
+    const Atom& atom = q.query.atoms()[a];
     std::set<Tuple> seen;
     for (const Shard& shard : plan.shards) {
-      MaterializedShard ms = MaterializeShard(q.query, plan, shard.id);
+      // Odd shards copy from the prebuilt groups, even ones group anew.
+      MaterializedShard ms = MaterializeShard(q.query, plan, shard.id,
+                                              shard.id % 2 ? &groups : nullptr);
+      EXPECT_EQ(ms.query.atoms()[a].rel->size(), plan.RowCount(shard.id, a))
+          << "atom " << a << ", shard " << shard.id;
+      DyadicBox abox =
+          DyadicBox::Universal(static_cast<int>(atom.var_ids.size()));
+      for (size_t c = 0; c < atom.var_ids.size(); ++c) {
+        abox[static_cast<int>(c)] = shard.box[atom.var_ids[c]];
+      }
       for (TupleRef t : ms.query.atoms()[a].rel->rows()) {
+        EXPECT_TRUE(abox.ContainsPoint(t.data(), plan.depth))
+            << "atom " << a << ", shard " << shard.id;
         seen.insert(t.ToTuple());
       }
     }
@@ -46,10 +60,6 @@ TEST(ShardPlannerTest, DefaultPlanIsOneUniversalShard) {
   EXPECT_EQ(plan.shards[0].box, DyadicBox::Universal(q.query.num_attrs()));
   EXPECT_TRUE(plan.budget_ok);
   EXPECT_TRUE(plan.note.empty());
-  for (size_t a = 0; a < q.query.atoms().size(); ++a) {
-    ASSERT_NE(plan.AtomRows(0, a), nullptr);
-    EXPECT_EQ(plan.AtomRows(0, a)->size(), q.query.atoms()[a].rel->size());
-  }
   MaterializedShard ms = MaterializeShard(q.query, plan, 0);
   for (size_t a = 0; a < q.query.atoms().size(); ++a) {
     EXPECT_EQ(ms.query.atoms()[a].rel->raw(),
@@ -92,7 +102,6 @@ TEST(ShardPlannerTest, ShardCountBeyondTheDomainClampsWithNote) {
   ASSERT_EQ(q.depth, 1);
   ShardPlanOptions opts;
   opts.shards = 64;
-  opts.max_split_bits = 16;
   ShardPlan plan = PlanShards(q.query, opts);
   EXPECT_EQ(plan.shards.size(), 8u);
   EXPECT_FALSE(plan.note.empty());
@@ -314,6 +323,53 @@ TEST(ShardPlannerTest, PlanningBytesStayFlatAsTheSplitGrows) {
   // small constant (the per-shard Shard structs) of the single-shard
   // plan no matter how fine the split.
   EXPECT_LT(fine, 2 * base + 64 * sizeof(Shard) + 1024);
+}
+
+// A row whose repeated attribute's columns disagree on a pinned bit
+// joins nothing, so no shard holds it.
+TEST(ShardPlannerTest, ShardsDropRowsARepeatedAttributeCannotJoin) {
+  const Relation r = Relation::Make("R", {"A", "A"},
+                                    {{0, 0}, {1, 2}, {2, 2}, {3, 0}, {3, 3}});
+  const Relation s = Relation::Make("S", {"A", "B"},
+                                    {{0, 1}, {2, 3}, {3, 0}});
+  const JoinQuery query = JoinQuery::Build({&r, &s});
+  ShardPlanOptions opts;
+  opts.shards = 4;
+  const ShardPlan plan = PlanShards(query, opts);
+  ASSERT_EQ(plan.depth, 2);
+  ASSERT_EQ(plan.split_dims, (std::vector<int>{0, 1}));  // A, then B
+  // R is split on A's top bit only: (1, 2) and (3, 0) disagree there.
+  const std::vector<std::vector<Tuple>> want = {
+      {{0, 0}}, {{0, 0}}, {{2, 2}, {3, 3}}, {{2, 2}, {3, 3}}};
+  const ShardRowGroups groups = GroupShardRows(query, plan);
+  EXPECT_EQ(groups.ids[0].size(), 3u);
+  for (const Shard& shard : plan.shards) {
+    EXPECT_EQ(MaterializeShard(query, plan, shard.id, &groups)
+                  .query.atoms()[0]
+                  .rel->ToTuples(),
+              want[static_cast<size_t>(shard.id)]);
+    EXPECT_EQ(plan.RowCount(shard.id, 0),
+              want[static_cast<size_t>(shard.id)].size());
+  }
+}
+
+// A one-shard plan splits nothing, so it reads no row and keeps no row
+// id: it costs the same for ten rows as for ten thousand, and still
+// counts every row.
+TEST(ShardPlannerTest, OneShardPlanCostsTheSameForAnyRowCount) {
+  QueryInstance small = RandomTriangle(/*tuples_per_rel=*/10, /*d=*/8,
+                                       /*seed=*/23);
+  QueryInstance large = RandomTriangle(/*tuples_per_rel=*/10000, /*d=*/8,
+                                       /*seed=*/23);
+  ShardPlanOptions one;
+  one.shards = 1;
+  const ShardPlan small_plan = PlanShards(small.query, one);
+  const ShardPlan large_plan = PlanShards(large.query, one);
+  ASSERT_EQ(large_plan.shards.size(), 1u);
+  EXPECT_EQ(large_plan.PlanningBytes(), small_plan.PlanningBytes());
+  for (size_t a = 0; a < large.query.atoms().size(); ++a) {
+    EXPECT_EQ(large_plan.RowCount(0, a), large.query.atoms()[a].rel->size());
+  }
 }
 
 }  // namespace
