@@ -6,9 +6,10 @@
 // engine once per box, merge. A plain Tetris run is the same computation
 // with one box, the universal one Tetris starts from. RunShardPipeline
 // is that computation, and RunJoin (every Tetris-family run, and every
-// sharded one), RunBatch and PatchJoin (engine/incremental.h) are thin
-// entry points over it. It takes queries that passed
-// ValidateEngineOptions (engine/join_engine.h) and:
+// sharded one), RunBatch, PatchJoin (engine/incremental.h) and each
+// JoinService miss (server/join_service.h) are thin entry points over
+// it. It takes queries that passed ValidateEngineOptions
+// (engine/join_engine.h) and:
 //
 //   (a) resolves each Tetris-family query's SAO (the hint, else
 //       DefaultSao) and gives it its base indexes: the caller's
@@ -34,7 +35,8 @@
 //
 // A patch is a one-query run with a touched-box filter: only the shards
 // meeting a touched box run, each over its touched-box hull, and
-// PatchJoin splices the fresh outputs into the old result.
+// SplicePatch (engine/incremental.h) splices the fresh outputs into the
+// old result.
 //
 // RunBatch's results are tuple-identical to what a sequential per-query
 // RunJoin would produce (tests/batch_runner_test.cc asserts this across
@@ -214,13 +216,13 @@ struct ShardPipelineResult {
   std::vector<std::vector<DyadicBox>> rerun_boxes;
 };
 
-/// The shard pipeline under RunJoin, RunBatch and PatchJoin (see the
-/// file comment). `options.depth` is the grid depth every query was
-/// validated at; `options.orders` is ignored, each query brings its
-/// own. Per-query failures (a deadline, a failed shard) land in that
-/// query's EngineResult. Each result's `wall_ms` is its attributed time
-/// (BatchResult::results), and `stats.threads` is the number of workers
-/// the task set used.
+/// The shard pipeline under RunJoin, RunBatch, PatchJoin and the
+/// service's misses (see the file comment). `options.depth` is the grid
+/// depth every query was validated at; `options.orders` is ignored, each
+/// query brings its own. Per-query failures (a deadline, a failed shard)
+/// land in that query's EngineResult. Each result's `wall_ms` is its
+/// attributed time (BatchResult::results), and `stats.threads` is the
+/// number of workers the task set used.
 ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
                                      EngineKind kind,
                                      const BatchOptions& options);

@@ -60,6 +60,44 @@ std::vector<DyadicBox> TouchedOutputBoxes(const JoinQuery& query, int depth,
   return boxes;
 }
 
+PatchResult SplicePatch(EngineResult fresh,
+                        const std::vector<DyadicBox>& rerun,
+                        const std::vector<Tuple>& old_tuples,
+                        size_t touched_boxes, int depth) {
+  PatchResult out;
+  out.shards_total = fresh.stats.shards;
+  out.shards_rerun = rerun.size();
+  out.tuples_patched = fresh.tuples.size();
+  // Keep old tuples outside every re-run box (unchanged by
+  // construction), replace everything inside with the fresh outputs.
+  // Each re-run box lies in its own shard, so the fresh outputs are
+  // disjoint from the kept tuples, and both runs are sorted: a merge,
+  // not a re-sort of the union.
+  std::vector<std::vector<Tuple>> runs(2);
+  std::vector<Tuple>& kept = runs[0];
+  kept.reserve(old_tuples.size());
+  for (const Tuple& t : old_tuples) {
+    if (std::none_of(rerun.begin(), rerun.end(), [&](const DyadicBox& box) {
+          return box.ContainsPoint(t, depth);
+        })) {
+      kept.push_back(t);
+    }
+  }
+  out.tuples_kept = kept.size();
+  runs[1] = std::move(fresh.tuples);
+  out.result = std::move(fresh);
+  EngineResult& res = out.result;
+  res.tuples = MergeSortedRuns(std::move(runs));
+  res.stats.output_tuples = res.tuples.size();
+  res.stats.memory.output_bytes = TupleBytes(res.tuples);
+  out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
+             std::to_string(out.shards_total) + " shards from " +
+             std::to_string(touched_boxes) + " touched box(es); kept " +
+             std::to_string(out.tuples_kept) + " tuples";
+  AppendNote(&res.shard_note, out.note);
+  return out;
+}
+
 PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const EngineOptions& options,
                       const std::vector<Tuple>& old_tuples,
@@ -117,38 +155,10 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   batch.executor = options.executor;
   ShardPipelineResult run = RunShardPipeline(
       {{&query, options.order, options.indexes, &touched}}, kind, batch);
-  res = std::move(run.batch.results[0]);
-  if (!res.ok) return full_run("shard failed (" + res.error + ")");
-  const std::vector<DyadicBox>& rerun = run.rerun_boxes[0];
-  out.shards_total = res.stats.shards;
-  out.shards_rerun = rerun.size();
-  out.tuples_patched = res.tuples.size();
-
-  // Splice: keep old tuples outside every re-run box (unchanged by
-  // construction), replace everything inside with the fresh outputs.
-  // Each re-run box lies in its own shard, so the fresh outputs are
-  // disjoint from the kept tuples, and both runs are sorted: a merge,
-  // not a re-sort of the union.
-  std::vector<std::vector<Tuple>> runs(2);
-  std::vector<Tuple>& kept = runs[0];
-  kept.reserve(old_tuples.size());
-  for (const Tuple& t : old_tuples) {
-    if (std::none_of(rerun.begin(), rerun.end(), [&](const DyadicBox& box) {
-          return box.ContainsPoint(t, depth);
-        })) {
-      kept.push_back(t);
-    }
-  }
-  out.tuples_kept = kept.size();
-  runs[1] = std::move(res.tuples);
-  res.tuples = MergeSortedRuns(std::move(runs));
-  res.stats.output_tuples = res.tuples.size();
-  res.stats.memory.output_bytes = TupleBytes(res.tuples);
-  out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
-             std::to_string(out.shards_total) + " shards from " +
-             std::to_string(touched.size()) + " touched box(es); kept " +
-             std::to_string(out.tuples_kept) + " tuples";
-  AppendNote(&res.shard_note, out.note);
+  EngineResult& fresh = run.batch.results[0];
+  if (!fresh.ok) return full_run("shard failed (" + fresh.error + ")");
+  out = SplicePatch(std::move(fresh), run.rerun_boxes[0], old_tuples,
+                    touched.size(), depth);
   return finish();
 }
 

@@ -12,10 +12,10 @@
 //   * a REMOVED tuple can only destroy output points whose R-projection
 //     was that tuple — again all inside its touched box.
 //
-// PatchJoin exploits this as a one-query run of the shard pipeline
-// (engine/batch_runner.h) with a touched-box filter: plan the output
-// space into disjoint subcubes (engine/shard_planner.h) and re-run ONLY
-// the shards whose box intersects a touched box. A met shard re-runs
+// A patch is a one-query run of the shard pipeline (engine/batch_runner.h)
+// with a touched-box filter (ShardQuery::touched): plan the output space
+// into disjoint subcubes (engine/shard_planner.h) and re-run ONLY the
+// shards whose box intersects a touched box. A met shard re-runs
 // only the hull of its touched boxes: the smallest dyadic box holding
 // every touched box that meets the shard, clipped to it (per dimension,
 // the longest common prefix of the clipped intervals). The Tetris
@@ -26,13 +26,15 @@
 // exceeds the shard, so a patch never re-runs more of the output space
 // than the met shards.
 //
-// The fresh outputs are then spliced into the previous result: old
-// tuples inside a re-run box are dropped (the re-run recomputes that
+// SplicePatch then splices the fresh outputs into the previous result:
+// old tuples inside a re-run box are dropped (the re-run recomputes that
 // box exactly), old tuples outside every re-run box are kept, and the
 // two sorted, disjoint sides are merged. The splice is correct for
 // inserts AND deletes, including delete-everything: every destroyed
 // output point lies in a touched box, so its re-run box is recomputed
-// without it.
+// without it. PatchJoin is the engine-level entry point; the service's
+// patched reads (server/join_service.h) run the same pipeline call over
+// the registry's index cache and splice through the same function.
 //
 // The correctness oracle is cheap and the tests lean on it hard
 // (tests/incremental_oracle.h): recompute from scratch and compare
@@ -91,6 +93,19 @@ struct PatchResult {
   bool full_recompute = false;
   std::string note;  ///< human-readable patch diagnostics
 };
+
+/// Splices one patch run into the old result. `fresh` is the ok result
+/// RunShardPipeline returned for a query run with ShardQuery::touched,
+/// and `rerun` that query's ShardPipelineResult::rerun_boxes; `old_tuples`
+/// is the canonical result before the delta, `touched_boxes` the number
+/// of touched boxes (for the note) and `depth` the run's grid depth.
+/// Keeps the old tuples outside every re-run box, merges the fresh ones
+/// in, fills every PatchResult field but full_recompute, and appends the
+/// "patched R/T shards" note to the result's shard_note.
+PatchResult SplicePatch(EngineResult fresh,
+                        const std::vector<DyadicBox>& rerun,
+                        const std::vector<Tuple>& old_tuples,
+                        size_t touched_boxes, int depth);
 
 /// Patches `old_tuples` — the join of `query`'s relations BEFORE the
 /// delta — into the join of `query`'s (current) relations, re-running

@@ -1,15 +1,16 @@
 // Shared SortedIndex cache keyed by (relation, layout).
 //
-// RunBatch (engine/batch_runner.h) lays each atom's base index out for
-// its query's SAO — the caller's hint, else DefaultSao
-// (engine/join_runner.h) — so one relation can need several column
-// orders, one per distinct SAO-consistent layout among the queries that
-// read it. IndexCache keys built indexes by (relation identity, column
-// order, dyadic depth) so every (query, atom) wanting the same layout
-// shares one build — within one batch through BatchOptions::index_cache,
-// and across calls when a long-lived owner (the server's
+// The shard pipeline (RunShardPipeline, engine/batch_runner.h) lays
+// each atom's base index out for its query's SAO — the caller's hint,
+// else DefaultSao (engine/join_runner.h) — so one relation can need
+// several column orders, one per distinct SAO-consistent layout among
+// the queries that read it. IndexCache keys built indexes by (relation
+// identity, column order, dyadic depth) so every (query, atom) wanting
+// the same layout shares one build — within one run through a run-local
+// cache, and across calls when a long-lived owner (the server's
 // RelationRegistry, src/server/relation_registry.h) holds the cache for
-// the lifetime of its registered relations.
+// the lifetime of its registered relations and passes it as
+// BatchOptions::index_cache.
 //
 // Row-level mutations don't evict: Promote carries a retired version's
 // entries to the new version with the effective delta folded into each
@@ -45,7 +46,7 @@ namespace tetris {
 struct IndexLayout {
   /// `columns[level]` = relation column compared at trie level `level`;
   /// empty = relation column order, the one key for every SAO that
-  /// agrees with it (RunBatch normalizes such orders to empty).
+  /// agrees with it (LayoutFor normalizes such orders to empty).
   std::vector<int> columns;
   int depth = 0;
 
@@ -58,8 +59,8 @@ struct IndexLayout {
 /// The layout `atom`'s index needs under `sao` at `depth`:
 /// SaoConsistentColumns (engine/join_runner.h), normalized to the empty
 /// layout when that comes out as the relation's own column order — so
-/// every SAO that agrees with relation order shares one entry. RunBatch
-/// and the service's patch path both fetch their indexes under it.
+/// every SAO that agrees with relation order shares one entry. The shard
+/// pipeline's step (a) fetches every base index under it.
 IndexLayout LayoutFor(const Atom& atom, const std::vector<int>& sao,
                       int depth);
 

@@ -47,19 +47,6 @@ bool RelationOracle::EnumerateAll(BoxSink sink) const {
   return true;
 }
 
-bool RelationOracle::EnumerateIntersecting(const DyadicBox& box,
-                                           BoxSink sink) const {
-  EmbedEach(sink, [&](size_t i, BoxSink embed) {
-    const Atom& a = query_->atoms()[i];
-    DyadicBox proj = DyadicBox::Universal(static_cast<int>(a.var_ids.size()));
-    for (size_t c = 0; c < a.var_ids.size(); ++c) {
-      proj[static_cast<int>(c)] = box[a.var_ids[c]];
-    }
-    indexes_[i]->GapsIntersecting(proj, embed);
-  });
-  return true;
-}
-
 bool ChoosesOwnSao(JoinAlgorithm algo) {
   return algo == JoinAlgorithm::kTetrisPreloadedLB ||
          algo == JoinAlgorithm::kTetrisReloadedLB;

@@ -37,14 +37,6 @@ class RelationOracle : public BoxOracle {
 
   bool EnumerateAll(BoxSink sink) const override;
 
-  /// Pruned per-atom enumeration: projects `box` onto each atom's columns
-  /// and asks the index for only the gaps meeting that projection. The
-  /// embedded gaps are universal on the other attributes, so they
-  /// intersect `box` iff their atom-local part meets the projection —
-  /// exactly the filtered EnumerateAll set.
-  bool EnumerateIntersecting(const DyadicBox& box,
-                             BoxSink sink) const override;
-
   /// Gap boxes emitted by EnumerateAll so far: |B(Q)| after the one
   /// preload of a preloaded run, counted as it streams by.
   size_t enumerated_boxes() const {

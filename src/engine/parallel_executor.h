@@ -6,9 +6,10 @@
 // on first use, sized once to the hardware, threads alive until process
 // exit — repeated sharded runs reuse the same workers instead of
 // churning threads. Every facade-level consumer draws from that one
-// thread budget: the shard pipeline under RunJoin, RunBatch and
-// PatchJoin (engine/batch_runner.h) fans its (query, shard) task set out
-// on it, and cli::RunEngines --parallel fans its engines out on it.
+// thread budget: the shard pipeline under RunJoin, RunBatch, PatchJoin
+// and the service's misses (engine/batch_runner.h) fans its (query,
+// shard) task set out on it, and cli::RunEngines --parallel fans its
+// engines out on it.
 // Because Run is *reentrant* — a task that calls Run on its own pool
 // helps execute queued tasks until its group completes instead of
 // blocking a worker — nested parallelism (a parallel engine sweep whose

@@ -1,5 +1,5 @@
 // Restriction algebra over dyadic boxes — the geometric substrate of the
-// zero-copy shard views (index/index_view.h, kb RestrictedOracle).
+// zero-copy shard views (index/index_view.h).
 //
 // Restricting a relation or a box set to a dyadic subcube never needs new
 // data structures: the restricted gap set is the original gaps *clipped*

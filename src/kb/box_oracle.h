@@ -44,18 +44,6 @@ class BoxOracle {
     return false;
   }
 
-  /// Emits exactly the gap boxes of B that intersect `box`, in
-  /// EnumerateAll order — what a Tetris restricted to the subcube `box`
-  /// preloads. Oracles that can prune the enumeration override this; the
-  /// default filters the full set. Returns false iff enumeration is
-  /// unsupported.
-  virtual bool EnumerateIntersecting(const DyadicBox& box,
-                                     BoxSink sink) const {
-    return EnumerateAll([&](const DyadicBox& b) {
-      if (box.Intersects(b)) sink(b);
-    });
-  }
-
   /// Number of Probe calls served (oracle-access accounting, footnote 4).
   int64_t probe_count() const {
     return probe_count_.load(std::memory_order_relaxed);
@@ -94,16 +82,6 @@ class MaterializedOracle : public BoxOracle {
     return true;
   }
 
-  /// Pruned via the store's comparability walk — only trie paths meeting
-  /// `box` are visited.
-  bool EnumerateIntersecting(const DyadicBox& box,
-                             BoxSink sink) const override {
-    std::vector<DyadicBox> found;
-    store_.CollectIntersecting(box, &found);
-    for (const DyadicBox& b : found) sink(b);
-    return true;
-  }
-
   /// Number of distinct boxes in B.
   size_t size() const { return size_; }
 
@@ -114,33 +92,6 @@ class MaterializedOracle : public BoxOracle {
   DyadicTreeStore store_;
   bool maximal_only_;
   size_t size_ = 0;
-};
-
-/// Zero-copy restriction of an oracle to a dyadic subcube of the output
-/// space. Probes outside `box` answer with the box's complement slabs
-/// containing the probe; probes inside defer to the base oracle with the
-/// results clipped to the box; EnumerateAll is the full complement, then
-/// the clipped base set. This is the kb-level counterpart of
-/// index/index_view.h: it lets a raw BCP instance — or any live oracle —
-/// be sharded without copying its box set. Non-owning: the base must
-/// outlive the view.
-class RestrictedOracle : public BoxOracle {
- public:
-  RestrictedOracle(const BoxOracle* base, DyadicBox box);
-
-  void Probe(const DyadicBox& point, BoxSink sink) const override;
-
-  int dims() const override { return base_->dims(); }
-
-  /// Returns false iff the base cannot enumerate; the complement slabs
-  /// have been emitted by then.
-  bool EnumerateAll(BoxSink sink) const override;
-
-  const DyadicBox& box() const { return box_; }
-
- private:
-  const BoxOracle* base_;
-  DyadicBox box_;
 };
 
 /// Removes from `boxes` every box strictly contained in another element.

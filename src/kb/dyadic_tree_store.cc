@@ -225,71 +225,6 @@ void DyadicTreeStore::CollectContaining(const DyadicBox& b,
   CollectRec(root_, b, 0, out);
 }
 
-void DyadicTreeStore::SubtreeRec(int32_t node, const DyadicBox& b, int level,
-                                 std::vector<DyadicBox>* out) const {
-  const Node& nd = nodes_[node];
-  if (nd.down >= 0) {
-    if (level + 1 >= dims_) {
-      out->push_back(MaterializeBox(nd.down));
-    } else {
-      IntersectRec(nd.down, b, level + 1, out);
-    }
-  }
-  for (int bit = 0; bit < 2; ++bit) {
-    if (nd.child[bit] >= 0) SubtreeRec(nd.child[bit], b, level, out);
-  }
-}
-
-void DyadicTreeStore::IntersectRec(int32_t node, const DyadicBox& b,
-                                   int level,
-                                   std::vector<DyadicBox>* out) const {
-  const DyadicInterval& iv = b[level];
-  uint64_t rem_bits = iv.bits;
-  int rem_len = iv.len;
-  // Two dyadic intervals intersect iff comparable: while the walked
-  // prefix is shorter than the component we must stay on its bit path
-  // (stored component ⊇ probe component); once the component is fully
-  // consumed every extension below qualifies (stored ⊆ probe component).
-  for (;;) {
-    const Node& nd = nodes_[node];
-    if (nd.down >= 0) {
-      if (level + 1 >= dims_) {
-        out->push_back(MaterializeBox(nd.down));
-      } else {
-        IntersectRec(nd.down, b, level + 1, out);
-      }
-    }
-    if (rem_len == 0) {
-      for (int bit = 0; bit < 2; ++bit) {
-        if (nd.child[bit] >= 0) SubtreeRec(nd.child[bit], b, level, out);
-      }
-      return;
-    }
-    const int bit = static_cast<int>((rem_bits >> (rem_len - 1)) & 1);
-    const int32_t next = nd.child[bit];
-    if (next < 0) return;
-    const Node& c = nodes_[next];
-    if (c.edge_len <= rem_len) {
-      if (!IsBitPrefix(c.edge_bits, c.edge_len, rem_bits, rem_len)) return;
-      rem_len -= c.edge_len;
-      rem_bits &= LowMask(rem_len);
-      node = next;
-      continue;
-    }
-    // Edge runs past the component: the child subtree qualifies iff the
-    // remaining component bits prefix the edge label.
-    if (IsBitPrefix(rem_bits, rem_len, c.edge_bits, c.edge_len)) {
-      SubtreeRec(next, b, level, out);
-    }
-    return;
-  }
-}
-
-void DyadicTreeStore::CollectIntersecting(const DyadicBox& b,
-                                          std::vector<DyadicBox>* out) const {
-  IntersectRec(root_, b, 0, out);
-}
-
 bool DyadicTreeStore::ContainsExact(const DyadicBox& b) const {
   std::vector<DyadicBox> sup;
   CollectContaining(b, &sup);

@@ -18,8 +18,6 @@
 //                              the walk starts at level `level`. This is
 //                              the Tetris skeleton's lookup (below).
 //   * CollectContaining(box) — all stored supersets (the oracle operation).
-//   * CollectIntersecting(b) — all stored boxes sharing a point with `b`
-//                              (the per-shard preloaded enumeration path).
 //
 // One binary trie per dimension; a trie node that terminates some box's
 // i-th component points to the root of a (i+1)-level trie. Boxes sharing a
@@ -126,13 +124,6 @@ class DyadicTreeStore {
   void CollectContaining(const DyadicBox& b,
                          std::vector<DyadicBox>* out) const;
 
-  /// Appends every stored box that intersects `b` (shares at least one
-  /// point — component-wise comparability) to `out`. Walks only the trie
-  /// paths comparable with `b`, so enumerating the boxes meeting a small
-  /// subcube skips the rest of the store.
-  void CollectIntersecting(const DyadicBox& b,
-                           std::vector<DyadicBox>* out) const;
-
   /// True iff an identical box is stored.
   bool ContainsExact(const DyadicBox& b) const;
 
@@ -181,13 +172,6 @@ class DyadicTreeStore {
   int32_t FindRec(int32_t node, const DyadicBox& b, int level,
                   int64_t* visited) const;
   void CollectRec(int32_t node, const DyadicBox& b, int level,
-                  std::vector<DyadicBox>* out) const;
-  void IntersectRec(int32_t node, const DyadicBox& b, int level,
-                    std::vector<DyadicBox>* out) const;
-  // Collects every terminating node of `node`'s level subtree (all of
-  // whose accumulated prefixes extend a prefix already known comparable
-  // with b's component at `level`).
-  void SubtreeRec(int32_t node, const DyadicBox& b, int level,
                   std::vector<DyadicBox>* out) const;
   void AllRec(int32_t node, int level, std::vector<DyadicBox>* out) const;
 

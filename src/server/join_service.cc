@@ -1,11 +1,12 @@
 #include "server/join_service.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "engine/batch_runner.h"
-#include "engine/cost_model.h"
 #include "engine/incremental.h"
 #include "engine/parallel_executor.h"
 #include "engine/shard_planner.h"
@@ -66,13 +67,7 @@ bool JoinService::AppendRows(const std::string& name,
                              std::string* error, RelationDelta* delta) {
   RelationDelta d;
   if (!registry_.AppendRows(name, tuples, error, &d)) return false;
-  // Delta-precise: entries disjoint from the effective delta survive
-  // (restamped to the new epoch), intersecting ones become patch bases.
-  std::vector<Tuple> changed = d.added;
-  changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-  cache_.InvalidateDelta(name, changed, d.to_epoch);
-  registry_.PurgeRetired();
-  if (delta != nullptr) *delta = std::move(d);
+  InvalidateRows(std::move(d), delta);
   return true;
 }
 
@@ -81,12 +76,18 @@ bool JoinService::DeleteRows(const std::string& name,
                              std::string* error, RelationDelta* delta) {
   RelationDelta d;
   if (!registry_.DeleteRows(name, tuples, error, &d)) return false;
+  InvalidateRows(std::move(d), delta);
+  return true;
+}
+
+void JoinService::InvalidateRows(RelationDelta d, RelationDelta* delta) {
+  // Delta-precise: entries disjoint from the effective delta survive
+  // (restamped to the new epoch), intersecting ones become patch bases.
   std::vector<Tuple> changed = d.added;
   changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-  cache_.InvalidateDelta(name, changed, d.to_epoch);
+  cache_.InvalidateDelta(d.name, changed, d.to_epoch);
   registry_.PurgeRetired();
   if (delta != nullptr) *delta = std::move(d);
-  return true;
 }
 
 bool JoinService::Drop(const std::string& name, std::string* error) {
@@ -104,9 +105,7 @@ size_t JoinService::PredictPeakBytes(const QueryRequest& request) const {
     if (v == nullptr) continue;  // resolution fails later, with its own error
     payload += EstimateAtomBytes(v->rel->size(), v->rel->arity());
   }
-  ShardCostModel model;
-  model.family = EngineFamilyOf(request.engine);
-  return model.EstimatePeak(payload);
+  return payload;
 }
 
 QueryResponse JoinService::Execute(const QueryRequest& request) {
@@ -235,99 +234,77 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     }
   }
 
-  // 3b. Patch: a demoted base with this query's unstamped signature plus
-  // a complete registry delta chain lets us re-run only the shards the
-  // deltas touch and splice, instead of recomputing from scratch.
-  if (cache_on && options_.incremental) {
-    std::optional<PatchBase> base =
-        cache_.FindPatchBase(ResultCache::BaseKey(meta));
-    if (base.has_value()) {
-      bool chain_ok = true;
-      std::vector<DyadicBox> touched;
-      for (const auto& [bname, bepoch] : base->meta.epochs) {
-        const RelationVersion* v = snap.Find(bname);
-        if (v == nullptr) {
-          chain_ok = false;
-          break;
-        }
-        if (v->epoch == bepoch) continue;  // version unchanged since base
-        std::vector<RelationDelta> chain;
-        // To the SNAPSHOT's epoch, not the registry's current one: a
-        // mutation landing after Snap() must not leak into this patch.
-        if (!registry_.DeltasSince(bname, bepoch, v->epoch, &chain)) {
-          chain_ok = false;  // trimmed log or chain-breaking mutation
-          break;
-        }
-        std::vector<Tuple> changed;
-        for (const RelationDelta& d : chain) {
-          changed.insert(changed.end(), d.added.begin(), d.added.end());
-          changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-        }
-        std::vector<DyadicBox> boxes =
-            TouchedOutputBoxes(query, eff_depth, bname, changed);
-        touched.insert(touched.end(), boxes.begin(), boxes.end());
+  // 4. Miss: one option check, then one shard-pipeline run on the
+  // executor over the registry's index cache, under the deadline.
+  EngineOptions eopts;
+  eopts.order = request.order;
+  eopts.depth = eff_depth;
+  eopts.shards = options_.shards;
+  eopts.threads = 0;  // the executor's full width
+  std::string error = ValidateEngineOptions(query, request.engine, eopts,
+                                            /*plans_shards=*/true);
+  if (!error.empty()) {
+    resp.result = FailedResult(request.engine, std::move(error));
+    return finish();
+  }
+
+  // A demoted base with this query's unstamped signature plus a complete
+  // delta chain narrows the run to the touched boxes (a patch); a broken
+  // chain or a universal touched box reads cold.
+  std::optional<PatchBase> base;
+  std::vector<DyadicBox> touched;
+  if (cache_on) base = cache_.FindPatchBase(ResultCache::BaseKey(meta));
+  if (base.has_value()) {
+    for (const auto& [bname, bepoch] : base->meta.epochs) {
+      const RelationVersion* v = snap.Find(bname);
+      if (v != nullptr && v->epoch == bepoch) continue;  // unchanged
+      std::vector<RelationDelta> chain;
+      // To the SNAPSHOT's epoch, not the registry's current one: a
+      // mutation landing after Snap() must not leak into this patch.
+      if (v == nullptr ||
+          !registry_.DeltasSince(bname, bepoch, v->epoch, &chain)) {
+        base.reset();  // trimmed log or chain-breaking mutation
+        break;
       }
-      if (chain_ok) {
-        EngineOptions eopts;
-        eopts.order = request.order;
-        eopts.depth = eff_depth;
-        eopts.shards = options_.shards;
-        eopts.threads = 0;  // full executor parallelism, like RunBatch
-        eopts.memory_budget_bytes = options_.memory_budget_bytes;
-        eopts.executor = options_.executor;
-        // The Tetris family patches over the registry's cached indexes,
-        // laid out as RunBatch lays them: a patched read builds none.
-        std::vector<std::shared_ptr<const SortedIndex>> pinned;
-        if (const std::optional<JoinAlgorithm> algo =
-                TetrisAlgorithmOf(request.engine)) {
-          const std::vector<int> sao =
-              request.order.empty() ? DefaultSao(query, *algo) : request.order;
-          for (const Atom& atom : query.atoms()) {
-            pinned.push_back(registry_.index_cache().Get(
-                atom.rel, LayoutFor(atom, sao, eff_depth)));
-            eopts.indexes.push_back(pinned.back().get());
-          }
-        }
-        PatchResult pr = PatchJoin(query, request.engine, eopts,
-                                   base->result->tuples, touched);
-        if (pr.result.ok) {
-          resp.patched = !pr.full_recompute;
-          resp.shards_rerun = pr.shards_rerun;
-          resp.shards_total = pr.shards_total;
-          if (resp.patched) patched_.fetch_add(1);
-          std::shared_ptr<const EngineResult> result =
-              std::make_shared<const EngineResult>(std::move(pr.result));
-          cache_.Put(std::move(meta), result);
-          resp.result = std::move(result);
-          registry_.PurgeRetired();
-          return finish();
-        }
-        // An engine that cannot patch this query cannot run it fresh
-        // either (both pass ValidateEngineOptions) — but fall through
-        // anyway so the error comes from the canonical RunBatch path.
+      std::vector<Tuple> changed;
+      for (const RelationDelta& d : chain) {
+        changed.insert(changed.end(), d.added.begin(), d.added.end());
+        changed.insert(changed.end(), d.removed.begin(), d.removed.end());
       }
+      std::vector<DyadicBox> boxes =
+          TouchedOutputBoxes(query, eff_depth, bname, changed);
+      touched.insert(touched.end(), boxes.begin(), boxes.end());
+    }
+    if (std::any_of(touched.begin(), touched.end(), [](const DyadicBox& b) {
+          return b.Support().empty();
+        })) {
+      base.reset();
     }
   }
 
-  // 4. Execute as a one-query batch on the pool, sharing the registry's
-  // index cache and carrying the deadline into the task loop.
   BatchOptions bopts;
-  bopts.depth = request.depth;
+  bopts.depth = eff_depth;
   bopts.shards = options_.shards;
   bopts.memory_budget_bytes = options_.memory_budget_bytes;
   bopts.executor = options_.executor;
   bopts.index_cache = &registry_.index_cache();
-  if (!request.order.empty()) {
-    bopts.orders.assign(1, request.order);
+  bopts.deadline = deadline;
+  ShardPipelineResult run = RunShardPipeline(
+      {{&query, request.order, {}, base.has_value() ? &touched : nullptr}},
+      request.engine, bopts);
+  EngineResult& fresh = run.batch.results[0];
+  if (base.has_value() && fresh.ok) {
+    PatchResult pr = SplicePatch(std::move(fresh), run.rerun_boxes[0],
+                                 base->result->tuples, touched.size(),
+                                 eff_depth);
+    resp.patched = true;
+    resp.shards_rerun = pr.shards_rerun;
+    resp.shards_total = pr.shards_total;
+    patched_.fetch_add(1);
+    fresh = std::move(pr.result);
   }
-  if (deadline_ms > 0) {
-    bopts.deadline = deadline;
-  }
-  BatchResult batch = RunBatch(rels, {query}, request.engine, bopts);
   std::shared_ptr<const EngineResult> result =
-      batch.ok ? std::make_shared<const EngineResult>(
-                     std::move(batch.results[0]))
-               : FailedResult(request.engine, std::move(batch.error));
+      std::make_shared<const EngineResult>(std::move(fresh));
   if (cache_on && result->ok) {
     cache_.Put(std::move(meta), result);
   }

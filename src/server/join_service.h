@@ -7,11 +7,11 @@
 //      concurrently. A query over the limit QUEUES (bounded by
 //      max_queued) until a slot frees or its deadline passes, unless
 //      shedding applies first: the queue is full, or the query's
-//      predicted peak cost (the shard cost model's payload proxy over
-//      the snapshot's relation sizes, engine/cost_model.h) exceeds
-//      shed_cost_bytes — expensive queries are the ones that would hold
-//      the slot longest, so they shed first. max_queued == 0 restores
-//      the original reject-immediately behavior.
+//      predicted peak cost (the summed input payload of its relations'
+//      snapshot sizes, EstimateAtomBytes in engine/shard_planner.h)
+//      exceeds shed_cost_bytes — expensive queries are the ones that
+//      would hold the slot longest, so they shed first. max_queued == 0
+//      restores the original reject-immediately behavior.
 //   2. SNAPSHOT — RelationRegistry::Snap() pins every named relation
 //      version the query touches; concurrent Replace/Append cannot tear
 //      the data out from under it.
@@ -23,21 +23,22 @@
 //      mutation bumps the epoch, so stale entries become unreachable by
 //      construction — except entries provably disjoint from the delta,
 //      which the cache restamps in place (ResultCache::InvalidateDelta).
-//   3b. PATCH — on a miss, a demoted patch base with the same unstamped
-//      signature plus a complete registry delta chain lets the service
-//      re-run only the shards the deltas touch, each over just the hull
-//      of its touched boxes for the Tetris family (engine/incremental.h),
-//      and splice them into the stale result instead of recomputing.
-//      So even a one-shard plan patches a 1-row write on one line of the
-//      output space. The Tetris family patches over the base indexes of
-//      the registry's IndexCache, fetched under RunBatch's layout rule
-//      (LayoutFor); the cache promotes them on every write, so a patched
-//      read builds no index.
-//   4. POOL — a (patchless) miss runs as a one-query RunBatch on the
+//   4. MISS — the request passes ValidateEngineOptions once, then runs
+//      as one RunShardPipeline call (engine/batch_runner.h) on the
 //      configured executor (WorkStealingPool::Global() by default),
-//      drawing shared base indexes from the registry's
-//      (relation, layout) IndexCache and carrying the per-query
-//      deadline into the task loop.
+//      drawing its base indexes from the registry's (relation, layout)
+//      IndexCache and carrying the deadline into the task loop. When a
+//      demoted patch base with the same unstamped signature and a
+//      complete registry delta chain exist, that call is a PATCH: it
+//      passes the deltas' touched boxes (engine/incremental.h) as
+//      ShardQuery::touched, so only the shards they meet re-run, each
+//      over the hull of its touched boxes for the Tetris family, and
+//      SplicePatch splices the fresh tuples into the stale result. So
+//      even a one-shard plan patches a 1-row write on one line of the
+//      output space, and since the registry promotes the cached indexes
+//      on every write, a patched read builds no index. A broken chain,
+//      or a touched box covering the whole output space (a value off
+//      the grid, a write to a 0-ary relation), reads cold.
 //
 // Mutations route through the service (Register / Replace / AppendRows /
 // DeleteRows / Drop) so the result cache is invalidated — delta-
@@ -70,18 +71,17 @@ struct ServiceOptions {
   /// one more is rejected. 0 = reject immediately at the limit (the
   /// original admission behavior).
   size_t max_queued = 0;
-  /// When queuing, a query whose predicted peak resident bytes (shard
-  /// cost model payload proxy) exceed this is shed instead of queued —
-  /// it would hold an execution slot longest. 0 = never shed by cost.
+  /// When queuing, a query whose predicted peak resident bytes (the
+  /// summed input payload of its relations) exceed this is shed instead
+  /// of queued — it would hold an execution slot longest. 0 = never
+  /// shed by cost.
   size_t shed_cost_bytes = 0;
   /// Deadline applied to queries that don't carry their own. 0 = none.
   /// Also bounds the time a query may wait in the admission queue.
   double default_deadline_ms = 0.0;
-  /// Result-cache capacity. 0 disables result caching entirely.
+  /// Result-cache capacity. 0 disables result caching entirely, and
+  /// with it patched reads (their bases live in the cache).
   size_t cache_bytes = 64u << 20;
-  /// Patch stale cached results through engine/incremental.h instead of
-  /// recomputing, when a patch base and a complete delta chain exist.
-  bool incremental = true;
   /// Executor queries fan out on. nullptr = the process-global pool.
   /// Must outlive the service.
   WorkStealingPool* executor = nullptr;
@@ -160,9 +160,15 @@ class JoinService {
   uint64_t patched() const { return patched_.load(); }  ///< patch-served
 
  private:
-  // The admission cost estimate: the uncalibrated shard-cost-model
-  // payload proxy over the snapshot sizes of the named relations.
+  // The admission cost estimate: EstimateAtomBytes summed over the
+  // snapshot sizes of the named relations.
   size_t PredictPeakBytes(const QueryRequest& request) const;
+
+  // A row-level write's cache side: entries meeting the effective delta
+  // `d` become patch bases, the rest are restamped; then retired
+  // versions are purged and `d` is reported through *delta (when
+  // non-null).
+  void InvalidateRows(RelationDelta d, RelationDelta* delta);
 
   const ServiceOptions options_;
   RelationRegistry registry_;

@@ -5,27 +5,6 @@
 
 namespace tetris {
 
-namespace {
-
-// Shared arity validation of row-level mutations.
-bool CheckArity(const char* verb, const std::string& name,
-                const Relation& old, const std::vector<Tuple>& tuples,
-                std::string* error) {
-  for (const Tuple& t : tuples) {
-    if (t.size() != static_cast<size_t>(old.arity())) {
-      if (error != nullptr) {
-        *error = std::string(verb) + " to '" + name + "': tuple arity " +
-                 std::to_string(t.size()) + " != relation arity " +
-                 std::to_string(old.arity());
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool RelationRegistry::Register(Relation rel, std::string* error) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::string name = rel.name();
@@ -65,44 +44,19 @@ bool RelationRegistry::Replace(Relation rel, std::string* error) {
 bool RelationRegistry::AppendRows(const std::string& name,
                                   const std::vector<Tuple>& tuples,
                                   std::string* error, RelationDelta* delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(name);
-  if (it == live_.end()) {
-    if (error != nullptr) {
-      *error = "relation '" + name + "' is not registered (use register)";
-    }
-    return false;
-  }
-  const Relation& old = *it->second.rel;
-  if (!CheckArity("append", name, old, tuples, error)) return false;
-  RelationDelta d;
-  d.added = tuples;
-  CanonicalizeTuples(&d.added);
-  // Effective delta: the old version is canonical, so Contains is exact.
-  d.added.erase(std::remove_if(d.added.begin(), d.added.end(),
-                               [&old](const Tuple& t) {
-                                 return old.Contains(t);
-                               }),
-                d.added.end());
-  const bool noop = d.added.empty();
-  Relation next("", {});
-  if (!noop) {
-    // Merge on the flat buffer: copy the old rows, append the delta, and
-    // re-canonicalize — no per-row Tuple materialization.
-    Relation merged(old.name(), old.attrs());
-    merged.Reserve(old.size() + d.added.size());
-    for (TupleRef t : old.rows()) merged.AddRow(t.data());
-    for (const Tuple& t : d.added) merged.Add(t);
-    merged.Canonicalize();
-    next = std::move(merged);
-  }
-  InstallDeltaLocked(it, std::move(next), noop, std::move(d), delta);
-  return true;
+  return WriteRows(name, tuples, /*remove=*/false, error, delta);
 }
 
 bool RelationRegistry::DeleteRows(const std::string& name,
                                   const std::vector<Tuple>& tuples,
                                   std::string* error, RelationDelta* delta) {
+  return WriteRows(name, tuples, /*remove=*/true, error, delta);
+}
+
+bool RelationRegistry::WriteRows(const std::string& name,
+                                 const std::vector<Tuple>& tuples,
+                                 bool remove, std::string* error,
+                                 RelationDelta* delta_out) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = live_.find(name);
   if (it == live_.end()) {
@@ -112,63 +66,73 @@ bool RelationRegistry::DeleteRows(const std::string& name,
     return false;
   }
   const Relation& old = *it->second.rel;
-  if (!CheckArity("delete", name, old, tuples, error)) return false;
-  RelationDelta d;
-  d.removed = tuples;
-  CanonicalizeTuples(&d.removed);
-  d.removed.erase(std::remove_if(d.removed.begin(), d.removed.end(),
-                                 [&old](const Tuple& t) {
-                                   return !old.Contains(t);
-                                 }),
-                  d.removed.end());
-  const bool noop = d.removed.empty();
-  Relation next("", {});
-  if (!noop) {
-    Relation kept(old.name(), old.attrs());
-    kept.Reserve(old.size() - d.removed.size());
-    for (TupleRef t : old.rows()) {
-      if (!std::binary_search(d.removed.begin(), d.removed.end(),
-                              t.ToTuple())) {
-        kept.AddRow(t.data());
+  const int k = old.arity();
+  for (const Tuple& t : tuples) {
+    if (t.size() != static_cast<size_t>(k)) {
+      if (error != nullptr) {
+        *error = std::string(remove ? "delete" : "append") + " to '" + name +
+                 "': tuple arity " + std::to_string(t.size()) +
+                 " != relation arity " + std::to_string(k);
       }
+      return false;
     }
-    // Old version was canonical and we only dropped rows, but keep the
-    // canonical-form contract explicit.
-    kept.Canonicalize();
-    next = std::move(kept);
   }
-  InstallDeltaLocked(it, std::move(next), noop, std::move(d), delta);
-  return true;
-}
-
-void RelationRegistry::InstallDeltaLocked(
-    std::map<std::string, RelationVersion>::iterator it, Relation next,
-    bool reuse_old_version, RelationDelta delta, RelationDelta* delta_out) {
-  delta.name = it->first;
+  // The effective delta: the old version is canonical, so Contains is
+  // exact, and a present append or an absent delete changes nothing.
+  RelationDelta delta;
+  delta.name = name;
   delta.from_epoch = it->second.epoch;
-  if (!reuse_old_version) {
-    std::shared_ptr<const Relation> next_version =
-        std::make_shared<const Relation>(std::move(next));
+  std::vector<Tuple>& changed = remove ? delta.removed : delta.added;
+  changed = tuples;
+  CanonicalizeTuples(&changed);
+  changed.erase(std::remove_if(changed.begin(), changed.end(),
+                               [&](const Tuple& t) {
+                                 return old.Contains(t) != remove;
+                               }),
+                changed.end());
+  if (!changed.empty()) {
+    // One merge of the sorted old rows with the sorted delta: an added
+    // tuple goes in before the first larger row, a removed tuple drops
+    // its row.
+    Relation merged(old.name(), old.attrs());
+    merged.Reserve(remove ? old.size() - changed.size()
+                          : old.size() + changed.size());
+    auto next = changed.begin();
+    auto at = [&next, k] { return TupleRef(next->data(), k); };
+    for (TupleRef row : old.rows()) {
+      for (; !remove && next != changed.end() && at() < row; ++next) {
+        merged.AddRow(next->data());
+      }
+      if (remove && next != changed.end() && at() == row) {
+        ++next;
+        continue;
+      }
+      merged.AddRow(row.data());
+    }
+    for (; next != changed.end(); ++next) merged.AddRow(next->data());
+    std::shared_ptr<const Relation> version =
+        std::make_shared<const Relation>(std::move(merged));
     // Row-level mutation with a known effective delta: carry the old
     // version's cached indexes to the new version as overlay promotions
     // instead of evicting them (engine/index_cache.h). This runs before
     // the new version is visible to Snap(), so no concurrent Get can
     // race a fresh build for it. The promoted indexes pin the old
     // version, which parks in retired_ until they compact or die.
-    index_cache_.Promote(it->second.rel, next_version.get(), delta.added,
+    index_cache_.Promote(it->second.rel, version.get(), delta.added,
                          delta.removed);
     retired_.push_back(std::move(it->second.rel));
-    it->second.rel = std::move(next_version);
+    it->second.rel = std::move(version);
   }
   // An effectively empty delta reuses the old version's storage: the
   // tuple set is unchanged, so its index-cache entries stay valid and
   // only the epoch stamp moves.
   it->second.epoch = ++epoch_;
   delta.to_epoch = it->second.epoch;
-  std::deque<RelationDelta>& log = delta_log_[it->first];
+  std::deque<RelationDelta>& log = delta_log_[name];
   log.push_back(delta);
   while (log.size() > kDeltaLogCap) log.pop_front();
   if (delta_out != nullptr) *delta_out = std::move(delta);
+  return true;
 }
 
 bool RelationRegistry::DeltasSince(const std::string& name,

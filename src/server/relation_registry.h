@@ -19,7 +19,8 @@
 // stale by construction the moment a relation mutates.
 //
 // The registry also owns the (relation, layout) IndexCache
-// (engine/index_cache.h) that RunBatch calls share across queries.
+// (engine/index_cache.h) that the service's pipeline runs share across
+// queries.
 // Replace/Drop evict the retired version's entries immediately, but
 // row-level mutations PROMOTE them instead: the effective delta is
 // folded into each cached index's overlay (SortedIndex::Promote) and
@@ -107,8 +108,8 @@ class RelationRegistry {
   bool Replace(Relation rel, std::string* error);
 
   /// Installs a new version of `name` extended by `tuples`
-  /// (copy-on-write; the old version stays untouched for in-flight
-  /// readers), records the effective delta in the relation's log, and
+  /// (copy-on-write, one merge of the old rows with the sorted delta;
+  /// the old version stays untouched for in-flight readers), records the effective delta in the relation's log, and
   /// reports it through *delta when non-null. An effectively empty
   /// append (every tuple already present) still installs a fresh epoch
   /// but reuses the old version's storage — its indexes stay valid.
@@ -154,8 +155,8 @@ class RelationRegistry {
   /// (server/join_service.cc). Returns the number of versions freed.
   size_t PurgeRetired();
 
-  /// The shared (relation, layout) index cache for RunBatch calls over
-  /// this registry's snapshots. The registry upholds the IndexCache
+  /// The shared (relation, layout) index cache for pipeline runs over
+  /// this registry's snapshots (BatchOptions::index_cache). The registry upholds the IndexCache
   /// lifetime contract via the mutation-evict + PurgeRetired protocol.
   IndexCache& index_cache() { return index_cache_; }
 
@@ -164,11 +165,11 @@ class RelationRegistry {
   // Caller holds mu_.
   void RetireLocked(std::shared_ptr<const Relation> version);
 
-  // Installs `next` as the new version of `it`, logs `delta`, and
-  // reports it. Caller holds mu_ and has filled delta.added/removed.
-  void InstallDeltaLocked(std::map<std::string, RelationVersion>::iterator it,
-                          Relation next, bool reuse_old_version,
-                          RelationDelta delta, RelationDelta* delta_out);
+  // The one row-level write behind AppendRows (`remove` false) and
+  // DeleteRows (true): the lookup, the arity check, the effective delta,
+  // and the next version as one merge of the old rows with that delta.
+  bool WriteRows(const std::string& name, const std::vector<Tuple>& tuples,
+                 bool remove, std::string* error, RelationDelta* delta_out);
 
   mutable std::mutex mu_;
   std::map<std::string, RelationVersion> live_;

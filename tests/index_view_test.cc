@@ -2,10 +2,9 @@
 // over a dyadic box must answer probes exactly like a freshly built index
 // over the materialized restricted relation — same membership, same
 // probe-emptiness, and gap sets that cover exactly the restricted
-// complement without ever touching a restricted tuple. The kb-level
-// RestrictedOracle must match a materialized restricted box set the same
-// way. These are the invariants the sharded executor leans on when it
-// swaps restricted copies for views.
+// complement without ever touching a restricted tuple. These are the
+// invariants the sharded executor leans on when it swaps restricted
+// copies for views.
 #include "index/index_view.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include "index/multi_index.h"
 #include "index/rtree_index.h"
 #include "index/sorted_index.h"
-#include "kb/box_oracle.h"
 #include "util/rng.h"
 
 namespace tetris {
@@ -197,63 +195,6 @@ TEST(IndexViewTest, UniversalBoxViewIsTransparent) {
   // No complement slabs, no clipping: the view is the base.
   EXPECT_EQ(view_all.size(), base_all.size());
   for (TupleRef t : rel.rows()) EXPECT_TRUE(view.Contains(t.ToTuple()));
-}
-
-// The kb-level decorator: RestrictedOracle over a materialized box set
-// answers exactly like an oracle over the clipped set plus the box
-// complement — probe-for-probe, over the whole grid.
-TEST(RestrictedOracleTest, MatchesMaterializedRestriction) {
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    MaterializedOracle base(/*dims=*/2);
-    for (int i = 0; i < 12; ++i) {
-      DyadicBox b = RandomBox2(rng.Next());
-      base.Add(b);
-    }
-    DyadicBox box = RandomBox2(rng.Next());
-    SCOPED_TRACE("box=" + box.ToString());
-    RestrictedOracle view(&base, box);
-    EXPECT_EQ(view.dims(), 2);
-
-    // Reference: the clipped set plus the complement, materialized.
-    MaterializedOracle ref(/*dims=*/2, /*maximal_only=*/false);
-    std::vector<DyadicBox> clipped;
-    EmitBoxComplement(box, AppendTo(&clipped));
-    std::vector<DyadicBox> all;
-    ASSERT_TRUE(base.EnumerateAll(AppendTo(&all)));
-    for (const DyadicBox& b : all) {
-      DyadicBox c = DyadicBox::Universal(b.dims());
-      if (IntersectBoxes(b, box, &c)) clipped.push_back(c);
-    }
-    ref.AddAll(clipped);
-
-    std::vector<DyadicBox> enumerated;
-    ASSERT_TRUE(view.EnumerateAll(AppendTo(&enumerated)));
-
-    for (uint64_t a = 0; a < (1u << kDepth); ++a) {
-      for (uint64_t b = 0; b < (1u << kDepth); ++b) {
-        const DyadicBox point = DyadicBox::Point({a, b}, kDepth);
-        std::vector<DyadicBox> got, want;
-        view.Probe(point, AppendTo(&got));
-        ref.Probe(point, AppendTo(&want));
-        EXPECT_EQ(got.empty(), want.empty()) << a << "," << b;
-        for (const DyadicBox& g : got) {
-          EXPECT_TRUE(g.Contains(point)) << g.ToString();
-        }
-        // EnumerateAll and Probe agree on coverage.
-        bool covered = false;
-        for (const DyadicBox& g : enumerated) {
-          if (g.Contains(point)) {
-            covered = true;
-            break;
-          }
-        }
-        EXPECT_EQ(covered, !got.empty()) << a << "," << b;
-      }
-    }
-    EXPECT_GT(view.probe_count(), 0);
-  }
 }
 
 // The patch path re-runs DyadicHull of its touched boxes: it must be the

@@ -912,6 +912,36 @@ TEST(JoinEngineTest, UnhintedTetrisPathsRunUnderTheDefaultSao) {
         ExpectSameRun(*service.Execute(request).result,
                       *service.Execute(hinted).result);
       }
+      {
+        SCOPED_TRACE("JoinService patched read");
+        // A cached read, then a fresh row in the first relation: the next
+        // read patches the cached entry. One service per order, since the
+        // order hint stays out of the cache key.
+        const Relation& first = *qi.storage[0];
+        Tuple added = {1, 2};
+        while (first.Contains(added)) ++added[1];
+        auto patched_read = [&](const std::vector<int>& order) {
+          ServiceOptions sopts;
+          sopts.executor = &pool;
+          JoinService service(sopts);
+          QueryRequest request;
+          request.engine = kind;
+          request.order = order;
+          request.depth = qi.depth;  // stable across the append
+          std::string error;
+          for (const auto& rel : qi.storage) {
+            EXPECT_TRUE(service.Register(*rel, &error)) << error;
+            request.relations.push_back(rel->name());
+          }
+          EXPECT_TRUE(service.Execute(request).result->ok);
+          EXPECT_TRUE(service.AppendRows(first.name(), {added}, &error))
+              << error;
+          const QueryResponse resp = service.Execute(request);
+          EXPECT_TRUE(resp.patched);
+          return resp.result;
+        };
+        ExpectSameRun(*patched_read({}), *patched_read(sao));
+      }
     }
   }
 }

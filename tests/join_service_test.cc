@@ -235,6 +235,40 @@ TEST(JoinServiceTest, DeadlineExceededIsAPerQueryError) {
       service.Execute(Triangle(EngineKind::kTetrisPreloaded));
   EXPECT_TRUE(served.cache_hit);
   EXPECT_TRUE(served.result->ok);
+
+  // A patched read honours the deadline as a cold read does. Append to S
+  // a row (b, c) closing a triangle over R's (a, b) and T's (a, c), so
+  // the shard holding the new output point has a task to abandon.
+  Tuple row;
+  {
+    const RegistrySnapshot snap = service.registry().Snap();
+    const Relation& s = *snap.Find("S")->rel;
+    for (TupleRef r : snap.Find("R")->rel->rows()) {
+      for (TupleRef t : snap.Find("T")->rel->rows()) {
+        if (r[0] == t[0] && !s.Contains({r[1], t[1]})) row = {r[1], t[1]};
+      }
+    }
+  }
+  ASSERT_FALSE(row.empty());
+  std::string error;
+  ASSERT_TRUE(service.AppendRows("S", {row}, &error)) << error;
+  const QueryResponse late =
+      service.Execute(Triangle(EngineKind::kTetrisPreloaded));
+  EXPECT_FALSE(late.result->ok);
+  EXPECT_NE(late.result->error.find("deadline exceeded"), std::string::npos)
+      << late.result->error;
+  EXPECT_FALSE(late.patched);
+  EXPECT_FALSE(late.cache_hit);
+
+  // The late read cached nothing, so the patch base is still there: a
+  // read without a deadline patches it.
+  const QueryResponse patched = service.Execute(no_deadline);
+  ASSERT_TRUE(patched.result->ok) << patched.result->error;
+  EXPECT_TRUE(patched.patched);
+  EXPECT_FALSE(patched.cache_hit);
+  QueryRequest scratch = no_deadline;
+  scratch.use_cache = false;
+  EXPECT_EQ(patched.result->tuples, service.Execute(scratch).result->tuples);
 }
 
 TEST(JoinServiceTest, AdmissionRejectsOverTheInflightLimit) {
@@ -449,9 +483,9 @@ TEST(JoinServiceTest, OneRowAppendPromotesIndexesWithZeroRebuilds) {
   service.registry().PurgeRetired();
   EXPECT_GE(service.registry().retired(), 1u);
 
-  // Re-serve as a cache miss (use_cache=false forces the full engine
-  // path through RunBatch and the index cache): still zero builds — R
-  // and T hit their unchanged entries, S hits its promoted overlay.
+  // Re-serve as a cache miss (use_cache=false forces a cold run through
+  // the shard pipeline and the index cache): still zero builds — R and
+  // T hit their unchanged entries, S hits its promoted overlay.
   QueryRequest miss = query;
   miss.use_cache = false;
   const QueryResponse reserved = service.Execute(miss);
@@ -474,8 +508,8 @@ TEST(JoinServiceTest, OneRowAppendPromotesIndexesWithZeroRebuilds) {
 
 TEST(JoinServiceTest, PatchedReadTakesEveryBaseIndexFromTheCache) {
   // A patched read runs the Tetris family over the registry's cached
-  // base indexes, which the write promoted, under RunBatch's layout
-  // rule: one cache hit per atom, no build.
+  // base indexes, which the write promoted, fetched under the shard
+  // pipeline's layout rule (LayoutFor): one cache hit per atom, no build.
   JoinService service;
   RegisterRandomTriangle(&service, /*tuples=*/60, /*d=*/5, /*seed=*/11);
   QueryRequest query = Triangle(EngineKind::kTetrisPreloaded);

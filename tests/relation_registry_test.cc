@@ -8,11 +8,14 @@
 #include "server/relation_registry.h"
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace tetris {
 namespace {
@@ -84,6 +87,71 @@ TEST(RelationRegistryTest, AppendIsCopyOnWrite) {
   EXPECT_EQ(now.Find("R")->rel->size(), 2u);
   EXPECT_NE(old.Find("R")->rel.get(), now.Find("R")->rel.get());
   EXPECT_TRUE(now.Find("R")->rel->Contains({3, 4}));
+}
+
+// The one row-level write path: random appends and deletes — with
+// duplicates inside a write, present appends, absent deletes, and rows
+// below and above every row — each install exactly Relation::Make of the
+// expected set, row for row and with the same MaxValue, and report the
+// effective delta. Binary and 0-ary relations alike.
+TEST(RelationRegistryTest, RowWritesInstallTheCanonicalRelation) {
+  for (const std::vector<std::string>& attrs :
+       {std::vector<std::string>{"a", "b"}, std::vector<std::string>{}}) {
+    SCOPED_TRACE(attrs.size());
+    Rng rng(31 + attrs.size());
+    auto row = [&](uint64_t lo, uint64_t hi) {
+      Tuple t;
+      for (size_t c = 0; c < attrs.size(); ++c) {
+        t.push_back(lo + rng.Below(hi - lo));
+      }
+      return t;
+    };
+    std::set<Tuple> want;
+    std::vector<Tuple> initial;
+    for (int i = 0; i < 12; ++i) initial.push_back(row(10, 30));
+    want.insert(initial.begin(), initial.end());
+    RelationRegistry reg;
+    std::string error;
+    ASSERT_TRUE(reg.Register(Relation::Make("R", attrs, initial), &error))
+        << error;
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE(step);
+      const bool remove = rng.Chance(0.5);
+      std::vector<Tuple> rows;
+      for (uint64_t i = 0, n = 1 + rng.Below(4); i < n; ++i) {
+        rows.push_back(row(5, 35));
+      }
+      rows.push_back(rows[rng.Below(rows.size())]);  // a duplicate
+      if (step % 5 == 0) rows.push_back(Tuple(attrs.size(), 0));
+      if (step % 7 == 0) rows.push_back(Tuple(attrs.size(), 99));
+      std::set<Tuple> effective;
+      for (const Tuple& t : rows) {
+        if ((want.count(t) > 0) == remove) effective.insert(t);
+      }
+      RelationDelta delta;
+      ASSERT_TRUE(remove ? reg.DeleteRows("R", rows, &error, &delta)
+                         : reg.AppendRows("R", rows, &error, &delta))
+          << error;
+      const std::vector<Tuple> changed(effective.begin(), effective.end());
+      EXPECT_EQ(remove ? delta.removed : delta.added, changed);
+      EXPECT_TRUE((remove ? delta.added : delta.removed).empty());
+      for (const Tuple& t : changed) {
+        if (remove) {
+          want.erase(t);
+        } else {
+          want.insert(t);
+        }
+      }
+      const Relation expect = Relation::Make(
+          "R", attrs, std::vector<Tuple>(want.begin(), want.end()));
+      const RegistrySnapshot snap = reg.Snap();
+      const Relation& got = *snap.Find("R")->rel;
+      ASSERT_EQ(got.size(), expect.size());
+      EXPECT_EQ(got.raw(), expect.raw());
+      EXPECT_EQ(got.MaxValue(), expect.MaxValue());
+      EXPECT_EQ(got.attrs(), expect.attrs());
+    }
+  }
 }
 
 TEST(RelationRegistryTest, SnapshotIsolationUnderConcurrentReplace) {
