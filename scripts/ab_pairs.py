@@ -4,6 +4,7 @@
     python3 scripts/ab_pairs.py --seeds 20001-20010 --seconds 15 \\
         [--workloads serve-mutate,join-worstcase] [--parent HEAD] \\
         [--align] [--workdir DIR]
+    python3 scripts/ab_pairs.py --self-test
 
 Exports the parent revision (`git archive`, default HEAD) to DIR/parent
 and the working tree (tracked files and untracked, unignored ones) to
@@ -28,9 +29,24 @@ change's median, the parent's IQR, the change's wins and a verdict:
   unresolved  otherwise, with "(noisy)" when the parent's IQR alone is
               wider than the bound, so these pairs cannot resolve it.
 
+Under the verdict table it prints which mode each side's runs landed in,
+per metric: the sorted runs split at their largest gap when that gap is
+wider than the runs on either side of it span, and each mode shows its
+run count and range. A workload whose runs fall into two modes within one
+build (join-worstcase and join-certificate do on a shared host) moves its
+median by a mode's width when a few runs change sides; read a verdict
+there against the modes.
+
+--self-test checks the verdict and mode logic on fixed synthetic samples,
+with no build and no run: an A/A set must read "unresolved", a 30%
+slowdown on every pair "regression", ten wins by more than the parent's
+IQR "gain" (ten wins inside it, or eight past it, "unresolved"), and a
+two-cluster set must split into its two modes.
+
 Exit status: 0 when no metric reads "regression" and the change fails no
-larger share of ops than the parent; 1 otherwise; 2 on bad arguments, a
-failed export or build, or a run that prints no result.
+larger share of ops than the parent (--self-test: every check passes); 1
+otherwise; 2 on bad arguments, a failed export or build, or a run that
+prints no result.
 """
 
 import argparse
@@ -146,6 +162,67 @@ def verdict(metric, parent, change):
     return mp, mc, shift, spread, wins, word
 
 
+def modes(values):
+    """The runs as one or two modes, [(count, lo, hi), ...] in value order:
+    split at the largest gap between sorted runs when that gap is wider
+    than the runs on either side of it span."""
+    v = sorted(values)
+    if len(v) < 3:
+        return [(len(v), v[0], v[-1])] if v else []
+    gap, i = max((v[k + 1] - v[k], k) for k in range(len(v) - 1))
+    if gap > v[i] - v[0] and gap > v[-1] - v[i + 1]:
+        return [(i + 1, v[0], v[i]), (len(v) - i - 1, v[i + 1], v[-1])]
+    return [(len(v), v[0], v[-1])]
+
+
+def format_modes(values):
+    return ", ".join("%d at %.4g" % (n, lo) if lo == hi else
+                     "%d at %.4g-%.4g" % (n, lo, hi)
+                     for n, lo, hi in modes(values))
+
+
+def self_test():
+    """Checks verdict() and modes() on fixed synthetic samples for every
+    end-to-end metric of BENCHMARK.json; returns the exit status."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+    base = [100.0, 103.0, 98.0, 101.0, 99.0, 102.0, 97.0, 104.0, 100.5,
+            101.5]
+    aa = base[5:] + base[:5]  # the same runs, paired differently
+    two = [270.0, 275.0, 281.0, 272.0, 362.0, 375.0, 278.0, 370.0, 273.0,
+           365.0]
+    spread = iqr(base)
+    failures = 0
+
+    def check(name, got, want):
+        nonlocal failures
+        ok = got == want
+        failures += not ok
+        print("%-4s %s: got %s, want %s" % ("ok" if ok else "FAIL", name,
+                                           got, want))
+
+    for metric in metrics:
+        worse = 1.0 if metric["better"] == "lower" else -1.0
+        slower = [p * (1 + 0.30 * worse) for p in base]
+        better = [p - 3 * spread * worse for p in base]
+        slightly = [p - 0.1 * spread * worse for p in base]
+        eight = better[:8] + [p + 0.1 * worse for p in base[8:]]
+        name = metric["name"]
+        for label, change, want in (
+                ("A/A", aa, "unresolved"),
+                ("30% slowdown", slower, "regression"),
+                ("10/10 wins past the IQR", better, "gain"),
+                ("10/10 wins inside the IQR", slightly, "unresolved"),
+                ("8/10 wins past the IQR", eight, "unresolved")):
+            check("%s %s" % (name, label), verdict(metric, base, change)[5],
+                  want)
+    check("A/A runs form one mode", modes(base), [(10, 97.0, 104.0)])
+    check("two clusters form two modes", modes(two),
+          [(6, 270.0, 281.0), (4, 362.0, 375.0)])
+    print("ab_pairs self-test: %s" % ("FAILED" if failures else "passed"))
+    return 1 if failures else 0
+
+
 def parse_seeds(text):
     lo, _, hi = text.partition("-")
     lo, hi = int(lo), int(hi or lo)
@@ -156,7 +233,7 @@ def parse_seeds(text):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seeds", type=parse_seeds, required=True,
+    ap.add_argument("--seeds", type=parse_seeds,
                     help="seed range LO-HI, one pair per seed")
     ap.add_argument("--seconds", type=int, default=15)
     ap.add_argument("--workloads", default=",".join(WORKLOADS),
@@ -166,7 +243,14 @@ def main():
                     help="build both trees with " + ALIGN_FLAGS)
     ap.add_argument("--workdir", help="export and build directory "
                     "(default: a fresh temporary directory)")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the verdict and mode logic on synthetic "
+                    "samples, then exit")
     args = ap.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.seeds is None:
+        ap.error("--seeds is required")
     workloads = args.workloads.split(",")
     if any(w not in WORKLOADS for w in workloads):
         ap.error("--workloads: choose from " + ", ".join(WORKLOADS))
@@ -233,6 +317,12 @@ def main():
             print("%-13s %6s %4.0f%% %12.5g %12.5g %+7.1f%% %11.4g %3d/%-2d  %s"
                   % (name, metric["better"], metric["bound"] * 100, mp, mc,
                      shift * 100, spread, wins, len(args.seeds), word))
+        print("modes (runs at a range of values):")
+        for metric in metrics:
+            for side in ("parent", "change"):
+                print("%-13s %-6s %s" % (
+                    metric["name"] if side == "parent" else "", side,
+                    format_modes(values[side][metric["name"]])))
         print("failed ops: parent %d/%d, change %d/%d" % (
             failed["parent"][0], failed["parent"][1],
             failed["change"][0], failed["change"][1]))

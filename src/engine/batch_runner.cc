@@ -21,12 +21,6 @@
 
 namespace tetris {
 
-void AppendNote(std::string* note, const std::string& s) {
-  if (s.empty()) return;
-  if (!note->empty()) *note += "; ";
-  *note += s;
-}
-
 namespace {
 
 // The pipeline's plan-sharing signature: depth, attribute count and per
@@ -66,7 +60,6 @@ struct QueryRun {
   const ShardPlan* plan = nullptr;
   const ShardRowGroups* groups = nullptr;  // empty but for split baselines
   std::vector<EngineResult> shards;  // by shard id
-  std::string note;
 };
 
 // Merges one shard's counters into the run total. Work counters add up;
@@ -232,13 +225,11 @@ ShardCostModel Calibrate(const QueryRun& q, EngineKind kind,
 // Deterministic by-shard-id merge of one query's shard results into one
 // EngineResult: merges the shards' canonical tuple runs, accumulates
 // RunStats, fills the estimator fields from `plan` and, with
-// `report_shards`, shard_runs; reports shards whose actual peak overran
-// `memory_budget_bytes` (0 = no budget) in shard_note, and surfaces
-// `shared_index_bytes` (the always-resident base indexes of a zero-copy
-// run) in the merged memory counters. A failed shard fails the merge.
+// `report_shards`, shard_runs, and surfaces `shared_index_bytes` (the
+// always-resident base indexes of a zero-copy run) in the merged memory
+// counters. A failed shard fails the merge.
 EngineResult MergeShardRuns(EngineKind kind, const ShardPlan& plan,
                             std::vector<EngineResult> shard_results,
-                            size_t memory_budget_bytes,
                             size_t shared_index_bytes, bool report_shards) {
   EngineResult result;
   result.stats.engine = kind;
@@ -246,9 +237,6 @@ EngineResult MergeShardRuns(EngineKind kind, const ShardPlan& plan,
   result.stats.shards = m;
   result.stats.estimated_max_shard_peak_bytes = plan.max_estimated_peak_bytes;
   result.stats.plan_bytes = plan.PlanningBytes();
-  size_t over_budget = 0;
-  size_t worst_peak = 0;
-  size_t worst_shard = 0;
   std::vector<std::vector<Tuple>> runs;
   runs.reserve(m);
   for (size_t i = 0; i < m; ++i) {
@@ -266,14 +254,6 @@ EngineResult MergeShardRuns(EngineKind kind, const ShardPlan& plan,
       info.output_tuples = r.tuples.size();
       info.stats = r.stats;
       runs.push_back(std::move(r.tuples));
-      if (memory_budget_bytes > 0 &&
-          r.stats.memory.PeakBytes() > memory_budget_bytes) {
-        ++over_budget;
-        if (r.stats.memory.PeakBytes() > worst_peak) {
-          worst_peak = r.stats.memory.PeakBytes();
-          worst_shard = i;
-        }
-      }
     }
     if (report_shards) {
       info.box = plan.shards[i].box.ToString();
@@ -285,13 +265,6 @@ EngineResult MergeShardRuns(EngineKind kind, const ShardPlan& plan,
   // in the run-level counter so the unsharded/sharded numbers compare.
   result.stats.memory.index_bytes =
       std::max(result.stats.memory.index_bytes, shared_index_bytes);
-  if (over_budget > 0) {
-    result.shard_note =
-        std::to_string(over_budget) + " of " + std::to_string(m) +
-        " shards exceeded the " + std::to_string(memory_budget_bytes) +
-        "B budget at run time (worst: shard " + std::to_string(worst_shard) +
-        " peaked at " + std::to_string(worst_peak) + "B)";
-  }
 
   // Every shard run is canonical and shards are disjoint subcubes, so
   // merging the runs gives the canonical facade order, duplicate-free.
@@ -366,17 +339,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
     for (const Index* ix : run.base) {
       run.base_index_bytes += ix->MemoryBytes();
     }
-    // The base indexes stay resident for the whole run however fine the
-    // split: a budget below them is unsatisfiable by sharding, so say so
-    // up front instead of letting per-shard peaks pretend to settle it.
-    if (budget > 0 && run.base_index_bytes > budget) {
-      run.note = "budget " + std::to_string(budget) +
-                 "B is below the shared base indexes (" +
-                 std::to_string(run.base_index_bytes) +
-                 "B), which stay resident for the whole run regardless "
-                 "of the split — the budget can only constrain per-shard "
-                 "peaks on top of them";
-    }
   }
 
   // (b) One calibration for the whole run, on the first query; the fit
@@ -387,9 +349,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   std::vector<ProbeRun> probes;
   if (budget > 0 && !runs.empty()) {
     model = Calibrate(runs[0], kind, &probes);
-    AppendNote(&batch.note, "cost model calibrated once for the batch (" +
-                                std::string(EngineFamilyName(model.family)) +
-                                ", " + model.source + ")");
   }
 
   // (c) One ShardPlan per distinct output-space signature. Order hints
@@ -423,7 +382,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
     }
     run.plan = &plan;
     run.groups = &groups;
-    AppendNote(&run.note, plan.note);
   }
   stats.plans = plans.size();
 
@@ -440,7 +398,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   for (ProbeRun& p : probes) {
     probe_by_box.emplace(p.box.ToString(), &p.result);
   }
-  size_t probes_reused = 0;
   for (size_t q = 0; q < runs.size(); ++q) {
     QueryRun& run = runs[q];
     run.shards.resize(run.plan->shards.size());
@@ -475,7 +432,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       if (it != probe_by_box.end()) {
         slot = std::move(*it->second);
         probe_by_box.erase(it);
-        ++probes_reused;
         continue;
       }
       tasks.push_back({q, shard.id, box});
@@ -528,7 +484,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
   }
 
   // (e) Deterministic per-query merge, in input order.
-  size_t deadline_failures = 0;
   for (size_t q = 0; q < runs.size(); ++q) {
     QueryRun& run = runs[q];
     EngineResult& merged = batch.results[q];
@@ -537,11 +492,10 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
       merged.error = "deadline exceeded: " + std::to_string(abandoned[q]) +
                      " of " + std::to_string(run.shards.size()) +
                      " shard tasks abandoned";
-      ++deadline_failures;
       continue;
     }
     // A patch's result lists no shards: most of them did not re-run.
-    merged = MergeShardRuns(kind, *run.plan, std::move(run.shards), budget,
+    merged = MergeShardRuns(kind, *run.plan, std::move(run.shards),
                             run.base_index_bytes,
                             /*report_shards=*/run.in->touched == nullptr);
     merged.stats.plan_bytes += run.groups->bytes;
@@ -551,35 +505,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
             ? exec_ms * (task_ms[q] / stats.cpu_ms)
             : exec_ms / static_cast<double>(runs.size());
     stats.sum_query_ms += merged.stats.wall_ms;
-    std::string note = std::move(run.note);
-    AppendNote(&note, merged.shard_note);
-    if (merged.ok) {
-      if (q == 0 && probes_reused > 0) {
-        AppendNote(&note, "reused " + std::to_string(probes_reused) +
-                              " probe result" +
-                              (probes_reused == 1 ? "" : "s") +
-                              " as shard output");
-      }
-      if (budget > 0) {
-        // The prediction is auditable, not just plausible: both numbers
-        // reach the reporter.
-        AppendNote(&note,
-                   "estimator(" +
-                       std::string(EngineFamilyName(model.family)) + ", " +
-                       model.source + "): predicted max shard peak " +
-                       std::to_string(run.plan->max_estimated_peak_bytes) +
-                       "B, actual " +
-                       std::to_string(merged.stats.max_shard_peak_bytes) +
-                       "B");
-      }
-    }
-    merged.shard_note = std::move(note);
-  }
-  if (deadline_failures > 0) {
-    AppendNote(&batch.note, std::to_string(deadline_failures) +
-                                (deadline_failures == 1 ? " query"
-                                                        : " queries") +
-                                " failed on the deadline");
   }
   return out;
 }
@@ -671,18 +596,6 @@ BatchResult RunBatch(const std::vector<const Relation*>& relations,
   batch.stats = run.batch.stats;
   batch.stats.queries = queries.size();
   batch.stats.relations = relation_count;
-  batch.note = std::move(run.batch.note);
-  const BatchStats& stats = batch.stats;
-  std::string serve_note =
-      std::to_string(stats.plans) + " plan" + (stats.plans == 1 ? "" : "s") +
-      " and " + std::to_string(stats.indexes_built) +
-      " base index builds served " + std::to_string(valid.size()) +
-      (valid.size() == 1 ? " query" : " queries");
-  if (stats.index_cache_hits > 0) {
-    serve_note += " (" + std::to_string(stats.index_cache_hits) +
-                  " index cache hits)";
-  }
-  AppendNote(&batch.note, serve_note);
   return finish();
 }
 

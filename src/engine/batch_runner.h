@@ -31,7 +31,10 @@
 //       barriers, abandoning unstarted tasks past a deadline; a task set
 //       one worker runs executes inline and never touches the executor;
 //   (e) merges each query's shard outputs by shard id into one canonical
-//       EngineResult, tuple-identical to the sequential unsharded run.
+//       EngineResult, tuple-identical to the sequential unsharded run,
+//       whose RunStats record the plan (shard count, plan bytes) and the
+//       estimator's prediction beside the largest actual shard peak, and
+//       whose shard_runs hold each shard's own stats.
 //
 // A patch is a one-query run with a touched-box filter: only the shards
 // meeting a touched box run, each over its touched-box hull, and
@@ -145,8 +148,8 @@ struct BatchStats {
   /// tasks run concurrently. cpu_ms / wall_ms reads as the batch's
   /// average parallelism.
   double cpu_ms = 0.0;
-  /// Sum over queries of the attributed per-query times (see the
-  /// EngineResult note in BatchResult). Attribution splits the
+  /// Sum over queries of the attributed per-query times (see
+  /// BatchResult::results). Attribution splits the
   /// execution wall time by each query's share of cpu_ms, so
   /// sum_query_ms <= wall_ms always holds (equality up to the
   /// non-execution overhead — planning, merging — when every query
@@ -173,8 +176,6 @@ struct BatchResult {
   /// (stats.sum_query_ms) <= stats.wall_ms.
   std::vector<EngineResult> results;
   BatchStats stats;
-  /// Batch-level diagnostics: calibration/probe reuse, plan sharing.
-  std::string note;
 };
 
 /// Evaluates every query of the batch with `kind` over the shared
@@ -209,7 +210,7 @@ struct ShardQuery {
 /// What the pipeline hands back.
 struct ShardPipelineResult {
   /// One merged EngineResult per query, in input order, with the run's
-  /// BatchStats and notes: RunBatch's result for these queries.
+  /// BatchStats: RunBatch's result for these queries.
   BatchResult batch;
   /// Per query, the boxes its touched-box filter re-ran, in shard order;
   /// empty without a filter.
@@ -232,9 +233,6 @@ ShardPipelineResult RunShardPipeline(const std::vector<ShardQuery>& queries,
 /// pipeline: RunJoin calls it after ValidateEngineOptions.
 EngineResult RunBaselineJoin(const JoinQuery& query, EngineKind kind,
                              const std::vector<int>& gao);
-
-/// Appends `s` to `*note` with "; " separation; no-op when `s` is empty.
-void AppendNote(std::string* note, const std::string& s);
 
 }  // namespace tetris
 

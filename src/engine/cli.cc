@@ -588,7 +588,7 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   "\"intermediate_bytes\":%zu,\"output_bytes\":%zu},"
                   "\"shards\":%zu,\"threads\":%zu,\"shard_peak_bytes\":%zu,"
                   "\"est_shard_peak_bytes\":%zu,\"plan_bytes\":%zu"
-                  "%s%s%s%s%s%s%s%s%s}\n",
+                  "%s%s%s%s%s%s}\n",
                   row_type, JsonEscape(bench_).c_str(),
                   JsonEscape(section_).c_str(), JsonEscape(scenario).c_str(),
                   params_field.c_str(), engine_name, ok ? "true" : "false",
@@ -604,10 +604,7 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
                   box.empty() ? "" : ",\"box\":\"",
                   box.empty() ? "" : JsonEscape(box).c_str(),
                   box.empty() ? "" : "\"", ok ? "" : ",\"error\":\"",
-                  ok ? "" : JsonEscape(error).c_str(), ok ? "" : "\"",
-                  note.empty() ? "" : ",\"note\":\"",
-                  note.empty() ? "" : JsonEscape(note).c_str(),
-                  note.empty() ? "" : "\"");
+                  ok ? "" : JsonEscape(error).c_str(), ok ? "" : "\"");
       return;
     }
   }
@@ -629,9 +626,10 @@ void RunReporter::Row(const std::string& scenario, const Params& params,
   }
   EmitRow("run", scenario, params, EngineKindName(run.kind), ok,
           run.result.error, run.result.stats, run.result.tuples.size(),
-          /*box=*/"", run.result.shard_note);
-  // Per-shard sub-rows of a sharded run (engine/parallel_executor.h):
-  // skipped-empty shards report zero work with a note instead of stats.
+          /*box=*/"", /*note=*/"");
+  // Per-shard sub-rows of a sharded run (engine/batch_runner.h):
+  // skipped-empty shards report zero work and "empty shard" as their
+  // error instead of stats.
   for (const ShardRunInfo& shard : run.result.shard_runs) {
     Params shard_params = params;
     shard_params.emplace_back("shard", static_cast<double>(shard.shard_id));
@@ -640,9 +638,6 @@ void RunReporter::Row(const std::string& scenario, const Params& params,
                                       ? std::string("empty shard")
                                       : std::string(),
             shard.stats, shard.output_tuples, shard.box, /*note=*/"");
-  }
-  if (!run.result.shard_note.empty() && format_ == OutputFormat::kTable) {
-    std::printf("   planner: %s\n", run.result.shard_note.c_str());
   }
 }
 
@@ -693,7 +688,7 @@ void RunReporter::BatchRow(const std::string& scenario, const Params& params,
   s.plan_bytes = b.stats.plan_bytes;
   s.memory.index_bytes = b.stats.index_bytes;
   EmitRow("batch", scenario, bp, EngineKindName(run.kind), b.ok, b.error, s,
-          total_tuples, /*box=*/"", b.note);
+          total_tuples, /*box=*/"", /*note=*/"");
 }
 
 void RunReporter::Summary(const std::string& metric, double value,

@@ -210,9 +210,9 @@ class RunReporter {
   /// BatchStats amortization counters land in `params`
   /// (queries/plans/index_builds/tasks/threads, amortized index_KiB and
   /// plan_KiB, qps throughput and the attributed sum_query_ms), `tuples`
-  /// is the total across queries, `wall_ms` the batch wall time, and
-  /// the batch note rides in `note`. Successful batches of the same
-  /// scenario must agree on the total output size, like Row.
+  /// is the total across queries and `wall_ms` the batch wall time.
+  /// Successful batches of the same scenario must agree on the total
+  /// output size, like Row.
   void BatchRow(const std::string& scenario, const Params& params,
                 const BatchRun& run);
 
@@ -237,10 +237,10 @@ class RunReporter {
 
  private:
   void PrintTableHeader();
-  // The single row emitter behind run and shard rows in every format.
+  // The single row emitter behind run, shard, batch and csv summary rows.
   // `box` is the shard subcube (shard rows only; empty otherwise);
-  // `note` carries planner/budget diagnostics (run rows of sharded
-  // runs) so machine formats see budget overruns too.
+  // `note` fills the csv `note` column, where a summary row carries its
+  // expectation text; the other formats do not print it.
   void EmitRow(const char* row_type, const std::string& scenario,
                const Params& params, const char* engine_name, bool ok,
                const std::string& error, const RunStats& s, size_t tuples,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace tetris {
 
@@ -37,18 +36,6 @@ EngineFamily EngineFamilyOf(EngineKind kind) {
       return EngineFamily::kMaterializing;
   }
   return EngineFamily::kWcoj;
-}
-
-const char* EngineFamilyName(EngineFamily family) {
-  switch (family) {
-    case EngineFamily::kTetris:
-      return "tetris";
-    case EngineFamily::kWcoj:
-      return "wcoj";
-    case EngineFamily::kMaterializing:
-      return "materializing";
-  }
-  return "unknown";
 }
 
 size_t ShardCostModel::EstimatePeak(size_t payload_bytes) const {
@@ -92,10 +79,6 @@ ShardCostModel FitShardCostModel(EngineKind kind,
                FloorSlope(model.family));
   model.floor_bytes = 64;
   model.calibrated = true;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "probe(%zuB -> %zuB)",
-                probe_payload_bytes, metric);
-  model.source = buf;
   return model;
 }
 
@@ -138,10 +121,6 @@ ShardCostModel FitShardCostModelAffine(EngineKind kind, size_t payload_a,
   model.intercept_bytes = intercept;
   model.floor_bytes = 64;
   model.calibrated = true;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "probe2(%zuB -> %zuB, %zuB -> %zuB)", p1,
-                m1, p2, m2);
-  model.source = buf;
   return model;
 }
 

@@ -16,14 +16,12 @@
 // underestimates; when only one probe point is available the fit
 // degrades to the one-point slope, and with none to the payload proxy.
 // Probe shards are real shards of the output space, so their outputs are
-// *reused* as those shards' results instead of discarded. After the run
-// the executor verifies the prediction against the actual per-shard
-// peaks and reports the miss, so the model is auditable, not just
-// plausible.
+// *reused* as those shards' results instead of discarded. Every budgeted
+// result carries the prediction (RunStats::estimated_max_shard_peak_bytes)
+// beside the actual largest shard peak (max_shard_peak_bytes), so the
+// model is auditable, not just plausible.
 #ifndef TETRIS_ENGINE_COST_MODEL_H_
 #define TETRIS_ENGINE_COST_MODEL_H_
-
-#include <string>
 
 #include "engine/join_engine.h"
 
@@ -37,7 +35,6 @@ enum class EngineFamily {
 };
 
 EngineFamily EngineFamilyOf(EngineKind kind);
-const char* EngineFamilyName(EngineFamily family);
 
 /// Per-shard peak model: EstimatePeak(payload) = max(floor_bytes,
 /// intercept_bytes + bytes_per_payload_byte * payload), where payload is
@@ -52,10 +49,6 @@ struct ShardCostModel {
   double intercept_bytes = 0.0;
   size_t floor_bytes = 0;
   bool calibrated = false;
-  /// Where the fit came from, for diagnostics: "payload-proxy",
-  /// "probe(<payload>B -> <peak>B)" (one-point) or
-  /// "probe2(<p1>B -> <m1>B, <p2>B -> <m2>B)" (two-point affine).
-  std::string source = "payload-proxy";
 
   size_t EstimatePeak(size_t payload_bytes) const;
 };

@@ -62,8 +62,7 @@ std::vector<DyadicBox> TouchedOutputBoxes(const JoinQuery& query, int depth,
 
 PatchResult SplicePatch(EngineResult fresh,
                         const std::vector<DyadicBox>& rerun,
-                        const std::vector<Tuple>& old_tuples,
-                        size_t touched_boxes, int depth) {
+                        const std::vector<Tuple>& old_tuples, int depth) {
   PatchResult out;
   out.shards_total = fresh.stats.shards;
   out.shards_rerun = rerun.size();
@@ -90,11 +89,6 @@ PatchResult SplicePatch(EngineResult fresh,
   res.tuples = MergeSortedRuns(std::move(runs));
   res.stats.output_tuples = res.tuples.size();
   res.stats.memory.output_bytes = TupleBytes(res.tuples);
-  out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
-             std::to_string(out.shards_total) + " shards from " +
-             std::to_string(touched_boxes) + " touched box(es); kept " +
-             std::to_string(out.tuples_kept) + " tuples";
-  AppendNote(&res.shard_note, out.note);
   return out;
 }
 
@@ -126,27 +120,15 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
     res.stats.output_tuples = old_tuples.size();
     res.stats.memory.output_bytes = TupleBytes(res.tuples);
     out.tuples_kept = old_tuples.size();
-    out.note = "empty delta: result unchanged, 0 shards re-run";
-    res.shard_note = out.note;
     return finish();
   }
 
-  auto full_run = [&](const std::string& why) -> PatchResult {
-    res = RunJoin(query, kind, options);
-    out.full_recompute = true;
-    out.note = "full recompute: " + why;
-    AppendNote(&res.shard_note, out.note);
-    out.tuples_patched = res.tuples.size();
-    return finish();
-  };
-  for (const DyadicBox& b : touched) {
-    if (b.Support().empty()) {
-      return full_run("a touched box covers the whole output space");
-    }
-  }
-
-  // A one-query pipeline run filtered to the shards meeting a touched
-  // box, each over its re-run box (ShardQuery::touched).
+  // One pipeline run, as a served patched read: filtered to the touched
+  // boxes (ShardQuery::touched), or unfiltered when one covers the whole
+  // output space (an off-grid value, a write to a 0-ary relation).
+  out.full_recompute =
+      std::any_of(touched.begin(), touched.end(),
+                  [](const DyadicBox& b) { return b.Support().empty(); });
   BatchOptions batch;
   batch.depth = depth;
   batch.shards = options.shards;
@@ -154,11 +136,16 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   batch.memory_budget_bytes = options.memory_budget_bytes;
   batch.executor = options.executor;
   ShardPipelineResult run = RunShardPipeline(
-      {{&query, options.order, options.indexes, &touched}}, kind, batch);
+      {{&query, options.order, options.indexes,
+        out.full_recompute ? nullptr : &touched}},
+      kind, batch);
   EngineResult& fresh = run.batch.results[0];
-  if (!fresh.ok) return full_run("shard failed (" + fresh.error + ")");
-  out = SplicePatch(std::move(fresh), run.rerun_boxes[0], old_tuples,
-                    touched.size(), depth);
+  if (out.full_recompute || !fresh.ok) {
+    res = std::move(fresh);
+    out.tuples_patched = res.tuples.size();
+    return finish();
+  }
+  out = SplicePatch(std::move(fresh), run.rerun_boxes[0], old_tuples, depth);
   return finish();
 }
 

@@ -88,24 +88,20 @@ struct PatchResult {
   size_t shards_rerun = 0;
   size_t tuples_kept = 0;     ///< old tuples outside every re-run box
   size_t tuples_patched = 0;  ///< fresh tuples from the re-run boxes
-  /// True when the patch degenerated to a full RunJoin (a universal
-  /// touched box, a shard failure, or a query the planner cannot split).
+  /// True when a touched box covers the whole output space: the run
+  /// re-ran every shard, unfiltered, and nothing was spliced.
   bool full_recompute = false;
-  std::string note;  ///< human-readable patch diagnostics
 };
 
 /// Splices one patch run into the old result. `fresh` is the ok result
 /// RunShardPipeline returned for a query run with ShardQuery::touched,
 /// and `rerun` that query's ShardPipelineResult::rerun_boxes; `old_tuples`
-/// is the canonical result before the delta, `touched_boxes` the number
-/// of touched boxes (for the note) and `depth` the run's grid depth.
-/// Keeps the old tuples outside every re-run box, merges the fresh ones
-/// in, fills every PatchResult field but full_recompute, and appends the
-/// "patched R/T shards" note to the result's shard_note.
+/// is the canonical result before the delta and `depth` the run's grid
+/// depth. Keeps the old tuples outside every re-run box, merges the fresh
+/// ones in, and fills every PatchResult field but full_recompute.
 PatchResult SplicePatch(EngineResult fresh,
                         const std::vector<DyadicBox>& rerun,
-                        const std::vector<Tuple>& old_tuples,
-                        size_t touched_boxes, int depth);
+                        const std::vector<Tuple>& old_tuples, int depth);
 
 /// Patches `old_tuples` — the join of `query`'s relations BEFORE the
 /// delta — into the join of `query`'s (current) relations, re-running
@@ -115,7 +111,11 @@ PatchResult SplicePatch(EngineResult fresh,
 /// must be built over the post-delta relation versions; `touched` comes
 /// from TouchedOutputBoxes over every delta since `old_tuples` was
 /// computed. An empty `touched` returns `old_tuples` unchanged without
-/// planning.
+/// planning; otherwise the patch is ONE RunShardPipeline call, like a
+/// served patched read, and a failed run fails the patch. A touched box
+/// covering the whole output space sets full_recompute: the call runs
+/// unfiltered, and its result (with the pipeline's shard fields) is the
+/// answer.
 /// The options pass the check a sharded RunJoin's pass
 /// (ValidateEngineOptions), so a patch fails with the same error; the
 /// shard count plans as in RunBatch (0 or 1 = one shard, kAutoShards =

@@ -307,7 +307,6 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
       s.shards = s.threads = s.plan_bytes = 0;
       s.max_shard_peak_bytes = s.estimated_max_shard_peak_bytes = 0;
       result.shard_runs.clear();
-      result.shard_note.clear();
     }
   } else {
     // A plain baseline builds no box, so it answers queries too wide for

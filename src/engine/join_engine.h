@@ -6,12 +6,15 @@
 // Yannakakis for acyclic queries, and the classical pairwise plans. Each
 // has its own entry point and its own stats struct. JoinEngine puts them
 // behind one API with a common `RunStats` result so callers — tests,
-// benches, and the future sharding / batching / caching layers — select
-// an engine by enum instead of hard-coding a call site.
+// benches, the shard pipeline and the service — select an engine by enum
+// instead of hard-coding a call site.
 //
 // All engines return output columns in query attribute-id order; the
 // facade canonicalizes (sorts + dedups) the tuples so results are
-// directly comparable across engines.
+// directly comparable across engines. What a run decided is recorded as
+// data, not prose: the counters and byte sizes of RunStats and the
+// per-shard entries of EngineResult::shard_runs, which the reporters
+// (engine/cli.h) print as row fields.
 #ifndef TETRIS_ENGINE_JOIN_ENGINE_H_
 #define TETRIS_ENGINE_JOIN_ENGINE_H_
 
@@ -72,8 +75,8 @@ struct MemoryStats {
   size_t intermediate_bytes = 0;  ///< largest materialized intermediate
   size_t output_bytes = 0;        ///< canonical output (TupleBytes)
 
-  /// Largest single resident structure — the budget number the future
-  /// sharding / batching layers care about.
+  /// Largest single resident structure — the number a memory budget
+  /// constrains.
   size_t PeakBytes() const {
     size_t peak = kb_bytes;
     if (index_bytes > peak) peak = index_bytes;
@@ -129,11 +132,9 @@ struct EngineResult {
   std::vector<Tuple> tuples;  ///< sorted, deduplicated, attr-id order
   RunStats stats;
 
-  // Sharded runs only: one entry per planned shard, plus planner /
-  // budget diagnostics (clamped shard counts, budget misses). Empty for
-  // plain runs.
+  // Sharded runs only: one entry per planned shard. Empty for plain
+  // runs and for spliced patches.
   std::vector<ShardRunInfo> shard_runs;
-  std::string shard_note;
 };
 
 /// EngineOptions::shards value asking the planner to choose the shard
@@ -187,8 +188,12 @@ struct EngineOptions {
   /// shard's estimated peak resident bytes fit this budget (see
   /// MemoryStats::PeakBytes), scaling payloads through a per-engine-
   /// family cost model calibrated from a probe pass
-  /// (engine/cost_model.h); EngineResult::shard_note reports when it
-  /// cannot, and carries the post-run prediction-vs-actual audit.
+  /// (engine/cost_model.h). The result shows how it went:
+  /// `estimated_max_shard_peak_bytes` above the budget means no split
+  /// could meet it, `max_shard_peak_bytes` above it means some shard
+  /// overran at run time (each shard's peak is in `shard_runs`), and
+  /// `memory.index_bytes` above it means the shared base indexes, which
+  /// stay resident however fine the split, already exceed it.
   /// Implies sharded execution.
   size_t memory_budget_bytes = 0;
 

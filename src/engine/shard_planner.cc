@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
 #include <numeric>
 
 #include "engine/cost_model.h"
@@ -162,12 +161,6 @@ int CeilLog2(int64_t v) {
   return k;
 }
 
-std::string HumanBytes(size_t b) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%zuB", b);
-  return buf;
-}
-
 }  // namespace
 
 size_t EstimateAtomBytes(size_t tuples, int arity) {
@@ -197,10 +190,6 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   const ShardCostModel default_model;  // payload proxy, slope 1
   const ShardCostModel& model =
       options.cost_model != nullptr ? *options.cost_model : default_model;
-  auto append_note = [&plan](const std::string& s) {
-    if (!plan.note.empty()) plan.note += "; ";
-    plan.note += s;
-  };
   // The domain has n*depth prefix bits in total; splitting beyond that
   // would create shards finer than single points. 20 bits (1M shards) is
   // a hard sanity ceiling on top. kMaxGrowthBits caps only budget/auto
@@ -208,10 +197,6 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
   // deeper than kMaxDepth has no dyadic arithmetic to split with, so it
   // gets one unsplit shard (the Tetris family rejects it before planning).
   const bool splittable = plan.depth <= kMaxDepth;
-  if (!splittable) {
-    append_note(std::string(kGridTooDeepError) +
-                ": planning one unsplit shard");
-  }
   const long total_bits =
       splittable ? static_cast<long>(n) * plan.depth : 0;
   const int hard_cap = static_cast<int>(std::min<long>(20, total_bits));
@@ -219,15 +204,7 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
 
   int k;
   if (options.shards > 1) {
-    k = CeilLog2(options.shards);
-    if (k > hard_cap) {
-      append_note("requested " + std::to_string(options.shards) +
-                  " shards, but the domain has only " +
-                  std::to_string(total_bits) +
-                  " prefix bits (planner ceiling 2^20): planning 2^" +
-                  std::to_string(hard_cap) + " shards");
-      k = hard_cap;
-    }
+    k = std::min(CeilLog2(options.shards), hard_cap);
   } else if (options.shards < 0) {
     // Auto: at least one shard per thread, budget may grow it below.
     k = std::min(growth_cap, CeilLog2(std::max(1, options.threads_hint)));
@@ -248,17 +225,8 @@ ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options) {
       if (static_cast<int>(next.size()) <= plan.split_bits) break;
       SplitPlan(query, std::move(next), model, &plan);
     }
-    if (plan.max_estimated_peak_bytes > budget) {
-      plan.budget_ok = false;
-      append_note("budget " + HumanBytes(budget) +
-                  " cannot be met: the finest allowed split (2^" +
-                  std::to_string(plan.split_bits) +
-                  " shards) still has an estimated per-shard peak of " +
-                  HumanBytes(plan.max_estimated_peak_bytes) +
-                  " (cost model: " + model.source +
-                  ") — a single tuple's footprint may already exceed "
-                  "the budget");
-    }
+    // A single tuple's footprint may already exceed the budget.
+    plan.budget_ok = plan.max_estimated_peak_bytes <= budget;
   }
   return plan;
 }

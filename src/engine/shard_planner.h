@@ -28,14 +28,16 @@
 // The planner is memory-aware: given a budget, it increases k until the
 // estimated resident footprint of every shard fits — scaling each
 // shard's restricted payload through a per-engine-family cost model
-// (engine/cost_model.h) when the executor supplies one — and reports,
-// rather than hangs or lies, when no split can satisfy the budget.
+// (engine/cost_model.h) when the executor supplies one — and clears
+// ShardPlan::budget_ok, rather than hanging, when no split can satisfy
+// the budget. A request it cannot honour reads off the plan itself: a
+// clamped shard count in `shards.size()`, a grid too deep to split in
+// `split_bits == 0`.
 #ifndef TETRIS_ENGINE_SHARD_PLANNER_H_
 #define TETRIS_ENGINE_SHARD_PLANNER_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "geometry/dyadic_box.h"
@@ -58,8 +60,7 @@ struct ShardPlanOptions {
 
   /// When nonzero, the planner keeps splitting until the estimated peak
   /// resident bytes of every shard fit the budget (or the split cap is
-  /// reached, in which case `ShardPlan::budget_ok` is false and
-  /// `ShardPlan::note` says why).
+  /// reached, in which case `ShardPlan::budget_ok` is false).
   size_t memory_budget_bytes = 0;
 
   /// Dyadic depth of the value domain; 0 = query.MinDepth().
@@ -106,9 +107,6 @@ struct ShardPlan {
   /// False iff a memory budget was given and even the finest allowed
   /// split leaves some shard's estimate over it.
   bool budget_ok = true;
-  /// Human-readable planner diagnostics: budget misses, clamped shard
-  /// counts. Empty when the plan is exactly what was asked for.
-  std::string note;
   std::vector<AtomCounts> counts;  ///< by atom
 
   /// How many rows of atom `atom` shard `shard_id` holds.
@@ -119,7 +117,8 @@ struct ShardPlan {
 };
 
 /// Plans the shard decomposition. Never fails: infeasible requests
-/// degrade to the closest feasible plan with `note`/`budget_ok` set.
+/// degrade to the closest feasible plan (`budget_ok` false for a budget
+/// no split meets).
 ShardPlan PlanShards(const JoinQuery& query, const ShardPlanOptions& options);
 
 /// An owning restricted copy of one shard's query — the lazy

@@ -295,8 +295,7 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
   EngineResult& fresh = run.batch.results[0];
   if (base.has_value() && fresh.ok) {
     PatchResult pr = SplicePatch(std::move(fresh), run.rerun_boxes[0],
-                                 base->result->tuples, touched.size(),
-                                 eff_depth);
+                                 base->result->tuples, eff_depth);
     resp.patched = true;
     resp.shards_rerun = pr.shards_rerun;
     resp.shards_total = pr.shards_total;

@@ -162,9 +162,13 @@ void ResultCache::Clear() {
 }
 
 size_t ResultCache::EstimateBytes(const EngineResult& result) {
-  // The tuples, plus entry bookkeeping and the stats/notes attached to
-  // the result.
-  return TupleBytes(result.tuples) + sizeof(EngineResult) + 256;
+  // The tuples, the per-shard entries of a sharded result, and entry
+  // bookkeeping.
+  size_t bytes = TupleBytes(result.tuples) + sizeof(EngineResult) + 256;
+  for (const ShardRunInfo& shard : result.shard_runs) {
+    bytes += sizeof(ShardRunInfo) + shard.box.size();
+  }
+  return bytes;
 }
 
 size_t ResultCache::entries() const {

@@ -129,7 +129,8 @@ class ResultCache {
   void Clear();
 
   /// The resident-byte estimate charged per entry: the tuples
-  /// (TupleBytes) plus per-entry bookkeeping overhead.
+  /// (TupleBytes), each ShardRunInfo with its box string, and per-entry
+  /// bookkeeping overhead.
   static size_t EstimateBytes(const EngineResult& result);
 
   size_t capacity_bytes() const { return capacity_bytes_; }

@@ -468,6 +468,12 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
   run.result.stats.tetris.kb_inserts = 23;
   run.result.stats.tetris.skeleton_nodes = 517;
   run.result.stats.tetris.kb_nodes_visited = 4099;
+  // The shard plan's fields, the estimator audit among them.
+  run.result.stats.shards = 8;
+  run.result.stats.threads = 3;
+  run.result.stats.max_shard_peak_bytes = 12345;
+  run.result.stats.estimated_max_shard_peak_bytes = 6789;
+  run.result.stats.plan_bytes = 321;
   {
     testing::internal::CaptureStdout();
     RunReporter rep(OutputFormat::kJsonl, "unit");
@@ -475,6 +481,11 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
     const std::string out = testing::internal::GetCapturedStdout();
     EXPECT_NE(out.find("\"kb_inserts\":23,\"skeleton_nodes\":517,"
                        "\"kb_nodes_visited\":4099,"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("\"shards\":8,\"threads\":3,"
+                       "\"shard_peak_bytes\":12345,"
+                       "\"est_shard_peak_bytes\":6789,\"plan_bytes\":321}"),
               std::string::npos)
         << out;
   }
@@ -488,6 +499,11 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
               std::string::npos)
         << out;
     EXPECT_NE(out.find(",0,23,517,4099,0,"), std::string::npos) << out;
+    EXPECT_NE(out.find(",shards,threads,shard_peak_bytes,"
+                       "est_shard_peak_bytes,plan_bytes,box,error,note\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find(",8,3,12345,6789,321,,,\n"), std::string::npos) << out;
   }
 }
 

@@ -102,7 +102,11 @@ inline OracleVerdict PatchedEqualsScratch(
   const EngineResult scratch = RunJoin(query, kind, options);
   OracleVerdict verdict = oracle_internal::CompareResults(
       patched.result, scratch,
-      std::string(EngineKindName(kind)) + " [" + patched.note + "]");
+      std::string(EngineKindName(kind)) + " [patched " +
+          std::to_string(patched.shards_rerun) + "/" +
+          std::to_string(patched.shards_total) + " shards, kept " +
+          std::to_string(patched.tuples_kept) + " tuples" +
+          (patched.full_recompute ? ", full recompute" : "") + "]");
   if (patch_out != nullptr) *patch_out = std::move(patched);
   return verdict;
 }

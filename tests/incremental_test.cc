@@ -356,6 +356,10 @@ TEST(IncrementalDifferentialTest, UniversalTouchedBoxFallsBackToFullRun) {
       {DyadicBox::Universal(inst.query.num_attrs())}, &patched);
   ASSERT_TRUE(verdict.ok) << verdict.message;
   EXPECT_TRUE(patched.full_recompute);
+  // The recompute is the patch's one unfiltered pipeline call: its
+  // result carries the one-shard plan, not a plain run's zeros.
+  EXPECT_EQ(patched.result.stats.shards, 1u);
+  EXPECT_EQ(patched.result.shard_runs.size(), 1u);
 }
 
 // --- locality: a patch stays inside the touched boxes -----------------

@@ -175,6 +175,23 @@ TEST(ResultCacheTest, EstimateBytesGrowsWithPayload) {
   const size_t base = ResultCache::EstimateBytes(*empty);
   EXPECT_GT(base, 0u);  // bookkeeping overhead, never free
   EXPECT_GE(ResultCache::EstimateBytes(*big), base + 1000 * 2 * 8);
+
+  // A sharded result also holds its per-shard entries, stats and box
+  // strings included: a cold served result carries one per shard.
+  EngineResult sharded = *big;
+  for (int id = 0; id < 4; ++id) {
+    ShardRunInfo info;
+    info.shard_id = id;
+    info.box = "<" + std::to_string(id & 1) + ", " +
+               std::to_string(id >> 1) + ", λ>";
+    sharded.shard_runs.push_back(info);
+  }
+  size_t shard_bytes = 0;
+  for (const ShardRunInfo& info : sharded.shard_runs) {
+    shard_bytes += sizeof(ShardRunInfo) + info.box.size();
+  }
+  EXPECT_GE(ResultCache::EstimateBytes(sharded),
+            ResultCache::EstimateBytes(*big) + shard_bytes);
 }
 
 // --- delta precision ---------------------------------------------------
