@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
                 "acceptance: >= 2 (entry restamped across both no-op "
                 "deltas)");
     if (!warm.cache_hit || survivals < 2.0) {
-      rep.Error("!! SURVIVAL ACCEPTANCE MISSED: no-op deltas demoted the "
+      rep.Error("!! SURVIVAL ACCEPTANCE MISSED: no-op deltas invalidated the "
                 "cached entry (hit=%d, survivals=%.0f)",
                 warm.cache_hit ? 1 : 0, survivals);
       ok = false;

@@ -26,7 +26,7 @@ namespace {
 // The pipeline's plan-sharing signature: depth, attribute count and per
 // atom its relation's address and binding, all that planning reads.
 // Address identity is right within one call (the caller pins every
-// relation), not across calls; the ResultCache keys by name@epoch.
+// relation), not across calls; the ResultCache keys by relation name.
 std::string PlanSignature(const JoinQuery& query, int depth) {
   std::string sig =
       std::to_string(depth) + "|" + std::to_string(query.num_attrs());

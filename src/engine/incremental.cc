@@ -143,6 +143,10 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
   if (out.full_recompute || !fresh.ok) {
     res = std::move(fresh);
     out.tuples_patched = res.tuples.size();
+    if (out.full_recompute) {
+      // Every shard meets the universal box, so every shard re-ran.
+      out.shards_total = out.shards_rerun = res.stats.shards;
+    }
     return finish();
   }
   out = SplicePatch(std::move(fresh), run.rerun_boxes[0], old_tuples, depth);

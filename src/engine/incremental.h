@@ -114,8 +114,8 @@ PatchResult SplicePatch(EngineResult fresh,
 /// planning; otherwise the patch is ONE RunShardPipeline call, like a
 /// served patched read, and a failed run fails the patch. A touched box
 /// covering the whole output space sets full_recompute: the call runs
-/// unfiltered, and its result (with the pipeline's shard fields) is the
-/// answer.
+/// unfiltered, its result (with the pipeline's shard fields) is the
+/// answer, and every shard of its plan counts as re-run.
 /// The options pass the check a sharded RunJoin's pass
 /// (ValidateEngineOptions), so a patch fails with the same error; the
 /// shard count plans as in RunBatch (0 or 1 = one shard, kAutoShards =

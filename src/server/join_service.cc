@@ -1,8 +1,6 @@
 #include "server/join_service.h"
 
-#include <algorithm>
 #include <chrono>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -81,11 +79,7 @@ bool JoinService::DeleteRows(const std::string& name,
 }
 
 void JoinService::InvalidateRows(RelationDelta d, RelationDelta* delta) {
-  // Delta-precise: entries disjoint from the effective delta survive
-  // (restamped to the new epoch), intersecting ones become patch bases.
-  std::vector<Tuple> changed = d.added;
-  changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-  cache_.InvalidateDelta(d.name, changed, d.to_epoch);
+  cache_.InvalidateDelta(d);
   registry_.PurgeRetired();
   if (delta != nullptr) *delta = std::move(d);
 }
@@ -223,19 +217,22 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     meta.atoms.push_back({name_of.at(atom.rel), atom.var_ids});
   }
 
-  // 3. Result cache: engine + versioned output-space signature.
+  // 3. Result cache: the shape's entry at the snapshot's epochs is a
+  // hit (no touched boxes), a patch (the boxes to re-run) or a miss.
   const bool cache_on = request.use_cache && options_.cache_bytes > 0;
+  CacheLookup cached;
   if (cache_on) {
-    if (std::shared_ptr<const EngineResult> hit =
-            cache_.Get(ResultCache::Key(meta))) {
-      resp.result = std::move(hit);
+    cached = cache_.Lookup(meta);
+    if (cached.result != nullptr && cached.touched.empty()) {
+      resp.result = std::move(cached.result);
       resp.cache_hit = true;
       return finish();
     }
   }
 
-  // 4. Miss: one option check, then one shard-pipeline run on the
-  // executor over the registry's index cache, under the deadline.
+  // 4. Miss or patch: one option check, then one shard-pipeline run on
+  // the executor over the registry's index cache, under the deadline —
+  // narrowed to the touched boxes for a patch.
   EngineOptions eopts;
   eopts.order = request.order;
   eopts.depth = eff_depth;
@@ -248,40 +245,6 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     return finish();
   }
 
-  // A demoted base with this query's unstamped signature plus a complete
-  // delta chain narrows the run to the touched boxes (a patch); a broken
-  // chain or a universal touched box reads cold.
-  std::optional<PatchBase> base;
-  std::vector<DyadicBox> touched;
-  if (cache_on) base = cache_.FindPatchBase(ResultCache::BaseKey(meta));
-  if (base.has_value()) {
-    for (const auto& [bname, bepoch] : base->meta.epochs) {
-      const RelationVersion* v = snap.Find(bname);
-      if (v != nullptr && v->epoch == bepoch) continue;  // unchanged
-      std::vector<RelationDelta> chain;
-      // To the SNAPSHOT's epoch, not the registry's current one: a
-      // mutation landing after Snap() must not leak into this patch.
-      if (v == nullptr ||
-          !registry_.DeltasSince(bname, bepoch, v->epoch, &chain)) {
-        base.reset();  // trimmed log or chain-breaking mutation
-        break;
-      }
-      std::vector<Tuple> changed;
-      for (const RelationDelta& d : chain) {
-        changed.insert(changed.end(), d.added.begin(), d.added.end());
-        changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-      }
-      std::vector<DyadicBox> boxes =
-          TouchedOutputBoxes(query, eff_depth, bname, changed);
-      touched.insert(touched.end(), boxes.begin(), boxes.end());
-    }
-    if (std::any_of(touched.begin(), touched.end(), [](const DyadicBox& b) {
-          return b.Support().empty();
-        })) {
-      base.reset();
-    }
-  }
-
   BatchOptions bopts;
   bopts.depth = eff_depth;
   bopts.shards = options_.shards;
@@ -289,13 +252,14 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
   bopts.executor = options_.executor;
   bopts.index_cache = &registry_.index_cache();
   bopts.deadline = deadline;
+  const bool patch = cached.result != nullptr;
   ShardPipelineResult run = RunShardPipeline(
-      {{&query, request.order, {}, base.has_value() ? &touched : nullptr}},
+      {{&query, request.order, {}, patch ? &cached.touched : nullptr}},
       request.engine, bopts);
   EngineResult& fresh = run.batch.results[0];
-  if (base.has_value() && fresh.ok) {
+  if (patch && fresh.ok) {
     PatchResult pr = SplicePatch(std::move(fresh), run.rerun_boxes[0],
-                                 base->result->tuples, eff_depth);
+                                 cached.result->tuples, eff_depth);
     resp.patched = true;
     resp.shards_rerun = pr.shards_rerun;
     resp.shards_total = pr.shards_total;

@@ -15,30 +15,29 @@
 //   2. SNAPSHOT — RelationRegistry::Snap() pins every named relation
 //      version the query touches; concurrent Replace/Append cannot tear
 //      the data out from under it.
-//   3. CACHE — the key is engine + the output-space signature (grid
-//      depth, attribute count, per atom its relation and binding) with
-//      atoms stamped "name@epoch". A hit returns the shared cached result
-//      without touching the engine (the order hint deliberately stays
-//      OUT of the key: it steers traversal, never the tuple set). A
-//      mutation bumps the epoch, so stale entries become unreachable by
-//      construction — except entries provably disjoint from the delta,
-//      which the cache restamps in place (ResultCache::InvalidateDelta).
-//   4. MISS — the request passes ValidateEngineOptions once, then runs
-//      as one RunShardPipeline call (engine/batch_runner.h) on the
-//      configured executor (WorkStealingPool::Global() by default),
+//   3. CACHE — one entry per query shape, keyed by engine + the
+//      output-space signature (grid depth, attribute count, per atom its
+//      relation and binding; the order hint deliberately stays OUT of
+//      the key: it steers traversal, never the tuple set). The entry
+//      counts only at the snapshot's exact epochs: with no touched boxes
+//      it is a hit, served without touching the engine; otherwise it
+//      holds the touched boxes of the row writes since its result was
+//      computed (ResultCache::InvalidateDelta), and the read patches.
+//   4. MISS or PATCH — the request passes ValidateEngineOptions once,
+//      then runs as one RunShardPipeline call (engine/batch_runner.h) on
+//      the configured executor (WorkStealingPool::Global() by default),
 //      drawing its base indexes from the registry's (relation, layout)
-//      IndexCache and carrying the deadline into the task loop. When a
-//      demoted patch base with the same unstamped signature and a
-//      complete registry delta chain exist, that call is a PATCH: it
-//      passes the deltas' touched boxes (engine/incremental.h) as
+//      IndexCache and carrying the deadline into the task loop. A patch
+//      passes the entry's touched boxes (engine/incremental.h) as
 //      ShardQuery::touched, so only the shards they meet re-run, each
 //      over the hull of its touched boxes for the Tetris family, and
-//      SplicePatch splices the fresh tuples into the stale result. So
+//      SplicePatch splices the fresh tuples into the cached result. So
 //      even a one-shard plan patches a 1-row write on one line of the
 //      output space, and since the registry promotes the cached indexes
-//      on every write, a patched read builds no index. A broken chain,
-//      or a touched box covering the whole output space (a value off
-//      the grid, a write to a 0-ary relation), reads cold.
+//      on every write, a patched read builds no index. A Replace, or a
+//      touched box covering the whole output space (a value off the
+//      grid, a write to a 0-ary relation), drops the entry: the next
+//      read is cold.
 //
 // Mutations route through the service (Register / Replace / AppendRows /
 // DeleteRows / Drop) so the result cache is invalidated — delta-
@@ -80,7 +79,7 @@ struct ServiceOptions {
   /// Also bounds the time a query may wait in the admission queue.
   double default_deadline_ms = 0.0;
   /// Result-cache capacity. 0 disables result caching entirely, and
-  /// with it patched reads (their bases live in the cache).
+  /// with it patched reads (they patch cached results).
   size_t cache_bytes = 64u << 20;
   /// Executor queries fan out on. nullptr = the process-global pool.
   /// Must outlive the service.
@@ -134,9 +133,10 @@ class JoinService {
 
   /// Mutations, routed through the service so the result cache stays
   /// coherent: row-level mutations invalidate delta-precisely (entries
-  /// disjoint from the delta survive, intersecting ones become patch
-  /// bases); chain-breaking mutations invalidate every entry of the
-  /// name. Retired relation versions are purged either way.
+  /// disjoint from the delta survive, intersecting ones record its
+  /// touched boxes and await a patch); Register / Replace / Drop free
+  /// every entry of the name. Retired relation versions are purged
+  /// either way.
   bool Register(Relation rel, std::string* error);
   bool Replace(Relation rel, std::string* error);
   /// On success, *delta (when non-null) receives the effective delta
@@ -164,10 +164,9 @@ class JoinService {
   // snapshot sizes of the named relations.
   size_t PredictPeakBytes(const QueryRequest& request) const;
 
-  // A row-level write's cache side: entries meeting the effective delta
-  // `d` become patch bases, the rest are restamped; then retired
-  // versions are purged and `d` is reported through *delta (when
-  // non-null).
+  // A row-level write's cache side: the effective delta `d` goes to
+  // ResultCache::InvalidateDelta, then retired versions are purged and
+  // `d` is reported through *delta (when non-null).
   void InvalidateRows(RelationDelta d, RelationDelta* delta);
 
   const ServiceOptions options_;

@@ -19,7 +19,6 @@ bool RelationRegistry::Register(Relation rel, std::string* error) {
                 RelationVersion{
                     std::make_shared<const Relation>(std::move(rel)),
                     ++epoch_});
-  delta_log_.erase(name);  // a fresh relation starts a fresh chain
   return true;
 }
 
@@ -37,7 +36,6 @@ bool RelationRegistry::Replace(Relation rel, std::string* error) {
   RetireLocked(std::move(it->second.rel));
   it->second.rel = std::make_shared<const Relation>(std::move(rel));
   it->second.epoch = ++epoch_;
-  delta_log_.erase(name);  // arbitrary swap: the delta is not tracked
   return true;
 }
 
@@ -128,35 +126,8 @@ bool RelationRegistry::WriteRows(const std::string& name,
   // only the epoch stamp moves.
   it->second.epoch = ++epoch_;
   delta.to_epoch = it->second.epoch;
-  std::deque<RelationDelta>& log = delta_log_[name];
-  log.push_back(delta);
-  while (log.size() > kDeltaLogCap) log.pop_front();
   if (delta_out != nullptr) *delta_out = std::move(delta);
   return true;
-}
-
-bool RelationRegistry::DeltasSince(const std::string& name,
-                                   uint64_t from_epoch, uint64_t to_epoch,
-                                   std::vector<RelationDelta>* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_.count(name) == 0 || from_epoch > to_epoch) return false;
-  if (from_epoch == to_epoch) return true;
-  auto lit = delta_log_.find(name);
-  if (lit == delta_log_.end()) return false;
-  uint64_t at = from_epoch;
-  bool walking = false;
-  for (const RelationDelta& d : lit->second) {
-    if (!walking) {
-      if (d.from_epoch != at) continue;  // older links precede the start
-      walking = true;
-    } else if (d.from_epoch != at) {
-      return false;  // gap inside the chain (cannot happen unless trimmed)
-    }
-    if (out != nullptr) out->push_back(d);
-    at = d.to_epoch;
-    if (at == to_epoch) return true;
-  }
-  return false;  // the chain never reached to_epoch
 }
 
 bool RelationRegistry::Drop(const std::string& name, std::string* error) {
@@ -170,7 +141,6 @@ bool RelationRegistry::Drop(const std::string& name, std::string* error) {
   }
   RetireLocked(std::move(it->second.rel));
   live_.erase(it);
-  delta_log_.erase(name);
   ++epoch_;
   return true;
 }

@@ -14,9 +14,9 @@
 // and the shard copies only ever reference the pinned version).
 //
 // Epochs are one global monotonic counter, not per-name counters, so a
-// (name, epoch) pair names one immutable version forever — exactly what
-// the result cache (server/result_cache.h) needs for keys that go
-// stale by construction the moment a relation mutates.
+// (name, epoch) pair names one immutable version forever, and a later
+// version always carries a larger epoch — exactly what the result cache
+// (server/result_cache.h) needs to tell which writes an entry has seen.
 //
 // The registry also owns the (relation, layout) IndexCache
 // (engine/index_cache.h) that the service's pipeline runs share across
@@ -34,21 +34,19 @@
 // nor a promoted index's pin) — so a recycled heap address can never
 // resurrect another relation's index.
 //
-// Row-level mutations (AppendRows / DeleteRows) additionally record the
+// Row-level mutations (AppendRows / DeleteRows) additionally report the
 // *effective* tuple delta — the set difference against the old version,
 // so appending a duplicate or deleting an absent tuple contributes
-// nothing — in a bounded per-relation delta log. DeltasSince replays
-// the contiguous chain between two version epochs, which is what lets
-// the incremental layer (engine/incremental.h) patch a stale cached
-// result instead of recomputing it: the chain names exactly the tuples
-// whose dyadic output subcubes could have changed. Register / Replace /
-// Drop clear the relation's chain (the delta against an arbitrary
-// replacement is not tracked), so consumers fall back to a full run.
+// nothing — with the epochs it moves the relation between. The registry
+// keeps no history of deltas: the result cache folds each one into the
+// entries it applies to, as the touched output boxes
+// (engine/incremental.h) a later read patches instead of recomputing.
+// Register / Replace / Drop report no delta (one against an arbitrary
+// replacement is not tracked), so their cached results are dropped.
 #ifndef TETRIS_SERVER_RELATION_REGISTRY_H_
 #define TETRIS_SERVER_RELATION_REGISTRY_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -109,16 +107,16 @@ class RelationRegistry {
 
   /// Installs a new version of `name` extended by `tuples`
   /// (copy-on-write, one merge of the old rows with the sorted delta;
-  /// the old version stays untouched for in-flight readers), records the effective delta in the relation's log, and
-  /// reports it through *delta when non-null. An effectively empty
-  /// append (every tuple already present) still installs a fresh epoch
-  /// but reuses the old version's storage — its indexes stay valid.
+  /// the old version stays untouched for in-flight readers) and reports
+  /// the effective delta through *delta when non-null. An effectively
+  /// empty append (every tuple already present) still installs a fresh
+  /// epoch but reuses the old version's storage — its indexes stay valid.
   /// Fails on an unknown name or an arity mismatch.
   bool AppendRows(const std::string& name, const std::vector<Tuple>& tuples,
                   std::string* error, RelationDelta* delta = nullptr);
 
   /// Installs a new version of `name` with `tuples` removed, with the
-  /// same delta-log contract as AppendRows (deleting absent tuples is
+  /// same delta contract as AppendRows (deleting absent tuples is
   /// an effectively empty delta). Fails on an unknown name or an arity
   /// mismatch.
   bool DeleteRows(const std::string& name, const std::vector<Tuple>& tuples,
@@ -126,21 +124,6 @@ class RelationRegistry {
 
   /// Retires the relation. Fails if the name is unknown.
   bool Drop(const std::string& name, std::string* error);
-
-  /// Replays the contiguous delta chain of `name` from the version at
-  /// `from_epoch` to the version at `to_epoch`, appending each link to
-  /// *out in order. Returns true iff the chain exists: `name` is live,
-  /// every link between the two epochs is still in the bounded log, and
-  /// nothing chain-breaking (Register / Replace / Drop, or a trimmed
-  /// log) happened in between. from_epoch == to_epoch is the trivially
-  /// complete empty chain. On false, *out may hold a partial prefix —
-  /// discard it.
-  bool DeltasSince(const std::string& name, uint64_t from_epoch,
-                   uint64_t to_epoch, std::vector<RelationDelta>* out) const;
-
-  /// Delta-log links kept per relation; older links are trimmed (and
-  /// chains through them break, falling back to full recomputation).
-  static constexpr size_t kDeltaLogCap = 64;
 
   /// A consistent view of every registered relation. O(#relations).
   RegistrySnapshot Snap() const;
@@ -174,7 +157,6 @@ class RelationRegistry {
   mutable std::mutex mu_;
   std::map<std::string, RelationVersion> live_;
   std::vector<std::shared_ptr<const Relation>> retired_;
-  std::map<std::string, std::deque<RelationDelta>> delta_log_;
   uint64_t epoch_ = 0;
   IndexCache index_cache_;
 };

@@ -1,5 +1,7 @@
 #include "server/result_cache.h"
 
+#include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "engine/incremental.h"
@@ -8,146 +10,133 @@ namespace tetris {
 
 namespace {
 
-// The output-space signature of the entry's query — grid depth,
-// attribute count and per atom its relation name (plus "@epoch" with
-// `with_epochs`) and attribute binding — rebuilt from the structured
-// meta, which is what lets surviving entries be restamped in place.
-std::string Signature(const CacheEntryMeta& meta, bool with_epochs) {
+// The output-space signature of the entry's query — engine, grid depth,
+// attribute count and per atom its relation name and attribute binding:
+// the one key of a query shape across every version of its relations.
+std::string Signature(const CacheEntryMeta& meta) {
   std::string sig = meta.engine + "|" + std::to_string(meta.depth) + "|" +
                     std::to_string(meta.num_attrs);
   for (const CacheEntryMeta::AtomRef& atom : meta.atoms) {
-    sig += "|" + atom.name;
-    if (with_epochs) {
-      auto it = meta.epochs.find(atom.name);
-      sig += "@" + std::to_string(it == meta.epochs.end() ? 0 : it->second);
-    }
-    sig += ":";
+    sig += "|" + atom.name + ":";
     for (int v : atom.var_ids) sig += std::to_string(v) + ",";
   }
   return sig;
 }
 
-bool References(const CacheEntryMeta& meta, const std::string& name) {
+// Appends to *touched the touched boxes of `delta` through each of the
+// entry's atoms over the written relation, skipping boxes it already
+// holds. False iff one covers the whole output space: nothing is left
+// to patch from.
+bool AppendTouched(const RelationDelta& delta, const CacheEntryMeta& meta,
+                   std::vector<DyadicBox>* touched) {
+  std::unordered_set<DyadicBox, DyadicBoxHash> seen(touched->begin(),
+                                                    touched->end());
   for (const CacheEntryMeta::AtomRef& atom : meta.atoms) {
-    if (atom.name == name) return true;
+    if (atom.name != delta.name) continue;
+    for (const std::vector<Tuple>* changed : {&delta.added, &delta.removed}) {
+      for (const Tuple& t : *changed) {
+        DyadicBox box;
+        switch (TouchedBoxOfTuple(atom.var_ids, meta.num_attrs, meta.depth,
+                                  t, &box)) {
+          case TupleTouch::kNone:
+            break;
+          case TupleTouch::kEverything:
+            return false;
+          case TupleTouch::kBox:
+            if (box.SupportMask() == 0) return false;
+            if (seen.insert(box).second) touched->push_back(box);
+            break;
+        }
+      }
+    }
   }
-  return false;
+  return true;
 }
 
 }  // namespace
 
-std::string ResultCache::Key(const CacheEntryMeta& meta) {
-  return Signature(meta, /*with_epochs=*/true);
-}
-
-std::string ResultCache::BaseKey(const CacheEntryMeta& meta) {
-  return Signature(meta, /*with_epochs=*/false);
-}
-
-bool ResultCache::Touches(const CacheEntryMeta& meta, const std::string& name,
-                          const std::vector<Tuple>& changed) {
-  // The entry's output space is the universal box over its attributes,
-  // so it meets every non-empty touched box: the entry survives iff the
-  // delta yields NO touched box through any of its atoms over `name`
-  // (kNone for every tuple — repeated-variable disagreements — or an
-  // effectively empty delta). kEverything (off-grid value) touches by
-  // definition.
-  for (const CacheEntryMeta::AtomRef& atom : meta.atoms) {
-    if (atom.name != name) continue;
-    for (const Tuple& t : changed) {
-      DyadicBox box;
-      if (TouchedBoxOfTuple(atom.var_ids, meta.num_attrs, meta.depth, t,
-                            &box) != TupleTouch::kNone) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-std::shared_ptr<const EngineResult> ResultCache::Get(const std::string& key) {
+CacheLookup ResultCache::Lookup(const CacheEntryMeta& meta) {
+  const std::string key = Signature(meta);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() || it->second->meta.epochs != meta.epochs) {
     ++misses_;
-    return nullptr;
+    return {};
   }
-  ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh LRU position
-  return it->second->result;
+  const Entry& entry = *it->second;
+  if (entry.touched.empty()) {
+    ++hits_;
+  } else {
+    ++misses_;  // a patched read is a miss
+  }
+  return {entry.result, entry.touched};
 }
 
 void ResultCache::Put(CacheEntryMeta meta,
                       std::shared_ptr<const EngineResult> result) {
   if (capacity_bytes_ == 0 || result == nullptr) return;
   const size_t bytes = EstimateBytes(*result);
-  std::string key = Key(meta);
+  std::string key = Signature(meta);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) RemoveLocked(it->second);
   if (bytes > capacity_bytes_) return;  // would evict everything for one entry
   EvictForLocked(bytes);
   lru_.push_front(Entry{std::move(key), std::move(meta), std::move(result),
-                        bytes});
+                        {}, bytes});
   index_.emplace(lru_.front().key, lru_.begin());
   bytes_ += bytes;
   ++insertions_;
 }
 
-std::optional<PatchBase> ResultCache::FindPatchBase(
-    const std::string& base_key) {
+size_t ResultCache::InvalidateDelta(const RelationDelta& delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = base_index_.find(base_key);
-  if (it == base_index_.end()) return std::nullopt;
-  return PatchBase{it->second->meta, it->second->result};
-}
-
-size_t ResultCache::InvalidateDelta(const std::string& name,
-                                    const std::vector<Tuple>& changed,
-                                    uint64_t new_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t demoted = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    auto next = std::next(it);
-    if (References(it->meta, name)) {
-      if (Touches(it->meta, name, changed)) {
-        DemoteLocked(it);
-        ++demoted;
-        ++invalidations_;
-      } else {
-        // Disjoint from every touched box: still exact under the new
-        // version — restamp the key so post-delta lookups hit it.
-        index_.erase(it->key);
-        it->meta.epochs[name] = new_epoch;
-        it->key = Key(it->meta);
-        index_.emplace(it->key, it);
+  size_t invalidated = 0;
+  for (auto next = lru_.begin(); next != lru_.end();) {
+    const auto it = next++;
+    Entry& entry = *it;
+    auto stamp = entry.meta.epochs.find(delta.name);
+    // Not over the relation, or computed past this write already.
+    if (stamp == entry.meta.epochs.end() || stamp->second > delta.from_epoch) {
+      continue;
+    }
+    const bool servable = entry.touched.empty();
+    const size_t had = entry.touched.size();
+    if (stamp->second < delta.from_epoch ||
+        !AppendTouched(delta, entry.meta, &entry.touched)) {
+      // Missed an earlier write, or touched everywhere: no patch can
+      // bring this result to the new version.
+      RemoveLocked(it);
+      if (servable) ++invalidated;
+    } else {
+      stamp->second = delta.to_epoch;
+      const size_t grew = (entry.touched.size() - had) * sizeof(DyadicBox);
+      entry.bytes += grew;
+      bytes_ += grew;
+      // An entry already awaiting a patch was counted when it stopped
+      // serving.
+      if (servable && entry.touched.empty()) {
         ++survivals_;
+      } else if (servable) {
+        ++invalidated;
       }
     }
-    it = next;
   }
-  return demoted;
+  invalidations_ += invalidated;
+  EvictForLocked(0);  // grown touched boxes may overrun the capacity
+  return invalidated;
 }
 
 size_t ResultCache::InvalidateRelation(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t freed = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    auto next = std::next(it);
-    if (References(it->meta, name)) {
-      RemoveLocked(it);
-      ++freed;
-      ++invalidations_;
-    }
-    it = next;
-  }
-  for (auto it = bases_.begin(); it != bases_.end();) {
-    auto next = std::next(it);
-    if (References(it->meta, name)) {
-      RemoveBaseLocked(it);
-      ++freed;
-    }
-    it = next;
+  for (auto next = lru_.begin(); next != lru_.end();) {
+    const auto it = next++;
+    if (it->meta.epochs.count(name) == 0) continue;
+    if (it->touched.empty()) ++invalidations_;
+    RemoveLocked(it);
+    ++freed;
   }
   return freed;
 }
@@ -156,8 +145,6 @@ void ResultCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-  bases_.clear();
-  base_index_.clear();
   bytes_ = 0;
 }
 
@@ -173,12 +160,14 @@ size_t ResultCache::EstimateBytes(const EngineResult& result) {
 
 size_t ResultCache::entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  return std::count_if(lru_.begin(), lru_.end(),
+                       [](const Entry& e) { return e.touched.empty(); });
 }
 
 size_t ResultCache::patch_bases() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bases_.size();
+  return std::count_if(lru_.begin(), lru_.end(),
+                       [](const Entry& e) { return !e.touched.empty(); });
 }
 
 size_t ResultCache::bytes() const {
@@ -217,13 +206,6 @@ size_t ResultCache::survivals() const {
 }
 
 void ResultCache::EvictForLocked(size_t need) {
-  // Patch bases first: a base saves the untouched fraction of one
-  // recompute, a fresh entry saves an entire run — and bases are
-  // already the older data.
-  while (!bases_.empty() && bytes_ + need > capacity_bytes_) {
-    RemoveBaseLocked(std::prev(bases_.end()));
-    ++evictions_;
-  }
   while (!lru_.empty() && bytes_ + need > capacity_bytes_) {
     RemoveLocked(std::prev(lru_.end()));
     ++evictions_;
@@ -234,25 +216,6 @@ void ResultCache::RemoveLocked(std::list<Entry>::iterator it) {
   bytes_ -= it->bytes;
   index_.erase(it->key);
   lru_.erase(it);
-}
-
-void ResultCache::RemoveBaseLocked(std::list<Entry>::iterator it) {
-  bytes_ -= it->bytes;
-  base_index_.erase(it->key);
-  bases_.erase(it);
-}
-
-void ResultCache::DemoteLocked(std::list<Entry>::iterator it) {
-  index_.erase(it->key);
-  it->key = BaseKey(it->meta);
-  auto existing = base_index_.find(it->key);
-  if (existing != base_index_.end()) {
-    // A newer demotion supersedes the older base outright — patching
-    // from the newest base replays the shortest delta chain.
-    RemoveBaseLocked(existing->second);
-  }
-  bases_.splice(bases_.begin(), lru_, it);
-  base_index_.emplace(it->key, it);
 }
 
 }  // namespace tetris

@@ -1,39 +1,44 @@
-// LRU result cache keyed by (relation epochs, output-space signature),
-// with delta-precise invalidation and patch-base retention.
+// LRU result cache keyed by output-space signature, whose entries record
+// the row writes they have seen.
 //
 // KhamisNRR15's geometric decomposition makes result reuse unusually
-// precise: two queries with the same output-space signature (grid
-// depth, attribute count, per-atom relation + binding — what shard
-// planning depends on too) over the same relation *versions*
-// compute the same tuple set, so the service can answer the second one
-// without touching the engine at all. Keys embed each atom's
-// "name@epoch" stamp (server/relation_registry.h), which gives
-// correctness by construction: a mutation bumps the epoch, every new
-// lookup computes a key no stale entry can match, and served entries
-// are therefore never stale.
+// precise: two queries with the same output-space signature (engine,
+// grid depth, attribute count, per-atom relation + binding — what shard
+// planning depends on too) over the same relation *versions* compute
+// the same tuple set, so the service can answer the second one without
+// touching the engine at all. The cache keeps ONE entry per signature —
+// per query shape — holding its result, the relation epochs it is
+// stamped at (server/relation_registry.h), and the touched boxes
+// (engine/incremental.h) of the row writes since the result was
+// computed.
 //
-// Row-level deltas get finer treatment than the epoch-global
-// InvalidateRelation sweep. InvalidateDelta applies the touched-box
-// test of engine/incremental.h to every entry referencing the mutated
-// relation:
+// InvalidateDelta applies one effective row delta to the entries
+// stamped at its `from_epoch` for the written relation:
 //
 //   * DISJOINT — no changed tuple projects onto the entry's output
 //     space (an effectively empty delta, or every changed tuple
-//     disagrees on a repeated query variable): the cached tuples are
-//     provably still exact, so the entry SURVIVES — its key is
-//     restamped to the new epoch so post-delta lookups keep hitting it
-//     (counted in `survivals`);
-//   * INTERSECTING — the entry stops being servable (counted in
-//     `invalidations`) but is demoted to the PATCH-BASE store, one slot
-//     per (engine, unstamped signature): the next miss with the same
-//     signature retrieves it through FindPatchBase and patches only the
-//     touched shards (server/join_service.cc) instead of recomputing.
+//     disagrees on a repeated query variable): the entry is restamped
+//     to `to_epoch` unchanged, and a servable entry SURVIVES (counted
+//     in `survivals`);
+//   * INTERSECTING — the delta's touched boxes are appended and the
+//     entry is restamped: it awaits a patch, and a servable entry that
+//     gains boxes counts in `invalidations`. A touched box covering the
+//     whole output space (an off-grid value, a write to a 0-ary
+//     relation) drops the entry instead.
 //
-// Entries are shared_ptr<const EngineResult>, handed out without
+// An entry stamped before `from_epoch` missed a write (a result Put by
+// a reader whose snapshot predates a concurrent write or Replace) and
+// is dropped; one stamped later already reflects the delta and is left
+// alone. So an entry's stamp and boxes always name its result plus
+// exactly the writes it has not absorbed, and Lookup at a snapshot's
+// epochs is a HIT (equal stamp, no boxes), a PATCH (equal stamp, the
+// boxes to re-run — server/join_service.cc) or a MISS (any other stamp).
+//
+// Results are shared_ptr<const EngineResult>, handed out without
 // copying the tuple payload; eviction while a client still holds one is
-// safe. Capacity 0 disables the cache (every Get misses, Put drops).
-// Patch bases count against the byte capacity and are evicted first
-// under pressure (a base saves work; a fresh entry saves a whole run).
+// safe. Capacity 0 disables the cache (every Lookup misses, Put drops).
+// Entries awaiting a patch share the byte capacity and the LRU order
+// with servable ones, and their touched boxes count toward their bytes.
 #ifndef TETRIS_SERVER_RESULT_CACHE_H_
 #define TETRIS_SERVER_RESULT_CACHE_H_
 
@@ -42,12 +47,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/join_engine.h"
+#include "geometry/dyadic_box.h"
+#include "server/relation_registry.h"
 
 namespace tetris {
 
@@ -67,11 +73,13 @@ struct CacheEntryMeta {
   std::map<std::string, uint64_t> epochs;  ///< name -> version epoch
 };
 
-/// A demoted entry handed back for patching: the stale result plus the
-/// meta describing exactly which versions it was computed over.
-struct PatchBase {
-  CacheEntryMeta meta;
+/// What Lookup found for one query shape at one snapshot.
+struct CacheLookup {
+  /// The cached result; nullptr on a miss.
   std::shared_ptr<const EngineResult> result;
+  /// The touched boxes of the writes since `result` was computed: empty
+  /// on a hit, the output region a patch re-runs otherwise.
+  std::vector<DyadicBox> touched;
 };
 
 /// Thread-safe byte-capped LRU cache of whole EngineResults.
@@ -82,96 +90,67 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The versioned entry key: EngineKindName + "|" + the output-space
-  /// signature with atoms stamped "name@epoch", rebuilt from the
-  /// structured meta so surviving entries can be restamped after an
-  /// epoch bump.
-  static std::string Key(const CacheEntryMeta& meta);
+  /// The entry for meta's shape if it is stamped at exactly meta.epochs,
+  /// else a miss. A found entry moves to the LRU front; it counts in
+  /// hits() when it has no touched boxes, in misses() (a patched read)
+  /// otherwise.
+  CacheLookup Lookup(const CacheEntryMeta& meta);
 
-  /// The unstamped signature (atoms stamped by name only): the identity
-  /// patch bases are stored under — it names the query shape across
-  /// version changes.
-  static std::string BaseKey(const CacheEntryMeta& meta);
-
-  /// The cached result for `key`, or nullptr on a miss. A hit refreshes
-  /// the entry's LRU position. Patch bases are never served here.
-  std::shared_ptr<const EngineResult> Get(const std::string& key);
-
-  /// Inserts (or refreshes) `result` under Key(meta). Oversized results
-  /// (> capacity) are simply not cached; otherwise patch bases, then
-  /// least-recently-used entries, are evicted until the result fits.
+  /// Makes `result` the entry for meta's shape, stamped at meta.epochs
+  /// with no touched boxes, replacing any entry the shape had. Oversized
+  /// results (> capacity) are not cached; otherwise least-recently-used
+  /// entries are evicted until the result fits.
   void Put(CacheEntryMeta meta, std::shared_ptr<const EngineResult> result);
 
-  /// The patch base stored under `base_key`, or nullopt. The base stays
-  /// in the store (later misses may patch from it again) until replaced
-  /// by a newer demotion, invalidated, or evicted.
-  std::optional<PatchBase> FindPatchBase(const std::string& base_key);
+  /// Applies the effective row delta `delta` to every entry stamped at
+  /// delta.from_epoch for delta.name, by the rules in the header
+  /// comment; entries not naming the relation are untouched. Returns
+  /// the number of servable entries it invalidated.
+  size_t InvalidateDelta(const RelationDelta& delta);
 
-  /// Applies the touched-box test for a row-level delta to relation
-  /// `name` whose effective changed tuples (added and removed alike)
-  /// are `changed`, installed at `new_epoch`. Entries not referencing
-  /// `name` are untouched; referencing entries survive (restamped to
-  /// `new_epoch`, counted in survivals()) iff no changed tuple projects
-  /// onto their output space, and are otherwise demoted to the
-  /// patch-base store (counted in invalidations()). Patch bases
-  /// referencing `name` stay — their meta still names the exact epochs
-  /// they were computed over, which is what patching needs. Returns the
-  /// number of entries demoted.
-  size_t InvalidateDelta(const std::string& name,
-                         const std::vector<Tuple>& changed,
-                         uint64_t new_epoch);
-
-  /// Frees every entry AND patch base whose query touches `name` — the
-  /// epoch-global hammer for chain-breaking mutations (Register /
-  /// Replace / Drop). Returns the number of entries freed.
+  /// Frees every entry whose query names `name` — the hammer for writes
+  /// that carry no row delta (Register / Replace / Drop). Returns the
+  /// number of entries freed; only servable ones count in
+  /// invalidations().
   size_t InvalidateRelation(const std::string& name);
 
   void Clear();
 
-  /// The resident-byte estimate charged per entry: the tuples
+  /// The resident-byte estimate charged per result: the tuples
   /// (TupleBytes), each ShardRunInfo with its box string, and per-entry
-  /// bookkeeping overhead.
+  /// bookkeeping overhead. An entry adds sizeof(DyadicBox) per touched
+  /// box.
   static size_t EstimateBytes(const EngineResult& result);
 
   size_t capacity_bytes() const { return capacity_bytes_; }
-  size_t entries() const;      ///< servable entries (patch bases excluded)
-  size_t patch_bases() const;  ///< demoted entries awaiting a patch
-  size_t bytes() const;        ///< servable + patch-base payload bytes
+  size_t entries() const;      ///< servable entries (no touched boxes)
+  size_t patch_bases() const;  ///< entries awaiting a patch
+  size_t bytes() const;        ///< every entry, touched boxes included
   size_t hits() const;
   size_t misses() const;
   size_t insertions() const;
   size_t evictions() const;      ///< entries dropped by LRU pressure
-  size_t invalidations() const;  ///< entries demoted/freed by a mutation
-  size_t survivals() const;      ///< entries restamped past a delta
+  size_t invalidations() const;  ///< servable entries a write changed or freed
+  size_t survivals() const;      ///< servable entries restamped past a delta
 
  private:
   struct Entry {
     std::string key;
     CacheEntryMeta meta;
     std::shared_ptr<const EngineResult> result;
+    /// The touched boxes of the writes since `result`, deduplicated.
+    std::vector<DyadicBox> touched;
     size_t bytes = 0;
   };
 
-  // True iff some changed tuple projects onto the entry's output space
-  // through an atom over `name` (the INTERSECTING case above).
-  static bool Touches(const CacheEntryMeta& meta, const std::string& name,
-                      const std::vector<Tuple>& changed);
-
-  // Drops patch bases, then the LRU tail, until `need` more bytes fit.
-  // Caller holds mu_.
+  // Drops the LRU tail until `need` more bytes fit. Caller holds mu_.
   void EvictForLocked(size_t need);
   void RemoveLocked(std::list<Entry>::iterator it);
-  void RemoveBaseLocked(std::list<Entry>::iterator it);
-  // Demotes *it into the patch-base store (replacing any older base
-  // with the same base key) and unlinks it from the LRU. Caller holds mu_.
-  void DemoteLocked(std::list<Entry>::iterator it);
 
   const size_t capacity_bytes_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::list<Entry> bases_;  ///< front = most recently demoted
-  std::unordered_map<std::string, std::list<Entry>::iterator> base_index_;
   size_t bytes_ = 0;
   size_t hits_ = 0;
   size_t misses_ = 0;

@@ -1,13 +1,15 @@
-// Incremental view maintenance (engine/incremental.h + the registry
-// delta log + the service patch path), checked against the differential
-// oracle of tests/incremental_oracle.h: every patched result must equal
-// the from-scratch recomputation, across all engines, randomized
+// Incremental view maintenance (engine/incremental.h + the registry's
+// effective deltas + the result cache's touched boxes + the service
+// patch path), checked against the differential oracle of
+// tests/incremental_oracle.h: every patched result must equal the
+// from-scratch recomputation, across all engines, randomized
 // insert/delete workloads, sharded + budgeted options, and the
 // service's cached / restamped / patched serving paths.
 #include "engine/incremental.h"
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -77,7 +79,7 @@ TEST(TouchedBoxTest, OutputBoxesDeduplicateAndCollapseToUniversal) {
   EXPECT_TRUE(all[0].Support().empty());
 }
 
-// --- registry delta log ------------------------------------------------
+// --- registry effective deltas -----------------------------------------
 
 TEST(RegistryDeltaTest, AppendAndDeleteRecordEffectiveDeltas) {
   RelationRegistry reg;
@@ -99,16 +101,8 @@ TEST(RegistryDeltaTest, AppendAndDeleteRecordEffectiveDeltas) {
   ASSERT_TRUE(reg.DeleteRows("R", {{1, 2}, {9, 9}}, &error, &del)) << error;
   EXPECT_EQ(del.removed, (std::vector<Tuple>{{1, 2}}));  // absentee filtered
   EXPECT_TRUE(del.added.empty());
-
-  std::vector<RelationDelta> chain;
-  ASSERT_TRUE(reg.DeltasSince("R", e0, reg.epoch(), &chain));
-  ASSERT_EQ(chain.size(), 2u);
-  EXPECT_EQ(chain[0].added, add.added);
-  EXPECT_EQ(chain[1].removed, del.removed);
-  // The trivially empty chain.
-  chain.clear();
-  EXPECT_TRUE(reg.DeltasSince("R", reg.epoch(), reg.epoch(), &chain));
-  EXPECT_TRUE(chain.empty());
+  EXPECT_EQ(del.from_epoch, add.to_epoch);
+  EXPECT_EQ(del.to_epoch, reg.epoch());
 }
 
 TEST(RegistryDeltaTest, NoopMutationsBumpTheEpochButReuseStorage) {
@@ -130,36 +124,6 @@ TEST(RegistryDeltaTest, NoopMutationsBumpTheEpochButReuseStorage) {
   EXPECT_GT(reg.epoch(), e0);
   EXPECT_EQ(reg.Snap().Find("R")->rel.get(), before.get());
   EXPECT_EQ(reg.retired(), 0u);
-}
-
-TEST(RegistryDeltaTest, ChainBreaksAcrossReplaceAndLogTrim) {
-  RelationRegistry reg;
-  std::string error;
-  ASSERT_TRUE(reg.Register(Relation::Make("R", {"a"}, {{1}}), &error));
-  const uint64_t e0 = reg.epoch();
-  ASSERT_TRUE(reg.AppendRows("R", {{2}}, &error));
-  ASSERT_TRUE(reg.Replace(Relation::Make("R", {"a"}, {{9}}), &error));
-  ASSERT_TRUE(reg.AppendRows("R", {{3}}, &error));
-  std::vector<RelationDelta> chain;
-  EXPECT_FALSE(reg.DeltasSince("R", e0, reg.epoch(), &chain));
-
-  // Trim: more links than the cap breaks chains from the far past but
-  // not recent ones.
-  const uint64_t mid = reg.epoch();
-  for (size_t i = 0; i < RelationRegistry::kDeltaLogCap + 4; ++i) {
-    ASSERT_TRUE(reg.AppendRows("R", {{100 + i}}, &error)) << error;
-  }
-  chain.clear();
-  EXPECT_FALSE(reg.DeltasSince("R", mid, reg.epoch(), &chain));
-  const uint64_t recent = reg.epoch();
-  ASSERT_TRUE(reg.AppendRows("R", {{5000}}, &error));
-  chain.clear();
-  EXPECT_TRUE(reg.DeltasSince("R", recent, reg.epoch(), &chain));
-  EXPECT_EQ(chain.size(), 1u);
-
-  // Unknown names and backwards ranges have no chain.
-  EXPECT_FALSE(reg.DeltasSince("Nope", 0, reg.epoch(), &chain));
-  EXPECT_FALSE(reg.DeltasSince("R", reg.epoch(), recent, &chain));
 }
 
 TEST(RegistryDeltaTest, RowMutationsValidateArity) {
@@ -357,9 +321,12 @@ TEST(IncrementalDifferentialTest, UniversalTouchedBoxFallsBackToFullRun) {
   ASSERT_TRUE(verdict.ok) << verdict.message;
   EXPECT_TRUE(patched.full_recompute);
   // The recompute is the patch's one unfiltered pipeline call: its
-  // result carries the one-shard plan, not a plain run's zeros.
+  // result carries the one-shard plan, not a plain run's zeros, and
+  // the patch's counts say that shard re-ran.
   EXPECT_EQ(patched.result.stats.shards, 1u);
   EXPECT_EQ(patched.result.shard_runs.size(), 1u);
+  EXPECT_EQ(patched.shards_total, 1u);
+  EXPECT_EQ(patched.shards_rerun, 1u);
 }
 
 // --- locality: a patch stays inside the touched boxes -----------------
@@ -517,7 +484,7 @@ QueryRequest TriangleQuery(EngineKind kind, int depth) {
   q.engine = kind;
   // An explicit depth keeps the output-space signature stable across
   // deltas (MinDepth would drift with the value range), which is what
-  // lets the patch base match.
+  // lets the cached entry match.
   q.depth = depth;
   return q;
 }
@@ -529,7 +496,8 @@ TEST(IncrementalServiceTest, AppendAndDeletePatchInsteadOfRecomputing) {
   RegisterTriangle(&service, /*n=*/50, /*d=*/5, /*seed=*/59);
   const QueryRequest query = TriangleQuery(EngineKind::kTetrisPreloaded, 6);
 
-  // Warm the cache, then demote the entry with a one-tuple append.
+  // Warm the cache, then a two-tuple append leaves the entry awaiting a
+  // patch.
   ASSERT_TRUE(service.Execute(query).result->ok);
   std::string error;
   ASSERT_TRUE(service.AppendRows("S", {{1, 3}, {2, 7}}, &error)) << error;
@@ -543,8 +511,8 @@ TEST(IncrementalServiceTest, AppendAndDeletePatchInsteadOfRecomputing) {
   EXPECT_LE(resp.shards_rerun, resp.shards_total);
   EXPECT_EQ(service.patched(), 1u);
 
-  // The patched result was re-cached; deleting rows demotes it again
-  // and the next execution patches through the delete.
+  // The patched result was re-cached; deleting rows leaves it awaiting
+  // a patch again, and the next execution patches through the delete.
   ASSERT_TRUE(service.DeleteRows("S", {{1, 3}}, &error)) << error;
   verdict = ExecuteMatchesScratch(&service, query, &resp);
   ASSERT_TRUE(verdict.ok) << verdict.message;
@@ -636,35 +604,51 @@ TEST(IncrementalServiceTest, RandomizedWorkloadAcrossAllEngines) {
 }
 
 TEST(IncrementalServiceTest, ConcurrentRowMutationsNeverTearQueries) {
-  // A writer streams row-level appends/deletes on S (exercising the
-  // delta log, InvalidateDelta restamps/demotions, and the patch path)
-  // while readers execute cached queries: every response is ok and
-  // epochs never go backwards. TSan runs this suite in CI.
+  // A writer streams row-level appends/deletes on S, every fourth one
+  // effectively empty (exercising InvalidateDelta's restamps, touched
+  // boxes and the patch path), while readers execute cached queries:
+  // every response is ok, epochs never go backwards, and every answer
+  // equals a scratch join over the versions at the epoch it was served
+  // at. The writer is the only one, so an epoch names one registry
+  // state, recorded as the writer installs it. TSan runs this suite in
+  // CI.
   ServiceOptions options;
   options.shards = 4;
   JoinService service(options);
   RegisterTriangle(&service, /*n=*/50, /*d=*/5, /*seed=*/73);
+  std::map<uint64_t, RegistrySnapshot> states;  // the writer's, until joined
+  RegistrySnapshot initial = service.registry().Snap();
+  states.emplace(initial.epoch, std::move(initial));
   std::atomic<bool> readers_done{false};
   std::thread writer([&]() {
     uint64_t s = 79;
     for (int k = 0; !readers_done.load(); ++k) {
       std::string error;
-      if (k % 3 == 2) {
-        // Snapshot pointer keeps the version alive while we pick a row.
-        const auto snap_rel = service.registry().Snap().Find("S")->rel;
-        std::vector<Tuple> del;
-        if (snap_rel->size() > 0) {
-          del.push_back(snap_rel->row(Next(&s) % snap_rel->size()).ToTuple());
-        }
-        EXPECT_TRUE(service.DeleteRows("S", del, &error)) << error;
+      // Snapshot pointer keeps the version alive while we pick a row.
+      const auto snap_rel = service.registry().Snap().Find("S")->rel;
+      std::vector<Tuple> held;  // one row S holds, if it holds any
+      if (snap_rel->size() > 0) {
+        held.push_back(snap_rel->row(Next(&s) % snap_rel->size()).ToTuple());
+      }
+      if (k % 4 == 2) {
+        EXPECT_TRUE(service.DeleteRows("S", held, &error)) << error;
+      } else if (k % 4 == 3) {
+        EXPECT_TRUE(service.AppendRows("S", held, &error)) << error;
       } else {
         EXPECT_TRUE(service.AppendRows(
             "S", {{Next(&s) % 32, Next(&s) % 32}}, &error))
             << error;
       }
+      RegistrySnapshot state = service.registry().Snap();
+      states.emplace(state.epoch, std::move(state));
     }
   });
 
+  struct Served {
+    uint64_t epoch;
+    std::shared_ptr<const EngineResult> result;
+  };
+  std::vector<std::vector<Served>> served(2);
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r]() {
@@ -678,12 +662,40 @@ TEST(IncrementalServiceTest, ConcurrentRowMutationsNeverTearQueries) {
         EXPECT_TRUE(resp.result->ok) << resp.result->error;
         EXPECT_GE(resp.epoch, last_epoch);
         last_epoch = resp.epoch;
+        served[r].push_back({resp.epoch, resp.result});
       }
     });
   }
   for (std::thread& t : readers) t.join();
   readers_done.store(true);
   writer.join();
+
+  std::map<uint64_t, std::vector<Tuple>> want;  // by epoch
+  size_t wrong = 0;
+  size_t reads = 0;
+  for (const std::vector<Served>& answers : served) {
+    for (const Served& got : answers) {
+      auto it = want.find(got.epoch);
+      if (it == want.end()) {
+        auto state = states.find(got.epoch);
+        ASSERT_NE(state, states.end()) << "epoch " << got.epoch;
+        std::vector<const Relation*> rels;
+        for (const char* name : {"R", "S", "T"}) {
+          rels.push_back(state->second.Find(name)->rel.get());
+        }
+        it = want.emplace(got.epoch,
+                          RunJoin(JoinQuery::Build(rels),
+                                  EngineKind::kLeapfrog)
+                              .tuples)
+                 .first;
+      }
+      ++reads;
+      if (got.result->tuples != it->second) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << "of " << reads << " answers, over "
+                       << states.size() << " writer states";
+  states.clear();
   EXPECT_EQ(service.inflight(), 0u);
   // Row mutations promote cached indexes instead of evicting them, and
   // a promoted index pins its base version (SortedIndex::pin()), so

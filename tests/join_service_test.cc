@@ -260,8 +260,8 @@ TEST(JoinServiceTest, DeadlineExceededIsAPerQueryError) {
   EXPECT_FALSE(late.patched);
   EXPECT_FALSE(late.cache_hit);
 
-  // The late read cached nothing, so the patch base is still there: a
-  // read without a deadline patches it.
+  // The late read cached nothing, so the entry still awaits its patch:
+  // a read without a deadline patches it.
   const QueryResponse patched = service.Execute(no_deadline);
   ASSERT_TRUE(patched.result->ok) << patched.result->error;
   EXPECT_TRUE(patched.patched);

@@ -1,12 +1,13 @@
 // The byte-capped LRU result cache (server/result_cache.h): hit/miss
 // accounting, LRU order under refreshes, relation-name invalidation,
 // the zero-capacity / oversized-entry edge cases — and the delta
-// precision layer: entries survive a row-level delta iff their output
-// space is disjoint from every touched box, intersecting entries demote
-// to patch bases, and bases evict before servable entries. Key
-// *semantics* against the live registry (epoch stamps keeping stale
-// entries unreachable) are covered in join_service_test.cc — this suite
-// tests the container itself.
+// layer: an entry survives a row-level delta iff its output space is
+// disjoint from every touched box, otherwise it records the touched
+// boxes and awaits a patch; a delta applies only to entries stamped at
+// the version it was made against, so a result computed before a write
+// the cache has processed is never served. Key semantics against the
+// live registry are covered in join_service_test.cc — this suite tests
+// the container itself.
 #include "server/result_cache.h"
 
 #include <memory>
@@ -28,8 +29,9 @@ std::shared_ptr<const EngineResult> FakeResult(size_t tuples) {
   return r;
 }
 
-// A meta whose atoms all bind column c to attribute c (the touched-box
-// tests below override var_ids where the binding matters).
+// A meta stamped at epoch 1 whose atoms all bind column c to attribute
+// c (the touched-box tests below override var_ids where the binding
+// matters).
 CacheEntryMeta Meta(
     const std::vector<std::pair<std::string, std::vector<int>>>& atoms,
     int depth = 4, int num_attrs = 3,
@@ -45,11 +47,30 @@ CacheEntryMeta Meta(
   return m;
 }
 
+// `meta` stamped at `epoch` for relation `name`.
+CacheEntryMeta At(CacheEntryMeta meta, const std::string& name,
+                  uint64_t epoch) {
+  meta.epochs[name] = epoch;
+  return meta;
+}
+
+// The effective delta of one row write to `name`.
+RelationDelta Delta(const std::string& name, uint64_t from, uint64_t to,
+                    std::vector<Tuple> added,
+                    std::vector<Tuple> removed = {}) {
+  RelationDelta d;
+  d.name = name;
+  d.from_epoch = from;
+  d.to_epoch = to;
+  d.added = std::move(added);
+  d.removed = std::move(removed);
+  return d;
+}
+
 TEST(ResultCacheTest, HitsMissesAndSharedOwnership) {
   ResultCache cache(1u << 20);
   const CacheEntryMeta meta = Meta({{"R", {0, 1}}, {"S", {1, 2}}});
-  const std::string key = ResultCache::Key(meta);
-  EXPECT_EQ(cache.Get(key), nullptr);
+  EXPECT_EQ(cache.Lookup(meta).result, nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
   auto result = FakeResult(8);
@@ -58,33 +79,25 @@ TEST(ResultCacheTest, HitsMissesAndSharedOwnership) {
   EXPECT_EQ(cache.insertions(), 1u);
   EXPECT_EQ(cache.bytes(), ResultCache::EstimateBytes(*result));
 
-  std::shared_ptr<const EngineResult> hit = cache.Get(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit.get(), result.get());  // shared, not copied
+  const CacheLookup hit = cache.Lookup(meta);
+  ASSERT_NE(hit.result, nullptr);
+  EXPECT_TRUE(hit.touched.empty());
+  EXPECT_EQ(hit.result.get(), result.get());  // shared, not copied
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
+  // The same shape at another version misses and leaves the entry.
+  EXPECT_EQ(cache.Lookup(At(meta, "S", 2)).result, nullptr);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.entries(), 1u);
 
   // Entries survive for holders after removal from the cache.
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(hit->tuples.size(), 8u);
+  EXPECT_EQ(hit.result->tuples.size(), 8u);
 }
 
-TEST(ResultCacheTest, KeyStampsEpochsAndBaseKeyDoesNot) {
-  CacheEntryMeta meta = Meta({{"R", {0, 1}}});
-  meta.epochs["R"] = 7;
-  const std::string key = ResultCache::Key(meta);
-  EXPECT_NE(key.find("R@7:0,1,"), std::string::npos) << key;
-  EXPECT_EQ(ResultCache::BaseKey(meta).find("@"), std::string::npos);
-  // Same shape at another version: different key, same base key.
-  CacheEntryMeta later = meta;
-  later.epochs["R"] = 8;
-  EXPECT_NE(ResultCache::Key(later), key);
-  EXPECT_EQ(ResultCache::BaseKey(later), ResultCache::BaseKey(meta));
-}
-
-TEST(ResultCacheTest, LruEvictionRespectsGetRefresh) {
+TEST(ResultCacheTest, LruEvictionRespectsLookupRefresh) {
   // Capacity for exactly two identically-sized entries.
   auto a = FakeResult(16);
   auto b = FakeResult(16);
@@ -99,13 +112,13 @@ TEST(ResultCacheTest, LruEvictionRespectsGetRefresh) {
   EXPECT_EQ(cache.entries(), 2u);
 
   // Touching "a" makes "b" the LRU victim when "c" needs room.
-  ASSERT_NE(cache.Get(ResultCache::Key(ma)), nullptr);
+  ASSERT_NE(cache.Lookup(ma).result, nullptr);
   cache.Put(mc, c);
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.Get(ResultCache::Key(ma)), nullptr);
-  EXPECT_EQ(cache.Get(ResultCache::Key(mb)), nullptr);
-  EXPECT_NE(cache.Get(ResultCache::Key(mc)), nullptr);
+  EXPECT_NE(cache.Lookup(ma).result, nullptr);
+  EXPECT_EQ(cache.Lookup(mb).result, nullptr);
+  EXPECT_NE(cache.Lookup(mc).result, nullptr);
   EXPECT_LE(cache.bytes(), cache.capacity_bytes());
 }
 
@@ -122,9 +135,9 @@ TEST(ResultCacheTest, InvalidateRelationFreesEveryTouchingEntry) {
   EXPECT_EQ(cache.InvalidateRelation("S"), 2u);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.invalidations(), 2u);
-  EXPECT_EQ(cache.Get(ResultCache::Key(tri)), nullptr);
-  EXPECT_EQ(cache.Get(ResultCache::Key(path)), nullptr);
-  EXPECT_NE(cache.Get(ResultCache::Key(other)), nullptr);
+  EXPECT_EQ(cache.Lookup(tri).result, nullptr);
+  EXPECT_EQ(cache.Lookup(path).result, nullptr);
+  EXPECT_NE(cache.Lookup(other).result, nullptr);
   // Invalidations are not LRU evictions.
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_EQ(cache.InvalidateRelation("S"), 0u);
@@ -136,7 +149,7 @@ TEST(ResultCacheTest, ZeroCapacityDisablesCaching) {
   cache.Put(meta, FakeResult(2));
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.insertions(), 0u);
-  EXPECT_EQ(cache.Get(ResultCache::Key(meta)), nullptr);
+  EXPECT_EQ(cache.Lookup(meta).result, nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
@@ -152,10 +165,10 @@ TEST(ResultCacheTest, OversizedResultsAreNotCached) {
   cache.Put(msmall, small);
   cache.Put(mbig, big);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_NE(cache.Get(ResultCache::Key(msmall)), nullptr);
+  EXPECT_NE(cache.Lookup(msmall).result, nullptr);
 }
 
-TEST(ResultCacheTest, PutRefreshesAnExistingKey) {
+TEST(ResultCacheTest, PutReplacesTheEntryOfItsShape) {
   ResultCache cache(1u << 20);
   auto v1 = FakeResult(2);
   auto v2 = FakeResult(32);
@@ -163,10 +176,21 @@ TEST(ResultCacheTest, PutRefreshesAnExistingKey) {
   cache.Put(meta, v1);
   cache.Put(meta, v2);
   EXPECT_EQ(cache.entries(), 1u);
-  std::shared_ptr<const EngineResult> got = cache.Get(ResultCache::Key(meta));
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got.get(), v2.get());
+  const CacheLookup got = cache.Lookup(meta);
+  ASSERT_NE(got.result, nullptr);
+  EXPECT_EQ(got.result.get(), v2.get());
   EXPECT_EQ(cache.bytes(), ResultCache::EstimateBytes(*v2));
+
+  // One entry per shape across versions too: a patched read's result
+  // at the new epoch replaces the entry it patched.
+  cache.InvalidateDelta(Delta("R", 1, 2, {{1, 2}}));
+  EXPECT_EQ(cache.patch_bases(), 1u);
+  auto v3 = FakeResult(4);
+  cache.Put(At(meta, "R", 2), v3);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.patch_bases(), 0u);
+  EXPECT_EQ(cache.Lookup(At(meta, "R", 2)).result.get(), v3.get());
+  EXPECT_EQ(cache.bytes(), ResultCache::EstimateBytes(*v3));
 }
 
 TEST(ResultCacheTest, EstimateBytesGrowsWithPayload) {
@@ -199,131 +223,172 @@ TEST(ResultCacheTest, EstimateBytesGrowsWithPayload) {
 // The survive-iff-disjoint property. An atom R(A,A) (var_ids {0,0})
 // only projects tuples agreeing on both columns onto the output space:
 // a delta of disagreeing tuples touches nothing, so the entry SURVIVES
-// the epoch bump and is served under its restamped key; one agreeing
-// tuple touches its unit box, and the entry demotes.
+// the epoch bump and is served at the new epoch; one agreeing tuple
+// touches its unit box, and the entry awaits a patch.
 TEST(ResultCacheTest, EntrySurvivesDeltaDisjointFromItsOutputSpace) {
   ResultCache cache(1u << 20);
-  CacheEntryMeta meta = Meta({{"R", {0, 0}}}, /*depth=*/3, /*num_attrs=*/1);
+  const CacheEntryMeta meta = Meta({{"R", {0, 0}}}, /*depth=*/3,
+                                   /*num_attrs=*/1);
   auto result = FakeResult(4);
   cache.Put(meta, result);
 
   // Disagreeing delta tuples project onto no output point.
-  EXPECT_EQ(cache.InvalidateDelta("R", {{1, 2}, {5, 3}}, /*new_epoch=*/2), 0u);
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 1, 2, {{1, 2}, {5, 3}})), 0u);
   EXPECT_EQ(cache.survivals(), 1u);
   EXPECT_EQ(cache.invalidations(), 0u);
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.patch_bases(), 0u);
-  // The old key is gone, the restamped key hits.
-  EXPECT_EQ(cache.Get(ResultCache::Key(meta)), nullptr);
-  meta.epochs["R"] = 2;
-  EXPECT_EQ(cache.Get(ResultCache::Key(meta)).get(), result.get());
+  // The old stamp misses, the new one hits.
+  EXPECT_EQ(cache.Lookup(meta).result, nullptr);
+  EXPECT_EQ(cache.Lookup(At(meta, "R", 2)).result.get(), result.get());
 
-  // An agreeing tuple touches Unit(5) — the entry demotes.
-  EXPECT_EQ(cache.InvalidateDelta("R", {{5, 5}}, /*new_epoch=*/3), 1u);
+  // An agreeing tuple touches Unit(5): the entry awaits a patch over it.
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 2, 3, {}, {{5, 5}})), 1u);
   EXPECT_EQ(cache.invalidations(), 1u);
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.patch_bases(), 1u);
+  const size_t hits = cache.hits();
+  const CacheLookup patch = cache.Lookup(At(meta, "R", 3));
+  EXPECT_EQ(patch.result.get(), result.get());
+  ASSERT_EQ(patch.touched.size(), 1u);
+  EXPECT_EQ(patch.touched[0][0], DyadicInterval::Unit(5, 3));
+  EXPECT_EQ(cache.hits(), hits);  // a patched read is a miss
 }
 
 TEST(ResultCacheTest, EmptyDeltaRestampsEveryReferencingEntry) {
   ResultCache cache(1u << 20);
-  CacheEntryMeta r = Meta({{"R", {0, 1}}});
+  const CacheEntryMeta r = Meta({{"R", {0, 1}}});
   const CacheEntryMeta x = Meta({{"X", {0, 1}}});
   cache.Put(r, FakeResult(2));
   cache.Put(x, FakeResult(2));
-  EXPECT_EQ(cache.InvalidateDelta("R", {}, /*new_epoch=*/9), 0u);
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 1, 9, {})), 0u);
   EXPECT_EQ(cache.survivals(), 1u);  // only the referencing entry counts
-  r.epochs["R"] = 9;
-  EXPECT_NE(cache.Get(ResultCache::Key(r)), nullptr);
-  EXPECT_NE(cache.Get(ResultCache::Key(x)), nullptr);
+  EXPECT_NE(cache.Lookup(At(r, "R", 9)).result, nullptr);
+  EXPECT_NE(cache.Lookup(x).result, nullptr);
 }
 
-TEST(ResultCacheTest, OffGridDeltaValueTouchesEverything) {
+TEST(ResultCacheTest, OffGridDeltaValueDropsTheEntry) {
   ResultCache cache(1u << 20);
   // Even the repeated-binding entry cannot survive a value off the
-  // depth-3 grid — the delta changes which depth is servable at all.
+  // depth-3 grid — the delta changes which depth is servable at all —
+  // and no patch over a part of the output space can absorb it.
   const CacheEntryMeta meta = Meta({{"R", {0, 0}}}, /*depth=*/3,
                                    /*num_attrs=*/1);
   cache.Put(meta, FakeResult(2));
-  EXPECT_EQ(cache.InvalidateDelta("R", {{100, 200}}, /*new_epoch=*/2), 1u);
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 1, 2, {{100, 200}})), 1u);
+  EXPECT_EQ(cache.invalidations(), 1u);
   EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.patch_bases(), 1u);
+  EXPECT_EQ(cache.patch_bases(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
 }
 
-TEST(ResultCacheTest, DemotedEntryIsFoundByBaseKeyWithItsOldEpochs) {
+TEST(ResultCacheTest, TouchedBoxesGrowAcrossDeltasAndCountTowardBytes) {
   ResultCache cache(1u << 20);
-  CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3, /*num_attrs=*/2);
-  meta.epochs["R"] = 5;
+  const CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3,
+                                   /*num_attrs=*/2);
   auto result = FakeResult(4);
   cache.Put(meta, result);
-  EXPECT_EQ(cache.InvalidateDelta("R", {{1, 2}}, /*new_epoch=*/6), 1u);
+  const size_t base = ResultCache::EstimateBytes(*result);
 
-  std::optional<PatchBase> base =
-      cache.FindPatchBase(ResultCache::BaseKey(meta));
-  ASSERT_TRUE(base.has_value());
-  EXPECT_EQ(base->result.get(), result.get());
-  // The base's meta still names the versions it was computed over —
-  // exactly what DeltasSince needs as its starting epoch.
-  EXPECT_EQ(base->meta.epochs.at("R"), 5u);
-  // Not servable as a hit anymore.
-  EXPECT_EQ(cache.Get(ResultCache::Key(meta)), nullptr);
-  // The base stays for later misses.
-  EXPECT_TRUE(cache.FindPatchBase(ResultCache::BaseKey(meta)).has_value());
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 1, 2, {{1, 2}})), 1u);
+  EXPECT_EQ(cache.bytes(), base + sizeof(DyadicBox));
+  // The second delta repeats one box and adds one; the entry already
+  // awaits a patch, so it is not invalidated again.
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 2, 3, {{3, 3}}, {{1, 2}})), 0u);
+  EXPECT_EQ(cache.invalidations(), 1u);
+  EXPECT_EQ(cache.survivals(), 0u);
+  EXPECT_EQ(cache.bytes(), base + 2 * sizeof(DyadicBox));
+
+  EXPECT_EQ(cache.Lookup(At(meta, "R", 2)).result, nullptr);
+  const CacheLookup patch = cache.Lookup(At(meta, "R", 3));
+  EXPECT_EQ(patch.result.get(), result.get());
+  ASSERT_EQ(patch.touched.size(), 2u);
+  EXPECT_EQ(patch.touched[0][0], DyadicInterval::Unit(1, 3));
+  EXPECT_EQ(patch.touched[1][1], DyadicInterval::Unit(3, 3));
 }
 
-TEST(ResultCacheTest, NewerDemotionSupersedesTheOlderBase) {
+// A result computed at epoch 1 reaches the cache only after the 1 -> 2
+// delta was applied (a reader whose snapshot predates a concurrent
+// write). The next, effectively empty, 2 -> 3 delta must not restamp it
+// past the write it never saw.
+TEST(ResultCacheTest, ResultPutAfterAMissedDeltaIsNeverServed) {
   ResultCache cache(1u << 20);
-  CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3, /*num_attrs=*/2);
-  auto v1 = FakeResult(2);
-  cache.Put(meta, v1);
-  cache.InvalidateDelta("R", {{1, 2}}, /*new_epoch=*/2);
-
-  CacheEntryMeta meta2 = meta;
-  meta2.epochs["R"] = 2;
-  auto v2 = FakeResult(4);
-  cache.Put(meta2, v2);
-  cache.InvalidateDelta("R", {{3, 3}}, /*new_epoch=*/3);
-
-  EXPECT_EQ(cache.patch_bases(), 1u);  // one slot per base key
-  std::optional<PatchBase> base =
-      cache.FindPatchBase(ResultCache::BaseKey(meta));
-  ASSERT_TRUE(base.has_value());
-  EXPECT_EQ(base->result.get(), v2.get());  // the newest, shortest chain
-  EXPECT_EQ(base->meta.epochs.at("R"), 2u);
+  const CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3,
+                                   /*num_attrs=*/2);
+  cache.InvalidateDelta(Delta("R", 1, 2, {{1, 2}}));
+  cache.Put(meta, FakeResult(4));
+  cache.InvalidateDelta(Delta("R", 2, 3, {}));
+  EXPECT_EQ(cache.Lookup(At(meta, "R", 3)).result, nullptr);
+  EXPECT_EQ(cache.Lookup(At(meta, "R", 2)).result, nullptr);
+  EXPECT_EQ(cache.entries(), 0u);  // dropped, not restamped
+  EXPECT_EQ(cache.survivals(), 0u);
 }
 
-TEST(ResultCacheTest, PatchBasesEvictBeforeServableEntries) {
+// The same with a Replace (InvalidateRelation) in place of the 1 -> 2
+// delta: the pre-Replace result must never be served after it.
+TEST(ResultCacheTest, ResultPutAfterAReplaceIsNeverServed) {
+  ResultCache cache(1u << 20);
+  const CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3,
+                                   /*num_attrs=*/2);
+  cache.InvalidateRelation("R");
+  cache.Put(meta, FakeResult(4));
+  cache.InvalidateDelta(Delta("R", 2, 3, {}));
+  EXPECT_EQ(cache.Lookup(At(meta, "R", 3)).result, nullptr);
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
+// A result computed past a delta the cache has not processed yet (the
+// write's version was installed, its cache side is still to come)
+// already reflects it: the late delta leaves the entry alone.
+TEST(ResultCacheTest, EntryStampedPastTheDeltaIsLeftAlone) {
+  ResultCache cache(1u << 20);
+  const CacheEntryMeta meta = At(
+      Meta({{"R", {0, 1}}}, /*depth=*/3, /*num_attrs=*/2), "R", 2);
+  auto result = FakeResult(4);
+  cache.Put(meta, result);
+  EXPECT_EQ(cache.InvalidateDelta(Delta("R", 1, 2, {{1, 2}})), 0u);
+  EXPECT_EQ(cache.survivals(), 0u);
+  EXPECT_EQ(cache.Lookup(meta).result.get(), result.get());
+}
+
+TEST(ResultCacheTest, EntriesAwaitingAPatchEvictInLruOrder) {
   auto a = FakeResult(16);
   const size_t one = ResultCache::EstimateBytes(*a);
-  ResultCache cache(2 * one);
+  ResultCache cache(3 * one);
   const CacheEntryMeta ma = Meta({{"A", {0, 1}}}, /*depth=*/3,
                                  /*num_attrs=*/2);
   const CacheEntryMeta mb = Meta({{"B", {0, 1}}}, /*depth=*/3,
                                  /*num_attrs=*/2);
   const CacheEntryMeta mc = Meta({{"C", {0, 1}}}, /*depth=*/3,
                                  /*num_attrs=*/2);
+  cache.Put(mb, FakeResult(16));
   cache.Put(ma, a);
-  cache.InvalidateDelta("A", {{1, 1}}, /*new_epoch=*/2);  // demote to base
+  cache.InvalidateDelta(Delta("A", 1, 2, {{1, 1}}));  // awaits a patch
   EXPECT_EQ(cache.patch_bases(), 1u);
 
-  cache.Put(mb, FakeResult(16));
-  cache.Put(mc, FakeResult(16));  // needs room: the base goes, not "B"
-  EXPECT_EQ(cache.patch_bases(), 0u);
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_NE(cache.Get(ResultCache::Key(mb)), nullptr);
-  EXPECT_NE(cache.Get(ResultCache::Key(mc)), nullptr);
-  EXPECT_FALSE(cache.FindPatchBase(ResultCache::BaseKey(ma)).has_value());
+  // "B" is older than "A", so it goes first, not the entry awaiting a
+  // patch.
+  cache.Put(mc, FakeResult(16));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.patch_bases(), 1u);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.Lookup(mb).result, nullptr);
+  EXPECT_NE(cache.Lookup(mc).result, nullptr);
+  EXPECT_EQ(cache.Lookup(At(ma, "A", 2)).result.get(), a.get());
 }
 
-TEST(ResultCacheTest, InvalidateRelationClearsPatchBasesToo) {
+TEST(ResultCacheTest, InvalidateRelationFreesEntriesAwaitingAPatch) {
   ResultCache cache(1u << 20);
   const CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3,
                                    /*num_attrs=*/2);
   cache.Put(meta, FakeResult(2));
-  cache.InvalidateDelta("R", {{1, 2}}, /*new_epoch=*/2);
+  cache.InvalidateDelta(Delta("R", 1, 2, {{1, 2}}));
   EXPECT_EQ(cache.patch_bases(), 1u);
-  // Replace/Drop breaks the delta chain — a base for R is useless.
+  EXPECT_EQ(cache.invalidations(), 1u);
+  // Replace/Drop carry no delta — nothing can patch R's entry now. It
+  // was counted when it stopped serving, so not again.
   EXPECT_EQ(cache.InvalidateRelation("R"), 1u);
+  EXPECT_EQ(cache.invalidations(), 1u);
   EXPECT_EQ(cache.patch_bases(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
 }
