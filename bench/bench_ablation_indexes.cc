@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
       const std::string scenario = "N=" + std::to_string(in.s.size());
       for (const cli::EngineRun& run : cli::RunEngines(q, opts, eopts)) {
         cli::Params params = {{"n", static_cast<double>(in.s.size())}};
-        rep.Row(scenario, params, run);
+        rep.Row(scenario, params, run.kind, run.result);
         if (run.result.ok && !run.result.tuples.empty()) {
           rep.Error("!! EXPECTED EMPTY JOIN (%s)", EngineKindName(run.kind));
           ok = false;

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       cli::Params params = {
           {"d", static_cast<double>(d)},
           {"n", static_cast<double>(qi.storage[0]->size())}};
-      rep.Row(scenario, params, run);
+      rep.Row(scenario, params, run.kind, run.result);
       if (run.result.ok && !run.result.tuples.empty()) {
         rep.Error("!! EXPECTED EMPTY OUTPUT (%s)", EngineKindName(run.kind));
         empty_ok = false;

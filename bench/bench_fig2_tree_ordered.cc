@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
           {"agm", agm},
           {"res/agm", res > 0 ? res / agm : 0.0},
       };
-      rep.Row(scenario, params, run);
+      rep.Row(scenario, params, run.kind, run.result);
       if (CountsForClaim(run, EngineKind::kTetrisPreloadedNoCache)) {
         fit_unc.emplace_back(agm, res);
       }

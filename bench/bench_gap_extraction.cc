@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     for (const cli::EngineRun& run : cli::RunEngines(q, opts, eopts)) {
       cli::Params params = {{"d", static_cast<double>(d)},
                             {"n", static_cast<double>(r1.size())}};
-      rep.Row(cfg.name, params, run);
+      rep.Row(cfg.name, params, run.kind, run.result);
     }
   }
   rep.Note("Same join, same output, different certificates: only the "

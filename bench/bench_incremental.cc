@@ -209,9 +209,6 @@ int main(int argc, char** argv) {
               ? static_cast<double>(patched.shards_rerun) /
                     static_cast<double>(patched.shards_total)
               : 1.0;
-      cli::EngineRun run;
-      run.kind = kind;
-      run.result = patched.result;
       rep.Row(point.scenario,
               {{"delta_rows", static_cast<double>(point.rows)},
                {"patched_ms", patch_ms},
@@ -219,7 +216,7 @@ int main(int argc, char** argv) {
                {"speedup_x", speedup},
                {"shards_rerun", static_cast<double>(patched.shards_rerun)},
                {"shards_total", static_cast<double>(patched.shards_total)}},
-              run);
+              kind, patched.result);
       if (point.gated &&
           !(patched.shards_rerun < patched.shards_total)) {
         rep.Error("!! SHARD ACCEPTANCE MISSED: %s %s re-ran %zu/%zu shards "

@@ -129,15 +129,12 @@ int main(int argc, char** argv) {
     const double hit_rate =
         static_cast<double>(hit_count) / static_cast<double>(samples);
     const double ratio = hit_ms > 0 ? cold_ms / hit_ms : 0.0;
-    cli::EngineRun run;
-    run.kind = kind;
-    run.result = *primed.result;
     rep.Row("triangle",
             {{"cold_ms", cold_ms},
              {"hit_ms", hit_ms},
              {"hit_speedup_x", ratio},
              {"hit_rate", hit_rate}},
-            run);
+            kind, *primed.result);
     rep.Summary(std::string(engine) + "_hit_rate", hit_rate,
                 "acceptance: > 0");
     rep.Summary(std::string(engine) + "_hit_speedup_x", ratio,

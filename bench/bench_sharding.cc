@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
     const cli::EngineRun base =
         TimedRun(q.query, kind, EngineOptions{}, opts);
     rep.Row("unsharded",
-            {{"m", static_cast<double>(m)}, {"speedup", 1.0}}, base);
+            {{"m", static_cast<double>(m)}, {"speedup", 1.0}}, base.kind,
+            base.result);
     if (!base.result.ok) continue;  // rendered as a skipped row above
     const double base_ms = base.result.stats.wall_ms;
     const size_t base_tuples = base.result.tuples.size();
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
                   run.result.stats.estimated_max_shard_peak_bytes /
                       1024.0},
                  {"plan_KiB", run.result.stats.plan_bytes / 1024.0}},
-                run);
+                run.kind, run.result);
       }
     }
     // Acceptance check: > 1.5x at shards=4, threads=4 — only meaningful
@@ -153,7 +154,8 @@ int main(int argc, char** argv) {
     eopts.threads = 4;
     cli::EngineRun run = TimedRun(q.query, kind, eopts, opts);
     if (!run.result.ok) {
-      rep.Row("budget=" + std::to_string(estimate / 4), {}, run);
+      rep.Row("budget=" + std::to_string(estimate / 4), {}, run.kind,
+              run.result);
       continue;  // rendered as a skipped row
     }
     rep.Row("budget=" + std::to_string(estimate / 4),
@@ -163,7 +165,7 @@ int main(int argc, char** argv) {
               run.result.stats.max_shard_peak_bytes / 1024.0},
              {"est_peak_KiB",
               run.result.stats.estimated_max_shard_peak_bytes / 1024.0}},
-            run);
+            run.kind, run.result);
   }
   return ok && rep.AllAgreed() ? 0 : 1;
 }

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
           {"z", z},
           {"res/(n+zd)", res > 0 ? res / nzd : 0.0},
       };
-      rep.Row(scenario, params, run);
+      rep.Row(scenario, params, run.kind, run.result);
       if (CountsForClaim(run, EngineKind::kTetrisPreloaded)) {
         fit.emplace_back(nzd, res);
       }

@@ -37,7 +37,7 @@ bool RunFamily(const char* name, const std::vector<QueryInstance>& family,
           {"z", static_cast<double>(run.result.tuples.size())},
           {"agm", agm},
       };
-      rep->Row(scenario, params, run);
+      rep->Row(scenario, params, run.kind, run.result);
       if (CountsForClaim(run, EngineKind::kTetrisPreloaded)) {
         fit.emplace_back(
             agm, static_cast<double>(run.result.stats.tetris.resolutions));

@@ -65,7 +65,7 @@ bool SweepPath(bool sweep_n, const cli::HarnessOptions& opts,
     for (const cli::EngineRun& run : cli::RunEngines(qi.query, opts, eopts)) {
       cli::Params row_params = {{"n", static_cast<double>(total_n)},
                                 {"cert", cert}};
-      rep->Row(scenario, row_params, run);
+      rep->Row(scenario, row_params, run.kind, run.result);
       if (run.result.ok && !run.result.tuples.empty()) {
         rep->Error("!! EXPECTED EMPTY OUTPUT (%s)",
                   EngineKindName(run.kind));
@@ -127,7 +127,7 @@ bool SweepCycle(bool sweep_n, const cli::HarnessOptions& opts,
       cli::Params row_params = {{"n", static_cast<double>(total_n)},
                                 {"cert", cert},
                                 {"res/cert^3", res > 0 ? res / bound : 0.0}};
-      rep->Row(scenario, row_params, run);
+      rep->Row(scenario, row_params, run.kind, run.result);
       if (run.result.ok && !run.result.tuples.empty()) {
         rep->Error("!! EXPECTED EMPTY OUTPUT (%s)",
                   EngineKindName(run.kind));

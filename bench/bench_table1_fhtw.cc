@@ -58,7 +58,7 @@ bool RunFamily(const char* name, const std::vector<QueryInstance>& family,
           {"z", z},
           {"res/bound", res > 0 ? res / bound : 0.0},
       };
-      rep->Row(scenario, params, run);
+      rep->Row(scenario, params, run.kind, run.result);
       if (CountsForClaim(run, EngineKind::kTetrisPreloaded)) {
         fit.emplace_back(bound, res);
       }

@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
     for (const auto& r : qi.storage) total_n += r->size();
     const std::string scenario = "N=" + std::to_string(total_n);
     for (const cli::EngineRun& run : cli::RunEngines(qi.query, opts, eopts)) {
-      rep.Row(scenario, {{"n", static_cast<double>(total_n)}}, run);
+      rep.Row(scenario, {{"n", static_cast<double>(total_n)}}, run.kind,
+              run.result);
       if (run.result.ok && !run.result.tuples.empty()) {
         rep.Error("!! expected an empty join (%s)",
                  EngineKindName(run.kind));

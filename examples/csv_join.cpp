@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
     cli::RunReporter rep(opts.format, "csv_join");
     rep.Section("csv join, all selected engines");
     for (const cli::EngineRun& run : cli::RunEngines(q, opts)) {
-      rep.Row("csv", {{"atoms", static_cast<double>(ptrs.size())}}, run);
+      rep.Row("csv", {{"atoms", static_cast<double>(ptrs.size())}}, run.kind,
+              run.result);
     }
     return rep.AllAgreed() ? 0 : 1;
   }

@@ -32,7 +32,7 @@ bool RunPattern(cli::RunReporter* rep, const char* name, int k,
         {"edges", static_cast<double>(edges)},
         {"k", static_cast<double>(k)},
     };
-    rep->Row(name, params, run);
+    rep->Row(name, params, run.kind, run.result);
   }
   // Each k-clique appears k! times as an ordered embedding.
   rep->Note("(each clique counted k! times as an ordered embedding)");

@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
     eopts.depth = kD;
     eopts.indexes = {cfg.first.get(), cfg.second.get()};
     for (const cli::EngineRun& run : cli::RunEngines(q, opts, eopts)) {
-      rep.Row(cfg.name, {{"n", static_cast<double>(r.size())}}, run);
+      rep.Row(cfg.name, {{"n", static_cast<double>(r.size())}}, run.kind,
+              run.result);
     }
   }
   rep.Note("The Tetris rows' loaded/resolution counters follow the "

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     rep.Row("msb-triangle",
             {{"d", static_cast<double>(dd)},
              {"n", static_cast<double>(qi.storage[0]->size())}},
-            run);
+            run.kind, run.result);
     if (run.result.ok && !run.result.tuples.empty()) {
       rep.Error("!! expected an empty join (%s)", EngineKindName(run.kind));
       empty_ok = false;

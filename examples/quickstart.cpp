@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     cli::RunReporter rep(opts.format, "quickstart");
     rep.Section("triangle query, all selected engines");
     for (const cli::EngineRun& run : cli::RunEngines(q, opts)) {
-      rep.Row("triangle", {{"n", 5.0}}, run);
+      rep.Row("triangle", {{"n", 5.0}}, run.kind, run.result);
     }
     return rep.AllAgreed() ? 0 : 1;
   }

@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
   rep.Section("clause-relation join, |output| must equal #models");
   for (const cli::EngineRun& run : cli::RunEngines(q, opts)) {
     rep.Row("cnf(3 vars, 4 clauses)",
-            {{"models", static_cast<double>(r.model_count)}}, run);
+            {{"models", static_cast<double>(r.model_count)}}, run.kind,
+            run.result);
     if (run.result.ok && run.result.tuples.size() != r.model_count) {
       rep.Error("!! join count %zu != #models %llu (%s)",
                run.result.tuples.size(),

@@ -25,7 +25,11 @@ change's median, the parent's IQR, the change's wins and a verdict:
   regression  the change's median is worse than the parent's by more
               than the metric's BENCHMARK.json bound;
   gain        the change wins at least 9 of 10 pairs and its median is
-              better by more than the parent's IQR;
+              better by more than the parent's IQR; without --align it
+              reads "gain (unaligned)": code layout alone moves a metric
+              that far (join-certificate's setup_s, which runs no
+              changed code, read a 10/10 default-flag gain), so quote
+              it only beside --align pairs;
   unresolved  otherwise, with "(noisy)" when the parent's IQR alone is
               wider than the bound, so these pairs cannot resolve it.
 
@@ -40,8 +44,9 @@ there against the modes.
 --self-test checks the verdict and mode logic on fixed synthetic samples,
 with no build and no run: an A/A set must read "unresolved", a 30%
 slowdown on every pair "regression", ten wins by more than the parent's
-IQR "gain" (ten wins inside it, or eight past it, "unresolved"), and a
-two-cluster set must split into its two modes.
+IQR "gain" with --align and "gain (unaligned)" without (ten wins inside
+it, or eight past it, "unresolved"), and a two-cluster set must split
+into its two modes.
 
 Exit status: 0 when no metric reads "regression" and the change fails no
 larger share of ops than the parent (--self-test: every check passes); 1
@@ -142,8 +147,9 @@ def iqr(values):
     return q[2] - q[0]
 
 
-def verdict(metric, parent, change):
-    """(parent median, change median, shift, parent IQR, wins, verdict)."""
+def verdict(metric, parent, change, aligned):
+    """(parent median, change median, shift, parent IQR, wins, verdict);
+    `aligned` says both builds used ALIGN_FLAGS."""
     lower = metric["better"] == "lower"
     mp, mc = statistics.median(parent), statistics.median(change)
     spread = iqr(parent)
@@ -154,7 +160,7 @@ def verdict(metric, parent, change):
     if worse_by > metric["bound"]:
         word = "regression"
     elif wins * 10 >= 9 * len(parent) and better_by > spread:
-        word = "gain"
+        word = "gain" if aligned else "gain (unaligned)"
     else:
         word = "unresolved"
         if mp and spread / abs(mp) > metric["bound"]:
@@ -208,14 +214,16 @@ def self_test():
         slightly = [p - 0.1 * spread * worse for p in base]
         eight = better[:8] + [p + 0.1 * worse for p in base[8:]]
         name = metric["name"]
-        for label, change, want in (
-                ("A/A", aa, "unresolved"),
-                ("30% slowdown", slower, "regression"),
-                ("10/10 wins past the IQR", better, "gain"),
-                ("10/10 wins inside the IQR", slightly, "unresolved"),
-                ("8/10 wins past the IQR", eight, "unresolved")):
-            check("%s %s" % (name, label), verdict(metric, base, change)[5],
-                  want)
+        for label, change, aligned, want in (
+                ("A/A", aa, True, "unresolved"),
+                ("30% slowdown", slower, True, "regression"),
+                ("10/10 wins past the IQR", better, True, "gain"),
+                ("10/10 wins past the IQR, unaligned", better, False,
+                 "gain (unaligned)"),
+                ("10/10 wins inside the IQR", slightly, True, "unresolved"),
+                ("8/10 wins past the IQR", eight, True, "unresolved")):
+            check("%s %s" % (name, label),
+                  verdict(metric, base, change, aligned)[5], want)
     check("A/A runs form one mode", modes(base), [(10, 97.0, 104.0)])
     check("two clusters form two modes", modes(two),
           [(6, 270.0, 281.0), (4, 362.0, 375.0)])
@@ -312,7 +320,8 @@ def main():
         for metric in metrics:
             name = metric["name"]
             mp, mc, shift, spread, wins, word = verdict(
-                metric, values["parent"][name], values["change"][name])
+                metric, values["parent"][name], values["change"][name],
+                args.align)
             failing |= word == "regression"
             print("%-13s %6s %4.0f%% %12.5g %12.5g %+7.1f%% %11.4g %3d/%-2d  %s"
                   % (name, metric["better"], metric["bound"] * 100, mp, mc,

@@ -611,29 +611,27 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
 }
 
 void RunReporter::Row(const std::string& scenario, const Params& params,
-                      const EngineRun& run) {
-  const bool ok = run.result.ok;
+                      EngineKind engine, const EngineResult& result) {
   const std::string key = section_ + "/" + scenario;
-  if (ok) {
-    auto [it, inserted] =
-        expected_tuples_.emplace(key, run.result.tuples.size());
-    if (!inserted && it->second != run.result.tuples.size()) {
+  if (result.ok) {
+    auto [it, inserted] = expected_tuples_.emplace(key, result.tuples.size());
+    if (!inserted && it->second != result.tuples.size()) {
       agreed_ = false;
       Error("!! OUTPUT MISMATCH: %s: %s found %zu tuples, expected %zu",
-            key.c_str(), EngineKindName(run.kind),
-            run.result.tuples.size(), it->second);
+            key.c_str(), EngineKindName(engine), result.tuples.size(),
+            it->second);
     }
   }
-  EmitRow("run", scenario, params, EngineKindName(run.kind), ok,
-          run.result.error, run.result.stats, run.result.tuples.size(),
+  EmitRow("run", scenario, params, EngineKindName(engine), result.ok,
+          result.error, result.stats, result.tuples.size(),
           /*box=*/"", /*note=*/"");
   // Per-shard sub-rows of a sharded run (engine/batch_runner.h):
   // skipped-empty shards report zero work and "empty shard" as their
   // error instead of stats.
-  for (const ShardRunInfo& shard : run.result.shard_runs) {
+  for (const ShardRunInfo& shard : result.shard_runs) {
     Params shard_params = params;
     shard_params.emplace_back("shard", static_cast<double>(shard.shard_id));
-    EmitRow("shard", scenario, shard_params, EngineKindName(run.kind),
+    EmitRow("shard", scenario, shard_params, EngineKindName(engine),
             !shard.skipped_empty, shard.skipped_empty
                                       ? std::string("empty shard")
                                       : std::string(),

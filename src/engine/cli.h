@@ -199,12 +199,13 @@ class RunReporter {
   /// carry the title in the `section` column).
   void Section(const std::string& title);
 
-  /// Emits one row (`row_type=run`), plus one `row_type=shard` sub-row
-  /// per shard when the run was sharded. Successful runs of the same
+  /// Emits one row (`row_type=run`) for `engine`'s `result`, plus one
+  /// `row_type=shard` sub-row per shard when the run was sharded. The
+  /// result is read in place, never copied. Successful runs of the same
   /// scenario must agree on the output size; a mismatch is reported and
   /// recorded (shard sub-rows are exempt — they carry partial outputs).
   void Row(const std::string& scenario, const Params& params,
-           const EngineRun& run);
+           EngineKind engine, const EngineResult& result);
 
   /// Emits one `row_type=batch` row for a whole batch run: the
   /// BatchStats amortization counters land in `params`

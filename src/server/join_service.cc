@@ -1,13 +1,11 @@
 #include "server/join_service.h"
 
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/batch_runner.h"
 #include "engine/incremental.h"
 #include "engine/parallel_executor.h"
-#include "engine/shard_planner.h"
 #include "query/join_query.h"
 
 namespace tetris {
@@ -23,23 +21,6 @@ std::shared_ptr<const EngineResult> FailedResult(EngineKind kind,
 }
 
 }  // namespace
-
-// RAII admission bookkeeping: always undoes the inflight_ count, and —
-// once a slot was actually taken — releases it and wakes one waiter.
-struct AdmissionSlot {
-  JoinService* service;
-  bool slotted = false;
-  ~AdmissionSlot() {
-    if (slotted) {
-      {
-        std::lock_guard<std::mutex> lock(service->admit_mu_);
-        --service->running_;
-      }
-      service->admit_cv_.notify_one();
-    }
-    service->inflight_.fetch_sub(1);
-  }
-};
 
 JoinService::JoinService(ServiceOptions options)
     : options_(options), cache_(options.cache_bytes) {}
@@ -91,17 +72,6 @@ bool JoinService::Drop(const std::string& name, std::string* error) {
   return true;
 }
 
-size_t JoinService::PredictPeakBytes(const QueryRequest& request) const {
-  const RegistrySnapshot snap = registry_.Snap();
-  size_t payload = 0;
-  for (const std::string& name : request.relations) {
-    const RelationVersion* v = snap.Find(name);
-    if (v == nullptr) continue;  // resolution fails later, with its own error
-    payload += EstimateAtomBytes(v->rel->size(), v->rel->arity());
-  }
-  return payload;
-}
-
 QueryResponse JoinService::Execute(const QueryRequest& request) {
   const auto t0 = std::chrono::steady_clock::now();
   QueryResponse resp;
@@ -122,78 +92,15 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
                  std::chrono::duration<double, std::milli>(deadline_ms));
   }
 
-  // 1. Admission. Over the concurrency limit a query queues (bounded by
-  // max_queued, deadline honored while waiting) unless it sheds first:
-  // the queue is full, or its predicted peak cost marks it as the kind
-  // of query that would hold an execution slot longest.
-  inflight_.fetch_add(1);
-  AdmissionSlot slot{this};
-  if (options_.max_inflight > 0) {
-    // Predict before taking admit_mu_ — the estimate snapshots the
-    // registry, and holding the admission lock across that would stall
-    // every releasing query.
-    const size_t predicted =
-        (options_.max_queued > 0 && options_.shed_cost_bytes > 0)
-            ? PredictPeakBytes(request)
-            : 0;
-    std::unique_lock<std::mutex> lock(admit_mu_);
-    if (running_ >= options_.max_inflight) {
-      auto reject = [&](std::string why) -> QueryResponse {
-        rejected_.fetch_add(1);
-        resp.rejected = true;
-        resp.result = FailedResult(request.engine, std::move(why));
-        return finish();
-      };
-      if (options_.max_queued == 0) {
-        return reject("admission rejected: " + std::to_string(running_) +
-                      " queries in flight (max " +
-                      std::to_string(options_.max_inflight) + ")");
-      }
-      if (waiting_ >= options_.max_queued) {
-        return reject("admission rejected: queue full (" +
-                      std::to_string(waiting_) + " waiting, max " +
-                      std::to_string(options_.max_queued) + ")");
-      }
-      if (options_.shed_cost_bytes > 0 &&
-          predicted > options_.shed_cost_bytes) {
-        shed_.fetch_add(1);
-        return reject("admission shed: predicted peak " +
-                      std::to_string(predicted) + " bytes > threshold " +
-                      std::to_string(options_.shed_cost_bytes));
-      }
-      resp.queued = true;
-      queued_.fetch_add(1);
-      ++waiting_;
-      const auto have_slot = [this] {
-        return running_ < options_.max_inflight;
-      };
-      bool got = true;
-      if (deadline_ms > 0) {
-        got = admit_cv_.wait_until(lock, deadline, have_slot);
-      } else {
-        admit_cv_.wait(lock, have_slot);
-      }
-      --waiting_;
-      if (!got) {
-        return reject("admission rejected: deadline expired after " +
-                      std::to_string(deadline_ms) + " ms queued");
-      }
-    }
-    ++running_;
-    slot.slotted = true;
-  }
-  admitted_.fetch_add(1);
-
   if (request.relations.empty()) {
     resp.result = FailedResult(request.engine, "query: no relations named");
     return finish();
   }
 
-  // 2. Snapshot: pin every named version for the whole execution.
+  // 1. Snapshot: pin every named version for the whole execution.
   const RegistrySnapshot snap = registry_.Snap();
   resp.epoch = snap.epoch;
   std::vector<const Relation*> rels;
-  std::unordered_map<const Relation*, std::string> name_of;
   rels.reserve(request.relations.size());
   CacheEntryMeta meta;
   meta.engine = EngineKindName(request.engine);
@@ -205,7 +112,6 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
       return finish();
     }
     rels.push_back(v->rel.get());
-    name_of.emplace(v->rel.get(), name);
     meta.epochs[name] = v->epoch;
   }
   const JoinQuery query = JoinQuery::Build(rels);
@@ -213,11 +119,12 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
       request.depth > 0 ? request.depth : query.MinDepth();
   meta.depth = eff_depth;
   meta.num_attrs = query.num_attrs();
-  for (const Atom& atom : query.atoms()) {
-    meta.atoms.push_back({name_of.at(atom.rel), atom.var_ids});
+  // JoinQuery::Build keeps the request's order: atom i is relation i.
+  for (size_t i = 0; i < query.atoms().size(); ++i) {
+    meta.atoms.push_back({request.relations[i], query.atoms()[i].var_ids});
   }
 
-  // 3. Result cache: the shape's entry at the snapshot's epochs is a
+  // 2. Result cache: the shape's entry at the snapshot's epochs is a
   // hit (no touched boxes), a patch (the boxes to re-run) or a miss.
   const bool cache_on = request.use_cache && options_.cache_bytes > 0;
   CacheLookup cached;
@@ -230,7 +137,7 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     }
   }
 
-  // 4. Miss or patch: one option check, then one shard-pipeline run on
+  // 3. Miss or patch: one option check, then one shard-pipeline run on
   // the executor over the registry's index cache, under the deadline —
   // narrowed to the touched boxes for a patch.
   EngineOptions eopts;
@@ -266,6 +173,7 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     patched_.fetch_add(1);
     fresh = std::move(pr.result);
   }
+  // 4. Put: an ok result becomes the shape's cache entry.
   std::shared_ptr<const EngineResult> result =
       std::make_shared<const EngineResult>(std::move(fresh));
   if (cache_on && result->ok) {

@@ -3,19 +3,10 @@
 // JoinService is the front end every later serving feature plugs into.
 // One query's life:
 //
-//   1. ADMISSION — up to ServiceOptions::max_inflight queries execute
-//      concurrently. A query over the limit QUEUES (bounded by
-//      max_queued) until a slot frees or its deadline passes, unless
-//      shedding applies first: the queue is full, or the query's
-//      predicted peak cost (the summed input payload of its relations'
-//      snapshot sizes, EstimateAtomBytes in engine/shard_planner.h)
-//      exceeds shed_cost_bytes — expensive queries are the ones that
-//      would hold the slot longest, so they shed first. max_queued == 0
-//      restores the original reject-immediately behavior.
-//   2. SNAPSHOT — RelationRegistry::Snap() pins every named relation
+//   1. SNAPSHOT — RelationRegistry::Snap() pins every named relation
 //      version the query touches; concurrent Replace/Append cannot tear
 //      the data out from under it.
-//   3. CACHE — one entry per query shape, keyed by engine + the
+//   2. CACHE — one entry per query shape, keyed by engine + the
 //      output-space signature (grid depth, attribute count, per atom its
 //      relation and binding; the order hint deliberately stays OUT of
 //      the key: it steers traversal, never the tuple set). The entry
@@ -23,7 +14,7 @@
 //      it is a hit, served without touching the engine; otherwise it
 //      holds the touched boxes of the row writes since its result was
 //      computed (ResultCache::InvalidateDelta), and the read patches.
-//   4. MISS or PATCH — the request passes ValidateEngineOptions once,
+//   3. MISS or PATCH — the request passes ValidateEngineOptions once,
 //      then runs as one RunShardPipeline call (engine/batch_runner.h) on
 //      the configured executor (WorkStealingPool::Global() by default),
 //      drawing its base indexes from the registry's (relation, layout)
@@ -38,6 +29,7 @@
 //      touched box covering the whole output space (a value off the
 //      grid, a write to a 0-ary relation), drops the entry: the next
 //      read is cold.
+//   4. PUT — an ok result is cached under the shape's entry.
 //
 // Mutations route through the service (Register / Replace / AppendRows /
 // DeleteRows / Drop) so the result cache is invalidated — delta-
@@ -47,10 +39,8 @@
 #define TETRIS_SERVER_JOIN_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,19 +54,7 @@ class WorkStealingPool;  // engine/parallel_executor.h
 
 /// Service-wide knobs, fixed at construction.
 struct ServiceOptions {
-  /// Queries allowed to execute concurrently. 0 = unlimited.
-  size_t max_inflight = 0;
-  /// Queries allowed to WAIT for a slot when max_inflight is reached;
-  /// one more is rejected. 0 = reject immediately at the limit (the
-  /// original admission behavior).
-  size_t max_queued = 0;
-  /// When queuing, a query whose predicted peak resident bytes (the
-  /// summed input payload of its relations) exceed this is shed instead
-  /// of queued — it would hold an execution slot longest. 0 = never
-  /// shed by cost.
-  size_t shed_cost_bytes = 0;
   /// Deadline applied to queries that don't carry their own. 0 = none.
-  /// Also bounds the time a query may wait in the admission queue.
   double default_deadline_ms = 0.0;
   /// Result-cache capacity. 0 disables result caching entirely, and
   /// with it patched reads (they patch cached results).
@@ -100,20 +78,17 @@ struct QueryRequest {
   /// Dyadic depth; 0 = the query's MinDepth().
   int depth = 0;
   /// Per-query deadline: < 0 = the service default, 0 = none, > 0 = ms
-  /// from admission.
+  /// from the request's arrival in Execute.
   double deadline_ms = -1.0;
   /// Opt out of the result cache (reads AND writes) for this query.
   bool use_cache = true;
 };
 
-/// What the service hands back. `result` is never null — rejections and
-/// failures ride in its ok/error, the same shape as BatchResult's
-/// per-query failures.
+/// What the service hands back. `result` is never null — failures ride
+/// in its ok/error, the same shape as BatchResult's per-query failures.
 struct QueryResponse {
   std::shared_ptr<const EngineResult> result;
   bool cache_hit = false;
-  bool rejected = false;   ///< refused at admission (not executed)
-  bool queued = false;     ///< waited for an execution slot
   bool patched = false;    ///< served by patching a stale cached result
   size_t shards_rerun = 0; ///< patched path: shards actually re-run
   size_t shards_total = 0; ///< patched path: shards in the plan
@@ -152,18 +127,9 @@ class JoinService {
   /// failures are per-query errors in response.result.
   QueryResponse Execute(const QueryRequest& request);
 
-  size_t inflight() const { return inflight_.load(); }
-  uint64_t admitted() const { return admitted_.load(); }
-  uint64_t rejected() const { return rejected_.load(); }
-  uint64_t queued() const { return queued_.load(); }    ///< waited, total
-  uint64_t shed() const { return shed_.load(); }        ///< shed by cost
   uint64_t patched() const { return patched_.load(); }  ///< patch-served
 
  private:
-  // The admission cost estimate: EstimateAtomBytes summed over the
-  // snapshot sizes of the named relations.
-  size_t PredictPeakBytes(const QueryRequest& request) const;
-
   // A row-level write's cache side: the effective delta `d` goes to
   // ResultCache::InvalidateDelta, then retired versions are purged and
   // `d` is reported through *delta (when non-null).
@@ -172,20 +138,7 @@ class JoinService {
   const ServiceOptions options_;
   RelationRegistry registry_;
   ResultCache cache_;
-  std::atomic<size_t> inflight_{0};
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> queued_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> patched_{0};
-
-  // Admission queue state (only engaged when max_inflight > 0).
-  std::mutex admit_mu_;
-  std::condition_variable admit_cv_;
-  size_t running_ = 0;  ///< guarded by admit_mu_
-  size_t waiting_ = 0;  ///< guarded by admit_mu_
-
-  friend struct AdmissionSlot;
 };
 
 }  // namespace tetris

@@ -454,17 +454,13 @@ ServeSessionStats RunServeSession(std::istream& in, JoinService* service,
       }
       ++query_seq;
       const QueryResponse qresp = service->Execute(qreq);
-      cli::EngineRun run;
-      run.kind = qreq.engine;
-      run.result = *qresp.result;
       reporter.Row(scenario,
                    {{"cache_hit", qresp.cache_hit ? 1.0 : 0.0},
-                    {"rejected", qresp.rejected ? 1.0 : 0.0},
                     {"patched", qresp.patched ? 1.0 : 0.0},
                     {"shards_rerun", static_cast<double>(qresp.shards_rerun)},
                     {"service_ms", qresp.service_ms},
                     {"epoch", static_cast<double>(qresp.epoch)}},
-                   run);
+                   qreq.engine, *qresp.result);
       std::fflush(stdout);
       if (!qresp.result->ok) ++stats.errors;
     } else if (op == "stats") {
@@ -479,20 +475,13 @@ ServeSessionStats RunServeSession(std::istream& in, JoinService* service,
           "\"cache_survivals\":%zu,\"cache_patch_bases\":%zu,"
           "\"index_entries\":%zu,\"index_builds\":%zu,\"index_hits\":%zu,"
           "\"index_promotes\":%zu,\"index_compactions\":%zu,"
-          "\"index_bytes\":%zu,\"admitted\":%llu,\"rejected\":%llu,"
-          "\"queued\":%llu,\"shed\":%llu,\"patched\":%llu,"
-          "\"inflight\":%zu}\n",
+          "\"index_bytes\":%zu,\"patched\":%llu}\n",
           static_cast<unsigned long long>(reg.epoch()), reg.size(),
           reg.retired(), cache.entries(), cache.bytes(), cache.hits(),
           cache.misses(), cache.evictions(), cache.invalidations(),
           cache.survivals(), cache.patch_bases(), ix.entries(), ix.builds(),
           ix.hits(), ix.promotes(), ix.compactions(), ix.MemoryBytes(),
-          static_cast<unsigned long long>(service->admitted()),
-          static_cast<unsigned long long>(service->rejected()),
-          static_cast<unsigned long long>(service->queued()),
-          static_cast<unsigned long long>(service->shed()),
-          static_cast<unsigned long long>(service->patched()),
-          service->inflight());
+          static_cast<unsigned long long>(service->patched()));
       std::fflush(stdout);
     } else if (op == "shutdown") {
       std::printf("{\"row_type\":\"ack\",\"op\":\"shutdown\"}\n");

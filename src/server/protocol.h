@@ -17,7 +17,7 @@
 // Query responses reuse the cli::RunReporter row schema (`row_type=run`
 // rows, plus shard sub-rows for sharded runs) so the same tooling that
 // parses bench output parses serve output; the service-level fields
-// ride in the row's params (cache_hit, rejected, patched, shards_rerun,
+// ride in the row's params (cache_hit, patched, shards_rerun,
 // service_ms, epoch). append/delete acks report the EFFECTIVE delta
 // (`added`/`removed` — what actually changed after duplicate and
 // absentee filtering), which is also what decides whether cached

@@ -16,21 +16,32 @@ namespace {
 
 void PrintServeUsage() {
   std::printf(
-      "serve-mode flags:\n"
+      "serve flags:\n"
       "  --serve                  accepted no-op (self-documenting mode "
       "switch)\n"
-      "  --max-inflight=<n>       admission limit (0 = unlimited; default "
-      "0)\n"
-      "  --max-queued=<n>         queries allowed to wait for a slot "
-      "(0 = reject at the limit; default 0)\n"
-      "  --shed-cost-bytes=<n[K|M|G]> shed a queuing query when its "
-      "predicted peak exceeds this (0 = never)\n"
       "  --deadline-ms=<x>        default per-query deadline in ms (0 = "
       "none)\n"
       "  --cache-bytes=<n[K|M|G]> result-cache capacity (0 disables; "
       "default 64M)\n"
+      "  --format=table|csv|jsonl  run-row format (default: jsonl)\n"
+      "  --shards=<n|auto>        dyadic-prefix shards per query plan "
+      "(default: auto)\n"
+      "  --memory-budget=<n[K|M|G]> per-shard resident budget (0 = none)\n"
+      "  --list-engines           print the engine names a query may "
+      "name, then exit\n"
+      "  --help                   this text\n"
       "  <session-file>           read requests from a file instead of "
-      "stdin\n\n");
+      "stdin\n");
+}
+
+// The shared harness flags the service applies; ParseHarnessArgs
+// parses them below.
+bool IsServeHarnessFlag(const char* arg) {
+  std::string value;
+  return FlagValue(arg, "--format", &value) ||
+         FlagValue(arg, "--shards", &value) ||
+         FlagValue(arg, "--memory-budget", &value) ||
+         std::strcmp(arg, "--list-engines") == 0;
 }
 
 }  // namespace
@@ -38,8 +49,8 @@ void PrintServeUsage() {
 int RunServe(int argc, char** argv) {
   ServiceOptions sopts;
 
-  // Strip the serve-specific flags before the shared harness parse
-  // (ParseHarnessArgs treats unknown --flags as errors).
+  // Strip the serve-specific flags before the shared harness parse, and
+  // refuse the shared flags the service would ignore.
   int kept = 1;
   bool bad = false;
   for (int i = 1; i < argc; ++i) {
@@ -51,33 +62,7 @@ int RunServe(int argc, char** argv) {
       std::printf("serve: resident join service over a JSONL session "
                   "(src/server/protocol.h documents the ops)\n\n");
       PrintServeUsage();
-      PrintHarnessUsage();
       return 0;
-    } else if (FlagValue(argv[i], "--max-inflight", &value)) {
-      uint64_t n = 0;
-      if (!ParseU64(value, &n)) {
-        std::fprintf(stderr, "--max-inflight: want a non-negative count, "
-                             "got '%s'\n", value.c_str());
-        bad = true;
-      }
-      sopts.max_inflight = static_cast<size_t>(n);
-    } else if (FlagValue(argv[i], "--max-queued", &value)) {
-      uint64_t n = 0;
-      if (!ParseU64(value, &n)) {
-        std::fprintf(stderr, "--max-queued: want a non-negative count, "
-                             "got '%s'\n", value.c_str());
-        bad = true;
-      }
-      sopts.max_queued = static_cast<size_t>(n);
-    } else if (FlagValue(argv[i], "--shed-cost-bytes", &value)) {
-      uint64_t bytes = 0;
-      if (!ParseByteCount(value, &bytes)) {
-        std::fprintf(stderr, "--shed-cost-bytes: want a byte count like "
-                             "65536, 512K, 64M or 2G, got '%s'\n",
-                     value.c_str());
-        bad = true;
-      }
-      sopts.shed_cost_bytes = static_cast<size_t>(bytes);
     } else if (FlagValue(argv[i], "--deadline-ms", &value)) {
       char* end = nullptr;
       const double ms = std::strtod(value.c_str(), &end);
@@ -95,6 +80,11 @@ int RunServe(int argc, char** argv) {
         bad = true;
       }
       sopts.cache_bytes = static_cast<size_t>(bytes);
+    } else if (std::strncmp(argv[i], "--", 2) == 0 &&
+               !IsServeHarnessFlag(argv[i])) {
+      std::fprintf(stderr, "serve: unknown flag '%s' (see --help)\n",
+                   argv[i]);
+      bad = true;
     } else {
       argv[kept++] = argv[i];
     }

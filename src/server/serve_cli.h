@@ -6,12 +6,13 @@
 //   --serve                 accepted no-op (serve mode is this binary's
 //                           only mode; the flag keeps invocations
 //                           self-documenting)
-//   --max-inflight=<n>      admission limit (0 = unlimited)
 //   --deadline-ms=<x>       default per-query deadline (0 = none)
 //   --cache-bytes=<n[K|M|G]> result-cache capacity (0 disables)
 //
-// plus the shared harness flags (--format, --threads, --shards,
-// --memory-budget, --help, ...). One optional positional argument names
+// plus the shared harness flags the service applies: --format, --shards,
+// --memory-budget, --list-engines and --help. Every other flag, the
+// shared ones serve has no use for (--threads, --engine, --reps, ...)
+// included, exits 2 as unknown. One optional positional argument names
 // a session file to read instead of stdin — which is how the ctest
 // smoke runs a whole session without piping.
 #ifndef TETRIS_SERVER_SERVE_CLI_H_

@@ -1,7 +1,7 @@
 // Counts calls to the global operator new to check that the sharded,
-// batched and patched paths hand their results back without copying
-// them: a run that copies its result on the way out allocates about one
-// extra block per output tuple. It also checks that a Tetris run
+// batched, patched and served paths hand their results back without
+// copying them: a run that copies its result on the way out allocates
+// about one extra block per output tuple. It also checks that a Tetris run
 // allocates nothing per gap box or per probe: gap boxes stream from the
 // indexes into the knowledge base. Replacing operator new affects the
 // whole binary, so this suite has a binary of its own.
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "engine/join_engine.h"
 #include "engine/join_runner.h"
 #include "engine/parallel_executor.h"
+#include "server/join_service.h"
+#include "server/protocol.h"
 #include "workload/generators.h"
 
 namespace {
@@ -150,6 +153,39 @@ TEST_F(AllocCountTest, OneRowPatchCopiesTheResultOnce) {
   EXPECT_LE(static_cast<double>(patched),
             kSlack * static_cast<double>(kOutputs))
       << "Z " << kOutputs << ", patched " << patched;
+}
+
+// A serve session prints each run row from the result the service hands
+// back, without copying it: a second, identical query is a cache hit and
+// must not allocate per output tuple.
+TEST_F(AllocCountTest, ServedCacheHitRowDoesNotCopyTheResult) {
+  auto session_allocations = [&](int queries) {
+    ServiceOptions options;
+    options.executor = &pool_;
+    JoinService service(options);
+    std::string error;
+    for (const auto& rel : instance_.storage) {
+      EXPECT_TRUE(service.Register(*rel, &error)) << error;
+    }
+    std::string text;
+    for (int i = 0; i < queries; ++i) {
+      text += "{\"op\":\"query\",\"relations\":[\"R\",\"S\",\"T\"]}\n";
+    }
+    std::istringstream in(text);
+    ServeSessionStats stats;
+    testing::internal::CaptureStdout();
+    const int64_t n = CountAllocations([&] {
+      stats = RunServeSession(in, &service, cli::OutputFormat::kJsonl);
+    });
+    testing::internal::GetCapturedStdout();
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(service.cache().hits(), static_cast<size_t>(queries - 1));
+    return n;
+  };
+  const int64_t one = session_allocations(1);
+  const int64_t two = session_allocations(2);
+  EXPECT_LT(two - one, static_cast<int64_t>(kOutputs / 10))
+      << "one query " << one << ", two " << two;
 }
 
 // RunTetrisJoin's blocks on prebuilt SAO-consistent indexes (SAO B, A, C)

@@ -445,7 +445,7 @@ TEST(CliTest, JsonlRowEscapesControlBytes) {
   run.result.error = "bad\nthing\x01";
   testing::internal::CaptureStdout();
   RunReporter rep(OutputFormat::kJsonl, "unit");
-  rep.Row("two\nlines\x01", {}, run);
+  rep.Row("two\nlines\x01", {}, run.kind, run.result);
   const std::string out = testing::internal::GetCapturedStdout();
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
@@ -477,7 +477,7 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
   {
     testing::internal::CaptureStdout();
     RunReporter rep(OutputFormat::kJsonl, "unit");
-    rep.Row("tri", {}, run);
+    rep.Row("tri", {}, run.kind, run.result);
     const std::string out = testing::internal::GetCapturedStdout();
     EXPECT_NE(out.find("\"kb_inserts\":23,\"skeleton_nodes\":517,"
                        "\"kb_nodes_visited\":4099,"),
@@ -492,7 +492,7 @@ TEST(CliTest, RunRowsReportKbInsertsAndSkeletonNodes) {
   {
     testing::internal::CaptureStdout();
     RunReporter rep(OutputFormat::kCsv, "unit");
-    rep.Row("tri", {}, run);
+    rep.Row("tri", {}, run.kind, run.result);
     const std::string out = testing::internal::GetCapturedStdout();
     EXPECT_NE(out.find(",boxes_loaded,kb_inserts,skeleton_nodes,"
                        "kb_nodes_visited,probes,"),
@@ -520,7 +520,7 @@ TEST(CliTest, RowEmitsShardSubRows) {
   testing::internal::CaptureStdout();
   RunReporter rep(OutputFormat::kJsonl, "unit");
   rep.Section("sharded");
-  rep.Row("tri", {{"n", 30}}, runs[0]);
+  rep.Row("tri", {{"n", 30}}, runs[0].kind, runs[0].result);
   const std::string out = testing::internal::GetCapturedStdout();
   EXPECT_NE(out.find("\"row_type\":\"run\""), std::string::npos);
   EXPECT_NE(out.find("\"row_type\":\"shard\""), std::string::npos);

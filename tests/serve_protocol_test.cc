@@ -347,8 +347,8 @@ TEST(ServeProtocolTest, RunServeReplaysASessionFile) {
       "\"tuples\":[[1,2]]}\n"
       "{\"op\":\"query\",\"relations\":[\"R\"]}\n"
       "{\"op\":\"shutdown\"}\n");
-  Argv args({"--serve", "--max-inflight=2", "--deadline-ms=60000",
-             "--cache-bytes=1M", path});
+  Argv args({"--serve", "--deadline-ms=60000", "--cache-bytes=1M",
+             "--format=jsonl", "--shards=auto", "--memory-budget=64M", path});
   testing::internal::CaptureStdout();
   const int exit_code = cli::RunServe(args.argc(), args.argv());
   const std::string out = testing::internal::GetCapturedStdout();
@@ -431,23 +431,54 @@ TEST(ServeProtocolTest, RunServeRejectsQueriesWiderThanADyadicBox) {
 TEST(ServeProtocolTest, RunServeRejectsBadFlags) {
   // Overflowing byte counts — the named ParseByteCount regressions —
   // and junk values must fail flag parsing (exit 2), not wrap silently.
+  // So must the shared harness flags the service would ignore (it runs
+  // every query at the executor's full width, on the engine the request
+  // names, once), and admission limits: a session runs one request at a
+  // time, so the service has none. Each runs over an empty session file.
+  const std::string path = WriteSessionFile("serve_empty.jsonl", "");
   for (const char* bad :
        {"--cache-bytes=18446744073709551615G",
         "--cache-bytes=999999999999999999999", "--cache-bytes=64X",
-        "--max-inflight=lots", "--max-inflight=-1", "--deadline-ms=soon",
-        "--deadline-ms=-5"}) {
-    Argv args({bad});
+        "--deadline-ms=soon", "--deadline-ms=-5", "--threads=1",
+        "--engine=leapfrog", "--engines=all", "--reps=5", "--seed=3",
+        "--size=10", "--parallel", "--batch=4", "--queries=specs.txt",
+        "--max-inflight=1", "--max-queued=1", "--shed-cost-bytes=1"}) {
+    Argv args({bad, path});
     testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
     const int exit_code = cli::RunServe(args.argc(), args.argv());
     testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_EQ(exit_code, 2) << bad;
+    const std::string flag(bad);
+    EXPECT_NE(err.find(flag.substr(0, flag.find('='))), std::string::npos)
+        << err;
   }
+  std::remove(path.c_str());
   // A missing session file is a startup failure, not a session error.
   Argv missing({"/nonexistent/session.jsonl"});
   testing::internal::CaptureStdout();
   const int exit_code = cli::RunServe(missing.argc(), missing.argv());
   testing::internal::GetCapturedStdout();
   EXPECT_EQ(exit_code, 2);
+}
+
+TEST(ServeProtocolTest, RunServeHelpListsOnlyTheFlagsItApplies) {
+  Argv args({"--help"});
+  testing::internal::CaptureStdout();
+  const int exit_code = cli::RunServe(args.argc(), args.argv());
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(exit_code, 0);
+  for (const char* flag :
+       {"--serve", "--deadline-ms", "--cache-bytes", "--format", "--shards",
+        "--memory-budget", "--list-engines", "--help"}) {
+    EXPECT_NE(out.find(flag), std::string::npos) << flag << "\n" << out;
+  }
+  for (const char* flag :
+       {"--threads", "--engine", "--reps", "--seed", "--size", "--parallel",
+        "--batch", "--queries", "--max-inflight"}) {
+    EXPECT_EQ(out.find(flag), std::string::npos) << flag << "\n" << out;
+  }
 }
 
 }  // namespace
