@@ -612,19 +612,7 @@ void RunReporter::EmitRow(const char* row_type, const std::string& scenario,
 
 void RunReporter::Row(const std::string& scenario, const Params& params,
                       EngineKind engine, const EngineResult& result) {
-  const std::string key = section_ + "/" + scenario;
-  if (result.ok) {
-    auto [it, inserted] = expected_tuples_.emplace(key, result.tuples.size());
-    if (!inserted && it->second != result.tuples.size()) {
-      agreed_ = false;
-      Error("!! OUTPUT MISMATCH: %s: %s found %zu tuples, expected %zu",
-            key.c_str(), EngineKindName(engine), result.tuples.size(),
-            it->second);
-    }
-  }
-  EmitRow("run", scenario, params, EngineKindName(engine), result.ok,
-          result.error, result.stats, result.tuples.size(),
-          /*box=*/"", /*note=*/"");
+  Row(scenario, params, engine, result, result.stats);
   // Per-shard sub-rows of a sharded run (engine/batch_runner.h):
   // skipped-empty shards report zero work and "empty shard" as their
   // error instead of stats.
@@ -637,6 +625,24 @@ void RunReporter::Row(const std::string& scenario, const Params& params,
                                       : std::string(),
             shard.stats, shard.output_tuples, shard.box, /*note=*/"");
   }
+}
+
+void RunReporter::Row(const std::string& scenario, const Params& params,
+                      EngineKind engine, const EngineResult& result,
+                      const RunStats& work) {
+  const std::string key = section_ + "/" + scenario;
+  if (result.ok) {
+    auto [it, inserted] = expected_tuples_.emplace(key, result.tuples.size());
+    if (!inserted && it->second != result.tuples.size()) {
+      agreed_ = false;
+      Error("!! OUTPUT MISMATCH: %s: %s found %zu tuples, expected %zu",
+            key.c_str(), EngineKindName(engine), result.tuples.size(),
+            it->second);
+    }
+  }
+  EmitRow("run", scenario, params, EngineKindName(engine), result.ok,
+          result.error, work, result.tuples.size(), /*box=*/"",
+          /*note=*/"");
 }
 
 void RunReporter::BatchRow(const std::string& scenario, const Params& params,

@@ -207,6 +207,13 @@ class RunReporter {
   void Row(const std::string& scenario, const Params& params,
            EngineKind engine, const EngineResult& result);
 
+  /// Row for a result whose work was done earlier (a served cache hit):
+  /// the run row reports `work` instead of result.stats, and no shard
+  /// sub-rows follow. Status and tuples are read from `result` in place.
+  void Row(const std::string& scenario, const Params& params,
+           EngineKind engine, const EngineResult& result,
+           const RunStats& work);
+
   /// Emits one `row_type=batch` row for a whole batch run: the
   /// BatchStats amortization counters land in `params`
   /// (queries/plans/index_builds/tasks/threads, amortized index_KiB and

@@ -173,6 +173,16 @@ std::string ValidateEngineOptions(const JoinQuery& query, EngineKind kind,
   if ((algo.has_value() || plans_shards) && dims > kMaxDims) {
     return kQueryTooWideError;
   }
+  // The Tetris family also builds a box per atom gap and probe point,
+  // one component per column: an atom that repeats an attribute has more
+  // columns than the query has attributes.
+  if (algo.has_value()) {
+    for (const Atom& a : query.atoms()) {
+      if (a.var_ids.size() > static_cast<size_t>(kMaxDims)) {
+        return kQueryTooWideError;
+      }
+    }
+  }
   const std::vector<const Index*>& indexes = options.indexes;
   if (!indexes.empty()) {
     if (indexes.size() != query.atoms().size()) {

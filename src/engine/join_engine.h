@@ -223,12 +223,12 @@ std::string ValidateParallelism(int shards, int threads);
 /// RunBatch's queries, PatchJoin and the service's misses, so every
 /// path rejects the same input with the same text: ValidateParallelism,
 /// engine support, the order hint, the custom indexes, the grid depth
-/// and the query's width (kQueryTooWideError). `plans_shards` says the
-/// path cuts the output space into shard boxes, which every engine then
-/// needs to fit. Returns the error, empty when the options are valid; on
-/// success `*depth` (when non-null) receives the effective grid depth:
-/// `options.depth`, else the custom indexes' depth, else
-/// query.MinDepth().
+/// and the query's and its atoms' width (kQueryTooWideError).
+/// `plans_shards` says the path cuts the output space into shard boxes,
+/// which every engine then needs to fit. Returns the error, empty when
+/// the options are valid; on success `*depth` (when non-null) receives
+/// the effective grid depth: `options.depth`, else the custom indexes'
+/// depth, else query.MinDepth().
 std::string ValidateEngineOptions(const JoinQuery& query, EngineKind kind,
                                   const EngineOptions& options,
                                   bool plans_shards, int* depth = nullptr);

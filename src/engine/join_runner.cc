@@ -20,9 +20,16 @@ size_t RelationOracle::EmbedEach(BoxSink sink, Emit&& emit) const {
   for (size_t i = 0; i < query_->atoms().size(); ++i) {
     const std::vector<int>& vars = query_->atoms()[i].var_ids;
     q = DyadicBox::Universal(query_->num_attrs());
+    // An attribute on several columns gets the intersection of their
+    // components. Disjoint ones leave no point of the gap where the
+    // columns agree, so the gap embeds to nothing.
     emit(i, [&](const DyadicBox& g) {
+      for (int v : vars) q[v] = DyadicInterval::Lambda();
       for (size_t c = 0; c < vars.size(); ++c) {
-        q[vars[c]] = g[static_cast<int>(c)];
+        DyadicInterval& v = q[vars[c]];
+        const DyadicInterval& col = g[static_cast<int>(c)];
+        if (!v.ComparableWith(col)) return;
+        v = v.IntersectComparable(col);
       }
       ++count;
       sink(q);

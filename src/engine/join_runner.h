@@ -24,6 +24,9 @@ namespace tetris {
 /// Oracle over the gap boxes of a query's indexed relations. Every call
 /// emits atom by atom, in query atom order, each atom's gaps in its
 /// index's order, embedded into the query space through one reused box.
+/// An atom that repeats an attribute embeds a gap as the intersection of
+/// that attribute's columns, and drops a gap whose columns there are
+/// disjoint (it holds no point where the columns agree).
 class RelationOracle : public BoxOracle {
  public:
   /// `indexes[i]` indexes `query.atoms()[i].rel` (arity must match).
@@ -69,15 +72,17 @@ inline constexpr char kGridTooDeepError[] =
 
 /// The one error every entry point returns when a query needs more
 /// dimensions than a DyadicBox holds (kMaxDims = 16): more than 16
-/// attributes on the Tetris family, more than 16 lifted dimensions
+/// attributes or an atom of more than 16 columns (an atom may repeat an
+/// attribute) on the Tetris family, more than 16 lifted dimensions
 /// (2n-2 for n attributes) on the Balance-lifted variants, and more than
 /// 16 attributes on any engine whose path plans shard boxes (sharded,
-/// batched, patched and served runs). A plain unsharded baseline builds
-/// no box and still answers.
+/// batched, patched and served runs). A baseline builds no box per atom,
+/// and a plain unsharded one none at all, so those still answer.
 inline constexpr char kQueryTooWideError[] =
     "query: more dimensions than a dyadic box holds (at most 16 "
-    "attributes, 9 on the Balance-lifted variants, which lift n "
-    "attributes to 2n-2 dimensions)";
+    "attributes and 16 columns per atom, 9 attributes on the "
+    "Balance-lifted variants, which lift n attributes to 2n-2 "
+    "dimensions)";
 
 /// Which engine configuration evaluates the join.
 enum class JoinAlgorithm {

@@ -37,9 +37,13 @@ bool Tetris::InsertKb(const DyadicBox& engine_box) {
   return false;
 }
 
-void Tetris::LoadGap(const DyadicBox& gap, DyadicBox* eng) {
+void Tetris::ToEngineOrder(const DyadicBox& gap, DyadicBox* eng) const {
   for (int j = 0; j < eng->dims(); ++j) (*eng)[j] = gap[sao_[j]];
   eng->set_output_derived(gap.output_derived());
+}
+
+void Tetris::LoadGap(const DyadicBox& gap, DyadicBox* eng) {
+  ToEngineOrder(gap, eng);
   if (InsertKb(*eng)) {
     ++stats_.boxes_loaded;
     if (options_.proof_log) options_.proof_log->AddAxiom(*eng);
@@ -152,14 +156,26 @@ bool Tetris::Skeleton(DyadicBox* b, DyadicBox* w) {
 }
 
 RunStatus Tetris::Run(const OutputSink& sink) {
-  // Initialize(A) — line 1 of Algorithm 2: each gap box of B goes into A
-  // as the oracle emits it, permuted into one reused engine-order box.
+  // Initialize(A) — line 1 of Algorithm 2: each gap box of B is staged
+  // in A as the oracle emits it, permuted into one reused engine-order
+  // box, and A inserts the staged boxes in one bulk pass. The fresh ones
+  // are the axioms, in the oracle's order.
   if (options_.init == TetrisOptions::Init::kPreloaded) {
     DyadicBox eng = DyadicBox::Universal(space_->dims());
-    const bool ok = oracle_->EnumerateAll(
-        [&](const DyadicBox& g) { LoadGap(g, &eng); });
+    const bool ok = oracle_->EnumerateAll([&](const DyadicBox& g) {
+      ToEngineOrder(g, &eng);
+      kb_.Stage(eng);
+    });
     assert(ok && "preloaded mode requires an enumerable oracle");
     (void)ok;
+    const size_t fresh = kb_.InsertStaged();
+    stats_.kb_inserts += static_cast<int64_t>(fresh);
+    stats_.boxes_loaded += static_cast<int64_t>(fresh);
+    if (options_.proof_log) {
+      for (size_t id = kb_.size() - fresh; id < kb_.size(); ++id) {
+        options_.proof_log->AddAxiom(kb_.Box(id));
+      }
+    }
   }
 
   // The working box the skeleton splits in place and the slot it writes

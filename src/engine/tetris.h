@@ -44,13 +44,21 @@
 //   * kPreloaded: A := B            (worst-case bounds: AGM, fhtw)
 //   * kReloaded:  A := ∅            (certificate bounds: O~(|C|^w+1 + Z))
 //
-// Gap boxes of B are never stored outside A. The preload inserts each box
-// as the oracle's enumeration emits it (BoxOracle's sink contract), and a
-// reloaded probe loads each box that contains the point as the oracle
-// emits it; both permute the box into SAO order on the way in, through
-// one engine-order box reused for every gap of the call. So A sees the
-// oracle's boxes in the oracle's order, and the engine allocates (or
-// zero-fills) nothing per gap box beyond A's own growth.
+// Gap boxes of B are never stored outside A. The preload stages each box
+// in A as the oracle's enumeration emits it (BoxOracle's sink contract),
+// and A then inserts the staged boxes in one bulk pass
+// (DyadicTreeStore::InsertStaged): its node arena is allocated once,
+// sized from the staged boxes, and each box's walk resumes where it
+// leaves the previous one, which an atom's gaps in index order make
+// cheap. It builds the same trie as single inserts in the same order,
+// so the fresh boxes, A's lookups and every counter are the same;
+// kb_inserts, boxes_loaded and the proof log's axioms count the fresh
+// boxes in the oracle's order. A reloaded probe loads each box that
+// contains the point as the oracle emits it, one Insert at a time. Both
+// permute the box into SAO order on the way in, through one engine-order
+// box reused for every gap of the call, so A sees the oracle's boxes in
+// the oracle's order, and the engine allocates (or zero-fills) nothing
+// per gap box beyond A's own arrays.
 #ifndef TETRIS_ENGINE_TETRIS_H_
 #define TETRIS_ENGINE_TETRIS_H_
 
@@ -175,8 +183,9 @@ class Tetris {
   // output path stays small.
   [[gnu::noinline]] bool LoadProbeGaps(const DyadicBox& b, DyadicBox* w);
   // Permutes the gap box `gap` of B (original order) into `*eng`, a box
-  // of the space's dimension that the caller reuses for every gap, and
-  // inserts it into A as an axiom.
+  // of the space's dimension that the caller reuses for every gap.
+  void ToEngineOrder(const DyadicBox& gap, DyadicBox* eng) const;
+  // ToEngineOrder, then inserts `*eng` into A as an axiom.
   void LoadGap(const DyadicBox& gap, DyadicBox* eng);
 
   DyadicBox ToOriginalOrder(const DyadicBox& engine) const;

@@ -26,9 +26,10 @@ namespace tetris {
 /// Section F.5) maps n dimensions to 2n-2, so 16 supports queries with up
 /// to 9 attributes even after lifting. ValidateEngineOptions
 /// (engine/join_engine.h) enforces it on every entry point with
-/// kQueryTooWideError: at most 16 attributes on the Tetris family, 9 on
-/// its Balance-lifted variants, and 16 on any engine whose run plans
-/// shard boxes (sharded, batched, patched and served runs).
+/// kQueryTooWideError: at most 16 attributes and 16 columns per atom on
+/// the Tetris family, 9 attributes on its Balance-lifted variants, and
+/// 16 on any engine whose run plans shard boxes (sharded, batched,
+/// patched and served runs).
 inline constexpr int kMaxDims = 16;
 
 /// An n-dimensional dyadic box.

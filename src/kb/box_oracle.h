@@ -85,9 +85,6 @@ class MaterializedOracle : public BoxOracle {
   /// Number of distinct boxes in B.
   size_t size() const { return size_; }
 
-  /// The underlying store (used by Tetris-Preloaded to bulk-load A := B).
-  const DyadicTreeStore& store() const { return store_; }
-
  private:
   DyadicTreeStore store_;
   bool maximal_only_;

@@ -1,5 +1,6 @@
 #include "kb/dyadic_tree_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/bit_ops.h"
@@ -8,13 +9,35 @@ namespace tetris {
 namespace {
 
 // Worst case Insert appends per level: a split node, a suffix leaf, and the
-// next level's root. Reserving this up front lets the hot loop walk a raw
-// Node* without re-fetching nodes_.data() after every append.
+// next level's root. Reserving this up front lets the walk (Descend) use a
+// raw Node* without re-fetching nodes_.data() after every append.
 constexpr int kMaxNewNodesPerLevel = 3;
+
+// The capacity a vector that doubles from `step` keeps for `n` elements:
+// the next step * 2^k, or 0 for none. Single inserts grow the node arena
+// from 64 nodes, the provenance bits from 1.
+size_t DoubledCapacity(size_t n, size_t step) {
+  if (n == 0) return 0;
+  size_t cap = step;
+  while (cap < n) cap *= 2;
+  return cap;
+}
+
+// Moves `v` to a buffer of capacity `cap` if it holds more.
+template <typename T>
+void CutCapacity(std::vector<T>* v, size_t cap) {
+  if (v->capacity() <= cap) return;
+  std::vector<T> moved;
+  moved.reserve(cap);
+  moved.assign(v->begin(), v->end());
+  v->swap(moved);
+}
 
 }  // namespace
 
 DyadicTreeStore::DyadicTreeStore(int dims) : dims_(dims) {
+  // The walks keep one root per level in kMaxDims-slot arrays.
+  assert(dims >= 0 && dims <= kMaxDims);
   root_ = NewNode(0, 0);
 }
 
@@ -35,24 +58,19 @@ void DyadicTreeStore::CopyBox(int32_t id, DyadicBox* out) const {
   out->set_output_derived(flags_[id] != 0);
 }
 
-DyadicBox DyadicTreeStore::MaterializeBox(int32_t id) const {
+DyadicBox DyadicTreeStore::Box(size_t id) const {
   DyadicBox b = DyadicBox::Universal(dims_);
-  CopyBox(id, &b);
+  CopyBox(static_cast<int32_t>(id), &b);
   return b;
 }
 
-bool DyadicTreeStore::Insert(const DyadicBox& b) {
-  // Grow once per insert so the walk below never invalidates `nodes`.
-  const size_t need =
-      nodes_.size() + static_cast<size_t>(kMaxNewNodesPerLevel) * dims_;
-  if (need > nodes_.capacity()) {
-    size_t cap = nodes_.capacity() < 64 ? 64 : nodes_.capacity() * 2;
-    nodes_.reserve(cap < need ? need : cap);
-  }
+// Inlined into both callers, so Insert (every resolvent and reloaded
+// gap) walks without a call, and the roots it never reads drop out.
+[[gnu::always_inline]] inline int32_t DyadicTreeStore::Descend(
+    int32_t node, int level, const DyadicInterval* c, int32_t* roots) {
   Node* nodes = nodes_.data();
-  int32_t node = root_;
-  for (int level = 0; level < dims_; ++level) {
-    const DyadicInterval& iv = b[level];
+  for (; level < dims_; ++level) {
+    const DyadicInterval& iv = c[level];
     uint64_t rem_bits = iv.bits;
     int rem_len = iv.len;
     while (rem_len > 0) {
@@ -110,14 +128,95 @@ bool DyadicTreeStore::Insert(const DyadicBox& b) {
         nodes[node].down = next;
       }
       node = next;
+      roots[level + 1] = node;
     }
   }
-  if (nodes[node].down >= 0) return false;  // identical box present
-  nodes[node].down = static_cast<int32_t>(count_);
+  return node;
+}
+
+bool DyadicTreeStore::Insert(const DyadicBox& b) {
+  assert(flags_.size() == count_ && "staged boxes must be inserted first");
+  // Grow once per insert so the walk never invalidates its node pointer;
+  // after a bulk insert, this rejoins the doubling schedule.
+  const size_t need =
+      nodes_.size() + static_cast<size_t>(kMaxNewNodesPerLevel) * dims_;
+  if (need > nodes_.capacity()) nodes_.reserve(DoubledCapacity(need, 64));
+  int32_t roots[kMaxDims];  // not read: Insert keeps no finger
+  const int32_t leaf = Descend(root_, 0, &b[0], roots);
+  if (nodes_[leaf].down >= 0) return false;  // identical box present
+  nodes_[leaf].down = static_cast<int32_t>(count_);
   pool_.insert(pool_.end(), &b[0], &b[0] + dims_);
   flags_.push_back(b.output_derived() ? 1 : 0);
   ++count_;
   return true;
+}
+
+void DyadicTreeStore::Stage(const DyadicBox& b) {
+  // Insert's pool growth (dims_ * 2^k components), by hand: a range
+  // insert of a few components cost twice the time of these push_backs.
+  if (pool_.size() == pool_.capacity()) {
+    pool_.reserve(pool_.empty() ? dims_ : 2 * pool_.size());
+  }
+  for (int i = 0; i < dims_; ++i) pool_.push_back(b[i]);
+  flags_.push_back(b.output_derived() ? 1 : 0);
+}
+
+size_t DyadicTreeStore::InsertStaged() {
+  const size_t first = count_;
+  const size_t end = flags_.size();
+  DyadicInterval* pool = pool_.data();
+  // Where box k's walk enters: level 0 for the first staged box, else
+  // the first component where it differs from box k - 1 (dims_: the same
+  // box again). Box k - 1 still sits at its staged slot when box k is
+  // read: a fresh box moves only down to slot count_ <= k.
+  const auto entry = [&](size_t k) {
+    if (k == first) return 0;
+    const DyadicInterval* c = pool + k * dims_;
+    int j = 0;
+    while (j < dims_ && c[j] == c[j - dims_]) ++j;
+    return j;
+  };
+  // The arena's one allocation. From its entry level j a walk appends at
+  // most a split and a leaf on level j, and on each deeper level a fresh
+  // root and a leaf or, under an existing root, a split and a leaf; a λ
+  // component adds no leaf.
+  size_t bound = 0;
+  for (size_t k = first; k < end; ++k) {
+    const DyadicInterval* c = pool + k * dims_;
+    const int j = entry(k);
+    if (j == dims_) continue;
+    bound += c[j].len > 0 ? 2 : 0;
+    for (int l = j + 1; l < dims_; ++l) bound += c[l].len > 0 ? 2 : 1;
+  }
+  nodes_.reserve(nodes_.size() + bound);
+  // The finger: roots[j] is the level-j root on box k - 1's path, which
+  // box k shares up to its entry level.
+  int32_t roots[kMaxDims];
+  roots[0] = root_;
+  for (size_t k = first; k < end; ++k) {
+    const int j = entry(k);
+    if (k != first && j == dims_) continue;  // box k - 1 again
+    const DyadicInterval* c = pool + k * dims_;
+    const int32_t leaf = Descend(roots[j], j, c, roots);
+    if (nodes_[leaf].down >= 0) continue;  // identical box present
+    nodes_[leaf].down = static_cast<int32_t>(count_);
+    if (k != count_) {
+      std::copy(c, c + dims_, pool + count_ * dims_);
+      flags_[count_] = flags_[k];
+    }
+    ++count_;
+  }
+  pool_.resize(count_ * dims_);
+  flags_.resize(count_);
+  // Boxes out of trie order (an R-tree's gaps, say) share few fingers, so
+  // the bound can overshoot the nodes appended; duplicates leave the pool
+  // and the bits room for boxes that were dropped. Each buffer holding
+  // more than single inserts would hold for what is kept moves down to
+  // that capacity, so later Inserts grow it on their own schedule.
+  CutCapacity(&nodes_, DoubledCapacity(nodes_.size(), 64));
+  CutCapacity(&pool_, dims_ * DoubledCapacity(count_, 1));
+  CutCapacity(&flags_, DoubledCapacity(count_, 1));
+  return count_ - first;
 }
 
 template <typename Visit>
@@ -211,7 +310,7 @@ void DyadicTreeStore::CollectRec(int32_t node, const DyadicBox& b, int level,
   WalkPath(node, b[level], &visited, [&](const Node& nd) {
     if (nd.down >= 0) {
       if (level + 1 >= dims_) {
-        out->push_back(MaterializeBox(nd.down));
+        out->push_back(Box(nd.down));
       } else {
         CollectRec(nd.down, b, level + 1, out);
       }
@@ -239,7 +338,7 @@ void DyadicTreeStore::AllRec(int32_t node, int level,
   const Node& nd = nodes_[node];
   if (nd.down >= 0) {
     if (level + 1 >= dims_) {
-      out->push_back(MaterializeBox(nd.down));
+      out->push_back(Box(nd.down));
     } else {
       AllRec(nd.down, level + 1, out);
     }

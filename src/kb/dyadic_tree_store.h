@@ -5,6 +5,7 @@
 // Tetris performs constantly are cheap:
 //
 //   * Insert(box)            — amortized O(n) arena-node visits.
+//   * Stage(box) ... InsertStaged() — the same inserts in bulk (below).
 //   * FindContaining(box, &out) — is some stored box a superset of `box`?
 //                              Visits only *existing* prefix nodes, so the
 //                              cost is O~(1) per Proposition B.12. A hit
@@ -43,6 +44,32 @@
 //     unchanged lists.
 // The cursor lives outside the store (no member is added), and its lists
 // reuse their capacity, so a lookup allocates nothing once warm.
+//
+// The bulk insert (Tetris-Preloaded's Initialize(A) := B). Stage(b)
+// appends b's components to the component pool and touches nothing else:
+// the trie, size() and every lookup ignore staged boxes. InsertStaged()
+// then inserts the staged boxes in staging order, exactly as that many
+// Insert calls would, with two savings:
+//   * The node arena is reserved once, from a bound the staged boxes
+//     give, instead of regrowing by doubling as the inserts go.
+//   * Each box's walk resumes at a finger instead of the root: the
+//     level-j root on the previous box's path, where j is the first
+//     component where the two boxes differ. Their components 0..j-1 are
+//     equal, so the walk from the root would reach that same root
+//     without adding a node.
+// So the bulk path appends the same nodes in the same order as single
+// Inserts: the nodes, the box ids, every lookup, witness and nodes-
+// visited count are the same. (In any insert order a path-compressed
+// trie's nodes are exactly its level roots, its stored prefixes and its
+// branch points; the order fixes only their indices.) A box equal to a
+// stored or an earlier staged one is dropped and the pool compacted, so
+// the fresh boxes take the next ids in staging order. Only capacities
+// differ, and never upward: boxes out of trie order share few fingers,
+// so the bound can overshoot, and dropped boxes were staged; a buffer
+// left with more room than single inserts would hold moves down to that
+// capacity. The finger pays on sorted runs: an atom's gap boxes arrive
+// in its index's trie order, so consecutive boxes share all but their
+// last components.
 //
 // Arena layout: every node of every per-dimension trie lives in ONE
 // contiguous std::vector<Node>, addressed by int32_t indices — no
@@ -100,8 +127,21 @@ class DyadicTreeStore {
   explicit DyadicTreeStore(int dims);
 
   /// Inserts `b`. Returns false (and stores nothing) if an identical box is
-  /// already present.
+  /// already present. No box may be staged.
   bool Insert(const DyadicBox& b);
+
+  /// Appends `b` to the staged boxes (see the file comment); nothing else
+  /// sees it until InsertStaged.
+  void Stage(const DyadicBox& b);
+
+  /// Inserts every staged box, in staging order, as Insert would, and
+  /// returns how many were fresh: they are the boxes with ids
+  /// [size() - n, size()), in staging order.
+  size_t InsertStaged();
+
+  /// Stored box `id`, with its provenance bit; ids number the fresh
+  /// boxes from 0 in insertion order.
+  DyadicBox Box(size_t id) const;
 
   /// Looks for a stored box that contains `b`. On a hit, copies that
   /// box's dims() components and its provenance bit from the component
@@ -158,8 +198,13 @@ class DyadicTreeStore {
   /// Copies stored box `id`'s components and provenance bit from the
   /// component pool into `*out`, a dims_-dimensional box.
   void CopyBox(int32_t id, DyadicBox* out) const;
-  /// Stored box `id` as a fresh box.
-  DyadicBox MaterializeBox(int32_t id) const;
+  /// Walks (adding what is missing) components level..dims_-1 of `c`
+  /// from `node`, the level-`level` root their path enters, and returns
+  /// the node that ends the last one. Sets roots[j] to the level-j root
+  /// it enters, for each j > level. The caller has reserved room for
+  /// every node the walk may append.
+  int32_t Descend(int32_t node, int level, const DyadicInterval* c,
+                  int32_t* roots);
   // Calls `visit(nd)` on each node of the prefix path of `iv` from
   // `node` (its level's trie), coarser first, counting each in
   // `*visited`, until `visit` returns true; returns whether it did.

@@ -454,13 +454,21 @@ ServeSessionStats RunServeSession(std::istream& in, JoinService* service,
       }
       ++query_seq;
       const QueryResponse qresp = service->Execute(qreq);
-      reporter.Row(scenario,
-                   {{"cache_hit", qresp.cache_hit ? 1.0 : 0.0},
-                    {"patched", qresp.patched ? 1.0 : 0.0},
-                    {"shards_rerun", static_cast<double>(qresp.shards_rerun)},
-                    {"service_ms", qresp.service_ms},
-                    {"epoch", static_cast<double>(qresp.epoch)}},
-                   qreq.engine, *qresp.result);
+      const cli::Params params = {
+          {"cache_hit", qresp.cache_hit ? 1.0 : 0.0},
+          {"patched", qresp.patched ? 1.0 : 0.0},
+          {"shards_rerun", static_cast<double>(qresp.shards_rerun)},
+          {"service_ms", qresp.service_ms},
+          {"epoch", static_cast<double>(qresp.epoch)}};
+      if (qresp.cache_hit) {
+        // A hit ran no engine: its row reports its tuples and its own
+        // time, not the stats and shards of the run that built the entry.
+        RunStats hit;
+        hit.wall_ms = qresp.service_ms;
+        reporter.Row(scenario, params, qreq.engine, *qresp.result, hit);
+      } else {
+        reporter.Row(scenario, params, qreq.engine, *qresp.result);
+      }
       std::fflush(stdout);
       if (!qresp.result->ok) ++stats.errors;
     } else if (op == "stats") {

@@ -18,7 +18,9 @@
 // rows, plus shard sub-rows for sharded runs) so the same tooling that
 // parses bench output parses serve output; the service-level fields
 // ride in the row's params (cache_hit, patched, shards_rerun,
-// service_ms, epoch). append/delete acks report the EFFECTIVE delta
+// service_ms, epoch). A cache hit's row reports the hit itself: its
+// tuples, wall_ms = service_ms, zero engine work and memory, and no shard
+// sub-rows. append/delete acks report the EFFECTIVE delta
 // (`added`/`removed` — what actually changed after duplicate and
 // absentee filtering), which is also what decides whether cached
 // results survive, get patched, or get recomputed.

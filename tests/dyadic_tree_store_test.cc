@@ -303,6 +303,143 @@ TEST(DyadicTreeStore, AllBoxesOrderIsInsertionIndependent) {
   EXPECT_EQ(fwd.AllBoxes(), rev.AllBoxes());
 }
 
+// Trie order on boxes: component by component, each bitstring from its
+// leading bit, a prefix before its extensions (a SortedIndex's gap order).
+bool TrieLess(const DyadicBox& a, const DyadicBox& b) {
+  for (int i = 0; i < a.dims(); ++i) {
+    const int m = std::min(a[i].len, b[i].len);
+    const uint64_t x = a[i].bits >> (a[i].len - m);
+    const uint64_t y = b[i].bits >> (b[i].len - m);
+    if (x != y) return x < y;
+    if (a[i].len != b[i].len) return a[i].len < b[i].len;
+  }
+  return false;
+}
+
+// Property: the bulk path (Stage ... InsertStaged) builds the store that
+// single Inserts of the same boxes, in the same order, build. The boxes
+// come as atoms' gap runs do: each run fixes some components to λ, runs
+// repeat boxes within and across each other, and a run is either sorted
+// in trie order or shuffled. Both stores hold a few boxes before the
+// bulk load and take a few single Inserts after it, as resolvents. The
+// bulk store never holds more memory than the single one.
+TEST(DyadicTreeStore, BulkInsertBuildsTheStoreSingleInsertsBuild) {
+  for (int n = 0; n <= 4; ++n) {
+    for (int d : {1, 2, 3, 5, 8, 16}) {
+      for (bool sorted : {true, false}) {
+        SCOPED_TRACE("dims " + std::to_string(n) + ", depth " +
+                     std::to_string(d) + (sorted ? ", sorted" : ", shuffled"));
+        Rng rng(1000 * n + 10 * d + sorted);
+        // λ off the support, so no box but the empty one covers the space.
+        auto random_box = [&](uint32_t support) {
+          DyadicBox b = DyadicBox::Universal(n);
+          for (int i = 0; i < n; ++i) {
+            if ((support >> i & 1) == 0) continue;
+            const int len = 1 + static_cast<int>(rng.Below(d));
+            b[i] = {rng.Below(uint64_t{1} << len), static_cast<uint8_t>(len)};
+          }
+          b.set_output_derived(rng.Chance(0.2));
+          return b;
+        };
+        const uint32_t all = (1u << n) - 1;
+        DyadicTreeStore bulk(n), single(n);
+        for (int i = 0; i < 8; ++i) {
+          const DyadicBox b = random_box(all);
+          EXPECT_EQ(bulk.Insert(b), single.Insert(b));
+        }
+        std::vector<DyadicBox> staged;
+        for (int run = 0; run < 4; ++run) {
+          const uint32_t support =
+              n == 0 ? 0 : 1 + static_cast<uint32_t>(rng.Below(all));
+          std::vector<DyadicBox> boxes;
+          for (int i = 0; i < 60; ++i) {
+            boxes.push_back(random_box(support));
+            if (rng.Chance(0.1)) boxes.push_back(boxes.back());
+            if (!staged.empty() && rng.Chance(0.05)) {
+              boxes.push_back(staged[rng.Below(staged.size())]);
+            }
+          }
+          if (sorted) {
+            std::stable_sort(boxes.begin(), boxes.end(), TrieLess);
+          } else {
+            for (size_t i = boxes.size(); i > 1; --i) {
+              std::swap(boxes[i - 1], boxes[rng.Below(i)]);
+            }
+          }
+          staged.insert(staged.end(), boxes.begin(), boxes.end());
+        }
+        size_t fresh = 0;
+        for (const DyadicBox& b : staged) {
+          bulk.Stage(b);
+          fresh += single.Insert(b);
+        }
+        EXPECT_EQ(bulk.InsertStaged(), fresh);
+        // Duplicates and shuffled runs leave the bulk path room to spare.
+        EXPECT_LE(bulk.MemoryBytes(), single.MemoryBytes());
+        for (int i = 0; i < 8; ++i) {
+          const DyadicBox b = random_box(all);
+          EXPECT_EQ(bulk.Insert(b), single.Insert(b));
+        }
+        EXPECT_LE(bulk.MemoryBytes(), single.MemoryBytes());
+
+        ASSERT_EQ(bulk.size(), single.size());
+        for (size_t id = 0; id < bulk.size(); ++id) {
+          EXPECT_EQ(bulk.Box(id), single.Box(id));
+          EXPECT_EQ(bulk.Box(id).output_derived(),
+                    single.Box(id).output_derived());
+        }
+        const std::vector<DyadicBox> bulk_all = bulk.AllBoxes();
+        const std::vector<DyadicBox> single_all = single.AllBoxes();
+        ASSERT_EQ(bulk_all, single_all);
+        for (size_t i = 0; i < bulk_all.size(); ++i) {
+          EXPECT_EQ(bulk_all[i].output_derived(),
+                    single_all[i].output_derived());
+        }
+
+        // Root-walk lookups on random boxes; cursor lookups on the
+        // skeleton's node boxes <unit, ..., unit, partial, λ, ..., λ>.
+        DyadicTreeStore::Cursor bulk_cursor, single_cursor;
+        int64_t bulk_visited = 0, single_visited = 0;
+        int hits = 0;
+        for (int i = 0; i < 200; ++i) {
+          const DyadicBox probe = random_box(all);
+          DyadicBox got = DyadicBox::Universal(n), want = got;
+          const bool hit = bulk.FindContaining(probe, &got);
+          ASSERT_EQ(hit, single.FindContaining(probe, &want));
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(got.output_derived(), want.output_derived());
+
+          DyadicBox node = DyadicBox::Universal(n);
+          const int level = n == 0 ? 0 : static_cast<int>(rng.Below(n));
+          for (int j = 0; j <= level && j < n; ++j) {
+            const int len = j < level ? d : static_cast<int>(rng.Below(d + 1));
+            node[j] = {rng.Below(uint64_t{1} << len),
+                       static_cast<uint8_t>(len)};
+          }
+          bulk_cursor.Reset();
+          single_cursor.Reset();
+          got = want = DyadicBox::Universal(n);
+          const bool cursor_hit = bulk.FindContaining(
+              node, level, &bulk_cursor, &got, &bulk_visited);
+          ASSERT_EQ(cursor_hit,
+                    single.FindContaining(node, level, &single_cursor, &want,
+                                          &single_visited));
+          hits += cursor_hit;
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(got.output_derived(), want.output_derived());
+          EXPECT_EQ(bulk_visited, single_visited);
+        }
+        // Not vacuous: lookups walked the tries, and some node boxes hit
+        // (a 0-dimension store has only its root to visit).
+        if (n > 0) {
+          EXPECT_GT(bulk_visited, 200);
+          EXPECT_GT(hits, 0);
+        }
+      }
+    }
+  }
+}
+
 // The provenance bit rides along through the component pool.
 TEST(DyadicTreeStore, OutputDerivedBitRoundTrips) {
   DyadicTreeStore store(2);

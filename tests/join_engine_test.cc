@@ -367,6 +367,57 @@ TEST(JoinEngineTest, QueriesWiderThanADyadicBoxAreRejected) {
       expect(*service.Execute(request).result, fits);
     }
   }
+
+  // An atom may repeat an attribute: one relation W of 16 or 17 columns,
+  // all named A, is a 1-attribute query, but the Tetris family builds a
+  // box component per column for its gaps and probes. So 17 columns are
+  // refused on every Tetris path, while 16 answer there, and every
+  // baseline answers both. The answers are the rows whose columns
+  // agree: (0) and (1), not the mixed row.
+  for (int cols : {16, 17}) {
+    SCOPED_TRACE(std::to_string(cols) + " columns of one attribute");
+    Tuple mixed(cols, 0);
+    mixed.back() = 1;
+    QueryInstance q;
+    q.storage.push_back(std::make_unique<Relation>(
+        Relation::Make("W", std::vector<std::string>(cols, "A"),
+                       {Tuple(cols, 0), Tuple(cols, 1), mixed})));
+    q.Bind();
+    ASSERT_EQ(q.query.num_attrs(), 1);
+    const std::vector<Tuple> want = {{0}, {1}};
+    const std::vector<DyadicBox> touched =
+        TouchedOutputBoxes(q.query, q.depth, "W", {Tuple(cols, 1)});
+    ASSERT_EQ(touched.size(), 1u);
+    JoinService service;
+    std::string error;
+    ASSERT_TRUE(service.Register(*q.storage[0], &error)) << error;
+    QueryRequest request;
+    request.relations = {"W"};
+    EngineOptions sharded;
+    sharded.shards = 2;
+    for (EngineKind kind : AllEngineKinds()) {
+      SCOPED_TRACE(EngineKindName(kind));
+      const bool fits =
+          cols <= kMaxDims || !TetrisAlgorithmOf(kind).has_value();
+      auto expect = [&](const EngineResult& r) {
+        if (fits) {
+          ASSERT_TRUE(r.ok) << r.error;
+          EXPECT_EQ(r.tuples, want);
+        } else {
+          EXPECT_FALSE(r.ok) << r.tuples.size() << " tuples";
+          EXPECT_EQ(r.error, kQueryTooWideError);
+        }
+      };
+      expect(RunJoin(q.query, kind));
+      expect(RunJoin(q.query, kind, sharded));
+      const BatchResult batch = RunBatch({}, {q.query}, kind);
+      ASSERT_TRUE(batch.ok) << batch.error;
+      expect(batch.results[0]);
+      expect(PatchJoin(q.query, kind, {}, want, touched).result);
+      request.engine = kind;
+      expect(*service.Execute(request).result);
+    }
+  }
 }
 
 // Every entry point runs the one option check, ValidateEngineOptions, so

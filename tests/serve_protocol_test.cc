@@ -5,7 +5,9 @@
 #include "server/protocol.h"
 
 #include <cstdio>
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -116,6 +118,113 @@ TEST(ServeProtocolTest, SessionRegistersQueriesAndHitsTheCache) {
   EXPECT_NE(out.find("\"row_type\":\"ack\",\"op\":\"shutdown\""),
             std::string::npos)
       << out;
+}
+
+// A cache hit runs no engine, so its run row reports the hit itself: its
+// tuples, its own time (wall_ms is its service_ms), zero engine work and
+// memory, and no shard sub-rows; not the cold run that built the entry.
+TEST(ServeProtocolTest, CacheHitRowsReportTheHitNotTheColdRun) {
+  const std::string session =
+      "{\"op\":\"register\",\"name\":\"R\",\"attrs\":[\"a\",\"b\"],"
+      "\"tuples\":[[1,2],[2,3],[3,1],[1,4]]}\n"
+      "{\"op\":\"register\",\"name\":\"S\",\"attrs\":[\"b\",\"c\"],"
+      "\"tuples\":[[2,3],[3,1],[1,2],[4,4]]}\n"
+      "{\"op\":\"register\",\"name\":\"T\",\"attrs\":[\"c\",\"a\"],"
+      "\"tuples\":[[3,1],[1,2],[2,3],[4,1]]}\n"
+      "{\"op\":\"query\",\"relations\":[\"R\",\"S\",\"T\"],"
+      "\"scenario\":\"cold\"}\n"
+      "{\"op\":\"query\",\"relations\":[\"R\",\"S\",\"T\"],"
+      "\"scenario\":\"hit\"}\n";
+  // The counters a run row prints after wall_ms, in CSV column order.
+  const std::vector<std::string> work = {
+      "resolutions", "boxes_loaded", "kb_inserts", "skeleton_nodes",
+      "kb_nodes_visited", "probes", "seeks", "max_intermediate", "kb_bytes",
+      "index_bytes", "intermediate_bytes", "output_bytes", "shards",
+      "threads", "shard_peak_bytes", "est_shard_peak_bytes", "plan_bytes"};
+  // One row as name -> value: JSONL rows flattened (params and memory
+  // included), CSV rows by the header, params split on ';'.
+  using Row = std::map<std::string, std::string>;
+  for (cli::OutputFormat format :
+       {cli::OutputFormat::kJsonl, cli::OutputFormat::kCsv}) {
+    const bool jsonl = format == cli::OutputFormat::kJsonl;
+    SCOPED_TRACE(jsonl ? "jsonl" : "csv");
+    ServiceOptions options;
+    options.shards = 4;
+    JoinService service(options);
+    std::istringstream in(session);
+    testing::internal::CaptureStdout();
+    const ServeSessionStats stats = RunServeSession(in, &service, format);
+    const std::string out = testing::internal::GetCapturedStdout();
+    ASSERT_EQ(stats.errors, 0u) << out;
+
+    std::vector<Row> rows;
+    std::vector<std::string> header;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+      Row row;
+      if (jsonl) {
+        const JsonValue v = Parse(line);
+        std::vector<const JsonValue*> objects = {&v};
+        for (const char* nested : {"params", "memory"}) {
+          if (const JsonValue* o = v.Find(nested)) objects.push_back(o);
+        }
+        for (const JsonValue* o : objects) {
+          for (const auto& [key, value] : o->object) {
+            row[key] = value.type == JsonValue::Type::kString
+                           ? value.string
+                           : std::to_string(value.number);
+          }
+        }
+      } else if (line[0] != '{') {  // acks are JSON in every format
+        // Run rows quote nothing (no box, error or note), so a comma
+        // split is exact for them; shard rows only need their type.
+        std::vector<std::string> fields;
+        std::istringstream cells(line);
+        for (std::string f; std::getline(cells, f, ',');) fields.push_back(f);
+        if (header.empty()) {
+          header = fields;
+          continue;
+        }
+        for (size_t i = 0; i < fields.size() && i < header.size(); ++i) {
+          row[header[i]] = fields[i];
+        }
+        std::istringstream params(row["params"]);
+        for (std::string kv; std::getline(params, kv, ';');) {
+          row[kv.substr(0, kv.find('='))] = kv.substr(kv.find('=') + 1);
+        }
+      }
+      if (row["row_type"] == "run" || row["row_type"] == "shard") {
+        rows.push_back(row);
+      }
+    }
+    auto count = [&](const std::string& type, const std::string& scenario) {
+      return std::count_if(rows.begin(), rows.end(), [&](const Row& r) {
+        return r.at("row_type") == type && r.at("scenario") == scenario;
+      });
+    };
+    auto run_row = [&](const std::string& scenario) {
+      return *std::find_if(rows.begin(), rows.end(), [&](const Row& r) {
+        return r.at("row_type") == "run" && r.at("scenario") == scenario;
+      });
+    };
+    ASSERT_EQ(count("run", "cold"), 1);
+    ASSERT_EQ(count("run", "hit"), 1);
+    Row cold = run_row("cold");
+    Row hit = run_row("hit");
+    // The cold run did the work, on four shards.
+    EXPECT_EQ(std::stod(cold["cache_hit"]), 0.0);
+    EXPECT_GT(std::stod(cold["resolutions"]), 0.0);
+    EXPECT_EQ(count("shard", "cold"), 4);
+    // The hit: the same tuples, its own time, no work, no shards.
+    EXPECT_EQ(std::stod(hit["cache_hit"]), 1.0);
+    EXPECT_EQ(hit["tuples"], cold["tuples"]);
+    EXPECT_NEAR(std::stod(hit["wall_ms"]), std::stod(hit["service_ms"]),
+                0.0006);
+    for (const std::string& name : work) {
+      EXPECT_EQ(std::stod(hit[name]), 0.0) << name;
+    }
+    EXPECT_EQ(count("shard", "hit"), 0);
+  }
 }
 
 TEST(ServeProtocolTest, SessionErrorsAreCountedAndNonFatal) {
@@ -392,24 +501,37 @@ TEST(ServeProtocolTest, RunServeSurvivesADeeplyNestedLine) {
 // A served query plans shard boxes of one dimension per attribute, and a
 // DyadicBox holds 16: a query over one 17-column relation gets an error
 // row on every Tetris engine and on leapfrog, never a signal, and the
-// session exits 1.
+// session exits 1. The Tetris family also builds a box component per
+// column of an atom, so a 17-column relation whose columns all name one
+// attribute gets an error row there too, while leapfrog answers it (its
+// shard boxes have one dimension); with 16 such columns every engine
+// answers: (0) and (1).
 TEST(ServeProtocolTest, RunServeRejectsQueriesWiderThanADyadicBox) {
-  std::string attrs, zeros, ones;
-  for (int c = 0; c < 17; ++c) {
-    const std::string sep = c == 0 ? "" : ",";
-    attrs += sep + "\"a" + std::to_string(c) + "\"";
-    zeros += sep + "0";
-    ones += sep + "1";
-  }
-  std::string session = "{\"op\":\"register\",\"name\":\"W\",\"attrs\":[" +
-                        attrs + "],\"tuples\":[[" + zeros + "],[" + ones +
-                        "]]}\n";
+  // A register line for `name` with `cols` columns, named a0, a1, ... or
+  // all "A", holding the all-0 and all-1 rows.
+  auto relation = [](const std::string& name, int cols, bool one_attr) {
+    std::string attrs, zeros, ones;
+    for (int c = 0; c < cols; ++c) {
+      const std::string sep = c == 0 ? "" : ",";
+      attrs += sep + (one_attr ? "\"A\"" : "\"a" + std::to_string(c) + "\"");
+      zeros += sep + "0";
+      ones += sep + "1";
+    }
+    return "{\"op\":\"register\",\"name\":\"" + name + "\",\"attrs\":[" +
+           attrs + "],\"tuples\":[[" + zeros + "],[" + ones + "]]}\n";
+  };
+  std::string session = relation("W", 17, false) + relation("A17", 17, true) +
+                        relation("A16", 16, true);
+  const std::vector<std::string> rels = {"W", "A17", "A16"};
   const std::vector<std::string> engines = {
       "tetris-preloaded",   "tetris-reloaded",    "tetris-preloaded-nocache",
       "tetris-preloaded-lb", "tetris-reloaded-lb", "leapfrog"};
-  for (const std::string& engine : engines) {
-    session += "{\"op\":\"query\",\"relations\":[\"W\"],\"engine\":\"" +
-               engine + "\",\"scenario\":\"wide_" + engine + "\"}\n";
+  for (const std::string& rel : rels) {
+    for (const std::string& engine : engines) {
+      session += "{\"op\":\"query\",\"relations\":[\"" + rel +
+                 "\"],\"engine\":\"" + engine + "\",\"scenario\":\"" + rel +
+                 "_" + engine + "\"}\n";
+    }
   }
   const std::string path = WriteSessionFile("serve_wide.jsonl", session);
   Argv args({path});
@@ -417,13 +539,20 @@ TEST(ServeProtocolTest, RunServeRejectsQueriesWiderThanADyadicBox) {
   const int exit_code = cli::RunServe(args.argc(), args.argv());
   const std::string out = testing::internal::GetCapturedStdout();
   EXPECT_EQ(exit_code, 1) << out;
-  for (const std::string& engine : engines) {
-    SCOPED_TRACE(engine);
-    const size_t at = out.find("\"scenario\":\"wide_" + engine + "\"");
-    ASSERT_NE(at, std::string::npos) << out;
-    const std::string row = out.substr(at, out.find('\n', at) - at);
-    EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << row;
-    EXPECT_NE(row.find(kQueryTooWideError), std::string::npos) << row;
+  for (const std::string& rel : rels) {
+    for (const std::string& engine : engines) {
+      SCOPED_TRACE(rel + " on " + engine);
+      const size_t at = out.find("\"scenario\":\"" + rel + "_" + engine + "\"");
+      ASSERT_NE(at, std::string::npos) << out;
+      const std::string row = out.substr(at, out.find('\n', at) - at);
+      if (rel == "W" || (rel == "A17" && engine != "leapfrog")) {
+        EXPECT_NE(row.find("\"ok\":false"), std::string::npos) << row;
+        EXPECT_NE(row.find(kQueryTooWideError), std::string::npos) << row;
+      } else {
+        EXPECT_NE(row.find("\"ok\":true,\"tuples\":2,"), std::string::npos)
+            << row;
+      }
+    }
   }
   std::remove(path.c_str());
 }
