@@ -12,6 +12,13 @@ wrote it, then a summary line. Use it before and after a change that
 must leave the engines' work and output alone (EXPERIMENTS.md, "Before
 and after a change").
 
+Each differing row is tagged `bytes only` when every field that differs
+is a byte footprint (`memory.*`, `shard_peak_bytes`,
+`est_shard_peak_bytes`, `plan_bytes`: a change to how memory is reserved
+moves these with the same work), and `work` otherwise; a different exit
+status or row count counts as `work`. The summary line gives both
+counts.
+
 Exit status: 0 when every row agrees; 1 when some row differs, or a
 binary writes a different number of rows or exits differently in the
 two builds; 2 on a missing binary or a run longer than TIMEOUT_S.
@@ -36,6 +43,7 @@ BINARIES = (
 )
 MODES = ((), ("--engines=all",))
 TIMEOUT_S = 900  # one bench run
+BYTES_FIELDS = ("shard_peak_bytes", "est_shard_peak_bytes", "plan_bytes")
 
 
 def without_wall(value):
@@ -45,6 +53,28 @@ def without_wall(value):
     if isinstance(value, list):
         return [without_wall(v) for v in value]
     return value
+
+
+def flat(value, path=""):
+    """{dotted path: leaf value} of a JSON object, nested objects
+    flattened."""
+    if not isinstance(value, dict):
+        return {path: value}
+    out = {}
+    for k, v in value.items():
+        out.update(flat(v, path + "." + k if path else k))
+    return out
+
+
+def differing_fields(a, b):
+    """Sorted dotted paths whose values differ between two rows."""
+    fa, fb = flat(a), flat(b)
+    return sorted(p for p in set(fa) | set(fb) if fa.get(p) != fb.get(p))
+
+
+def bytes_only(fields):
+    """True iff every field in `fields` is a byte footprint."""
+    return all(f.startswith("memory.") or f in BYTES_FIELDS for f in fields)
 
 
 def run_rows(build, binary, mode):
@@ -66,7 +96,8 @@ def main():
     args = ap.parse_args()
 
     compared = 0
-    differing = 0
+    work = 0
+    bytes_rows = 0
     for binary in BINARIES:
         for mode in MODES:
             label = " ".join((binary,) + mode)
@@ -78,18 +109,27 @@ def main():
                 return 2
             if code_a != code_b:
                 print("%s: exit status %d vs %d" % (label, code_a, code_b))
-                differing += 1
+                work += 1
             if len(rows_a) != len(rows_b):
                 print("%s: %d rows vs %d" % (label, len(rows_a), len(rows_b)))
-                differing += 1
+                work += 1
             for i, (a, b) in enumerate(zip(rows_a, rows_b)):
                 compared += 1
-                if without_wall(json.loads(a)) != without_wall(json.loads(b)):
-                    differing += 1
-                    print("%s, row %d:\n  a: %s\n  b: %s" % (label, i, a, b))
-    print("bench_rows: %d rows compared, %d differences" %
-          (compared, differing))
-    return 1 if differing else 0
+                fields = differing_fields(without_wall(json.loads(a)),
+                                          without_wall(json.loads(b)))
+                if not fields:
+                    continue
+                if bytes_only(fields):
+                    bytes_rows += 1
+                    tag = "bytes only"
+                else:
+                    work += 1
+                    tag = "work"
+                print("%s, row %d [%s: %s]:\n  a: %s\n  b: %s" %
+                      (label, i, tag, ", ".join(fields), a, b))
+    print("bench_rows: %d rows compared, %d differences (%d work, "
+          "%d bytes only)" % (compared, work + bytes_rows, work, bytes_rows))
+    return 1 if work + bytes_rows else 0
 
 
 if __name__ == "__main__":

@@ -138,13 +138,8 @@ class LiftedOracle : public BoxOracle {
 
 }  // namespace
 
-TetrisLB::TetrisLB(const BoxOracle* oracle, int n, int depth, bool preloaded,
-                   bool cache_resolvents)
-    : oracle_(oracle),
-      n_(n),
-      d_(depth),
-      preloaded_(preloaded),
-      cache_(cache_resolvents) {}
+TetrisLB::TetrisLB(const BoxOracle* oracle, int n, int depth, bool preloaded)
+    : oracle_(oracle), n_(n), d_(depth), preloaded_(preloaded) {}
 
 RunStatus TetrisLB::Run(const OutputSink& sink) {
   stats_ = TetrisStats{};
@@ -154,7 +149,6 @@ RunStatus TetrisLB::Run(const OutputSink& sink) {
     TetrisOptions opt;
     opt.init = preloaded_ ? TetrisOptions::Init::kPreloaded
                           : TetrisOptions::Init::kReloaded;
-    opt.cache_resolvents = cache_;
     Tetris engine(oracle_, &space, opt);
     RunStatus status = engine.Run(sink);
     stats_ = engine.stats();
@@ -175,7 +169,6 @@ RunStatus TetrisLB::Run(const OutputSink& sink) {
     for (const DyadicBox& b : all) lifted.Add(map.Lift(b));
     TetrisOptions opt;
     opt.init = TetrisOptions::Init::kPreloaded;
-    opt.cache_resolvents = cache_;
     Tetris engine(&lifted, &space, opt);
     RunStatus status = engine.Run(
         [&](const DyadicBox& p) { return sink(map.UnliftPoint(p)); });
@@ -195,7 +188,6 @@ RunStatus TetrisLB::Run(const OutputSink& sink) {
     LiftedOracle adapter(oracle_, &map, &seen, &seen_set);
     TetrisOptions opt;
     opt.init = TetrisOptions::Init::kReloaded;
-    opt.cache_resolvents = cache_;
     opt.load_budget = budget;
     Tetris engine(&adapter, &space, opt);
     RunStatus status = engine.Run([&](const DyadicBox& p) {

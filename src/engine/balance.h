@@ -119,8 +119,7 @@ class BalancedSpace : public SplitSpace {
 ///   (outputs are deduplicated across restarts).
 class TetrisLB {
  public:
-  TetrisLB(const BoxOracle* oracle, int n, int depth, bool preloaded,
-           bool cache_resolvents = true);
+  TetrisLB(const BoxOracle* oracle, int n, int depth, bool preloaded);
 
   RunStatus Run(const OutputSink& sink);
 
@@ -131,7 +130,6 @@ class TetrisLB {
   int n_;
   int d_;
   bool preloaded_;
-  bool cache_;
   TetrisStats stats_;
 };
 

@@ -130,8 +130,9 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
 
 /// Owns one SortedIndex per atom, laid out for DefaultSao(query, algo)
 /// (relation column order for the Balance-lifted variants), and runs
-/// the join under that SAO — the "it just works" entry point used by
-/// examples. The query's MinDepth must be at most kMaxDepth.
+/// the join under that SAO — the "it just works" entry point the join
+/// runner and engine tests use. The query's MinDepth must be at most
+/// kMaxDepth.
 JoinRunResult RunTetrisJoinDefaultIndexes(const JoinQuery& query,
                                           JoinAlgorithm algo);
 

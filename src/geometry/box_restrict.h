@@ -50,26 +50,6 @@ inline DyadicBox DyadicHull(const DyadicBox& a, const DyadicBox& b) {
   return r;
 }
 
-/// The maximal dyadic interval that contains `probe` and is disjoint from
-/// `restrict_iv`: the sibling of restrict_iv's path at the first bit where
-/// probe diverges from it. Returns false iff the two intervals are
-/// comparable (no separating sibling exists).
-inline bool DivergenceSlab(const DyadicInterval& restrict_iv,
-                           const DyadicInterval& probe_iv,
-                           DyadicInterval* slab) {
-  const int l = restrict_iv.len < probe_iv.len
-                    ? restrict_iv.len
-                    : probe_iv.len;
-  const uint64_t a = restrict_iv.bits >> (restrict_iv.len - l);
-  const uint64_t b = probe_iv.bits >> (probe_iv.len - l);
-  if (a == b) return false;  // one is a prefix of the other
-  // First differing bit, counted from the most significant of the l bits.
-  int j = 0;
-  while ((((a ^ b) >> (l - 1 - j)) & 1) == 0) ++j;
-  *slab = probe_iv.Prefix(j + 1);
-  return true;
-}
-
 /// Emits the maximal dyadic boxes covering the complement of `box`: for
 /// every non-λ component, the sibling of each prefix along its path,
 /// padded with λ elsewhere, dimension by dimension. The slabs overlap
@@ -84,21 +64,6 @@ inline void EmitBoxComplement(const DyadicBox& box, BoxSink sink) {
       sink(slab);
     }
     slab[i] = DyadicInterval::Lambda();
-  }
-}
-
-/// Emits the maximal complement boxes of `box` that contain `point` (one
-/// per dimension where the point leaves the box). Emits nothing iff
-/// `box` contains `point`.
-inline void EmitComplementContaining(const DyadicBox& box,
-                                     const DyadicBox& point, BoxSink sink) {
-  for (int i = 0; i < box.dims(); ++i) {
-    DyadicInterval slab;
-    if (DivergenceSlab(box[i], point[i], &slab)) {
-      DyadicBox b = DyadicBox::Universal(box.dims());
-      b[i] = slab;
-      sink(b);
-    }
   }
 }
 

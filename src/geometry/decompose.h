@@ -49,6 +49,18 @@ struct IntBox {
 /// per-dimension covers). `d` is the uniform depth of all dimensions.
 std::vector<DyadicBox> DecomposeBox(const IntBox& box, int d);
 
+/// Emits the parts of `cell` that hold none of the points [first, last)
+/// and meet `box`: halves `cell` along its shortest dimension with bits
+/// left (the first on a tie), low half first, until a part holds no
+/// point; a unit part holding a point emits nothing. Over the universal `box` the
+/// parts are a disjoint cover of the cell minus the points; a smaller
+/// `box` skips the halves disjoint from it. Each point is cell.dims()
+/// values inside `cell`, and `cell` must meet `box`. Reorders
+/// [first, last) in place.
+void ForEachComplementBox(const DyadicBox& cell, const uint64_t** first,
+                          const uint64_t** last, const DyadicBox& box, int d,
+                          BoxSink sink);
+
 }  // namespace tetris
 
 #endif  // TETRIS_GEOMETRY_DECOMPOSE_H_

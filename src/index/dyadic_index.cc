@@ -35,10 +35,6 @@ bool DyadicTreeIndex::CellOccupied(uint64_t prefix, int prefix_bits) const {
   return it != codes_.end() && *it <= hi;
 }
 
-bool DyadicTreeIndex::Contains(const Tuple& t) const {
-  return std::binary_search(codes_.begin(), codes_.end(), Morton(t.data()));
-}
-
 DyadicBox DyadicTreeIndex::CellBox(uint64_t prefix, int level) const {
   // De-interleave the (k*level)-bit Morton prefix back into one length-
   // `level` dyadic interval per column.
@@ -54,31 +50,36 @@ DyadicBox DyadicTreeIndex::CellBox(uint64_t prefix, int level) const {
   return b;
 }
 
-void DyadicTreeIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
-  const uint64_t m = Morton(t);
-  for (int level = 0; level <= d_; ++level) {
-    uint64_t prefix = m >> (k_ * (d_ - level));
-    if (!CellOccupied(prefix, k_ * level)) {
-      sink(CellBox(prefix, level));  // maximal empty cell
-      return;
-    }
-  }
-  // Level-d cell occupied == tuple present: no gap.
-}
-
-void DyadicTreeIndex::AllGapsRec(uint64_t prefix, int level,
-                                 BoxSink sink) const {
+void DyadicTreeIndex::GapsRec(uint64_t prefix, int level,
+                              const DyadicBox& box, BoxSink sink) const {
   if (!CellOccupied(prefix, k_ * level)) {
     sink(CellBox(prefix, level));
     return;
   }
   if (level == d_) return;  // occupied unit cell = a tuple
-  const uint64_t children = uint64_t{1} << k_;
-  for (uint64_t c = 0; c < children; ++c) {
-    AllGapsRec((prefix << k_) | c, level + 1, sink);
+  // A child's Morton digit holds one bit per column, column 0 highest.
+  // Where the box's component is longer than `level`, the child meets
+  // the box only with the component's next bit there; the other bits
+  // range freely.
+  uint64_t fixed = 0, want = 0;
+  for (int c = 0; c < k_; ++c) {
+    const DyadicInterval& iv = box[c];
+    if (iv.len <= level) continue;
+    const uint64_t bit = uint64_t{1} << (k_ - 1 - c);
+    fixed |= bit;
+    if ((iv.bits >> (iv.len - 1 - level)) & 1) want |= bit;
+  }
+  const uint64_t free = ((uint64_t{1} << k_) - 1) & ~fixed;
+  // The subsets of `free` in increasing order: children in Morton order.
+  for (uint64_t s = 0;; s = (s - free) & free) {
+    GapsRec((prefix << k_) | want | s, level + 1, box, sink);
+    if (s == free) break;
   }
 }
 
-void DyadicTreeIndex::AllGaps(BoxSink sink) const { AllGapsRec(0, 0, sink); }
+void DyadicTreeIndex::GapsIntersecting(const DyadicBox& box,
+                                       BoxSink sink) const {
+  GapsRec(0, 0, box, sink);
+}
 
 }  // namespace tetris

@@ -23,11 +23,9 @@ class DyadicTreeIndex : public Index {
 
   int arity() const override { return k_; }
   int depth() const override { return d_; }
-  bool Contains(const Tuple& t) const override;
-  /// The one maximal empty cell on the probe's path.
-  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
-  /// Maximal empty cells in Morton (z-) order.
-  void AllGaps(BoxSink sink) const override;
+  /// Maximal empty cells meeting `box`, in Morton (z-) order; a probe
+  /// gets the one on its path.
+  void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
   size_t MemoryBytes() const override {
     return codes_.size() * sizeof(uint64_t);
   }
@@ -38,7 +36,10 @@ class DyadicTreeIndex : public Index {
   // True iff some tuple's Morton code has `prefix` (of bit length
   // `prefix_bits`) as a prefix.
   bool CellOccupied(uint64_t prefix, int prefix_bits) const;
-  void AllGapsRec(uint64_t prefix, int level, BoxSink sink) const;
+  // The maximal empty cells meeting `box` inside the cell at `level`
+  // holding Morton prefix `prefix`, which meets `box`.
+  void GapsRec(uint64_t prefix, int level, const DyadicBox& box,
+               BoxSink sink) const;
   // The dyadic box of the level-L cell holding Morton prefix `prefix`.
   DyadicBox CellBox(uint64_t prefix, int level) const;
 

@@ -1,17 +1,16 @@
 // Index substrates: every index is a collection of gap boxes
 // (paper, Section 3.2 and Appendix B).
 //
-// An index over a k-ary relation R supports exactly the oracle operations
-// Tetris needs:
+// An index over a k-ary relation R is its gap-box set B(R), and it
+// answers one query over it: GapsIntersecting(b), the gaps of B(R) that
+// meet a box b, in the index's own fixed order. The two oracle operations
+// Tetris needs are that query on two boxes:
 //
-//   * Contains(t)        — membership.
-//   * GapsContaining(t)  — the maximal gap boxes of this index that contain
-//                          a probe point t ∉ R, dyadically decomposed
-//                          (none iff t ∈ R).
-//   * AllGaps()          — the full gap-box collection B(R) of the index
-//                          (used by Tetris-Preloaded).
-//   * GapsIntersecting() — the gaps of AllGaps() meeting a box (a shard's
-//                          preload).
+//   * AllGaps()         — b universal: all of B(R) (Tetris-Preloaded).
+//   * GapsContaining(t) — b the unit box of a probe point t (Algorithm 2,
+//                         line 4): nothing iff t ∈ R. A sorted index
+//                         answers with its whole band instead
+//                         (Minesweeper's probe).
 //
 // Gap boxes are expressed over the relation's own k columns, in relation
 // column order; the join runner embeds them into the n-dimensional output
@@ -36,10 +35,10 @@ namespace tetris {
 
 /// Abstract index over one relation.
 ///
-/// Thread-safety contract: the const probe operations (Contains, the gap
-/// calls, MemoryBytes) must be safe to call concurrently —
-/// implementations keep no mutable scratch. The parallel executor relies
-/// on this to share indexes across concurrent engine runs.
+/// Thread-safety contract: the const gap calls and MemoryBytes must be
+/// safe to call concurrently — implementations keep no mutable scratch.
+/// The parallel executor relies on this to share indexes across
+/// concurrent engine runs.
 class Index {
  public:
   virtual ~Index() = default;
@@ -50,27 +49,21 @@ class Index {
   /// Bit depth of the value domain.
   virtual int depth() const = 0;
 
-  /// True iff `t` (relation column order) is present.
-  virtual bool Contains(const Tuple& t) const = 0;
+  /// Emits exactly the gap boxes of the index's B(R) that intersect
+  /// `box` (share at least one point), in the index's own fixed
+  /// enumeration order, pruning the enumeration to `box`.
+  virtual void GapsIntersecting(const DyadicBox& box, BoxSink sink) const = 0;
 
-  /// Emits the maximal dyadic gap boxes of this index containing the
-  /// probe point `t` (arity() values, relation column order). Emits
-  /// nothing iff Contains(t).
-  virtual void GapsContaining(const uint64_t* t, BoxSink sink) const = 0;
+  /// Emits all gap boxes of the index (its B(R) set), in its order.
+  void AllGaps(BoxSink sink) const {
+    GapsIntersecting(DyadicBox::Universal(arity()), sink);
+  }
 
-  /// Emits all gap boxes of the index (its B(R) set), in the index's
-  /// own fixed enumeration order.
-  virtual void AllGaps(BoxSink sink) const = 0;
-
-  /// Emits exactly the gap boxes of AllGaps() that intersect `box`
-  /// (share at least one point), in AllGaps() order. The sharded
-  /// executor preloads each shard's Tetris from this, so indexes that
-  /// can prune their gap enumeration to the shard subcube override it;
-  /// the default filters the full enumeration.
-  virtual void GapsIntersecting(const DyadicBox& box, BoxSink sink) const {
-    AllGaps([&](const DyadicBox& g) {
-      if (box.Intersects(g)) sink(g);
-    });
+  /// Emits gap boxes around the probe point `t` (arity() values, relation
+  /// column order): at least one containing `t`, none iff `t` is in the
+  /// relation. The default is GapsIntersecting on the unit box of `t`.
+  virtual void GapsContaining(const uint64_t* t, BoxSink sink) const {
+    GapsIntersecting(DyadicBox::Point(t, arity(), depth()), sink);
   }
 
   /// Approximate resident footprint of the index structure in bytes

@@ -31,19 +31,18 @@ class IndexView : public Index {
   int arity() const override { return base_->arity(); }
   int depth() const override { return base_->depth(); }
 
-  /// In the restriction iff inside the box and in the base relation.
-  bool Contains(const Tuple& t) const override;
+  /// The slabs of the view box's complement meeting `box`
+  /// (EmitBoxComplement's order), then the base gaps meeting both boxes
+  /// clipped to the view box, in base order (base gaps disjoint from the
+  /// view box are dropped — the complement slabs already cover them).
+  void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
 
-  /// Probes outside the box answer with the complement slabs of the box
-  /// containing the probe; probes inside defer to the base with results
-  /// clipped to the box, in base order. Postcondition (nothing iff
-  /// Contains) carries over from the base.
+  /// Probes outside the box answer with the complement slabs containing
+  /// the probe (GapsIntersecting on the point); probes inside defer to
+  /// the base's probe with results clipped to the box, in base order.
+  /// Postcondition (nothing iff the probe is in the restriction) carries
+  /// over from the base.
   void GapsContaining(const uint64_t* t, BoxSink sink) const override;
-
-  /// The box complement (EmitBoxComplement's order), then the base gaps
-  /// meeting the box clipped to it, in base order (gaps disjoint from it
-  /// are dropped — the complement slabs already cover them).
-  void AllGaps(BoxSink sink) const override;
 
   /// The view's own resident footprint. The base structure is shared and
   /// accounted once by whoever owns it, not per view.

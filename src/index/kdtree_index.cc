@@ -1,7 +1,8 @@
 #include "index/kdtree_index.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "geometry/decompose.h"
 
 namespace tetris {
 
@@ -48,111 +49,23 @@ int32_t KdTreeIndex::Build(DyadicBox cell, size_t lo, size_t hi,
   return id;
 }
 
-const KdTreeIndex::Node& KdTreeIndex::LeafFor(const uint64_t* t) const {
-  int32_t id = root_;
-  for (;;) {
-    const Node& n = nodes_[id];
-    if (n.split_dim < 0) return n;
-    const int bit_pos = d_ - n.cell[n.split_dim].len - 1;
-    id = n.child[(t[n.split_dim] >> bit_pos) & 1];
-  }
-}
-
-bool KdTreeIndex::Contains(const Tuple& t) const {
-  const Node& leaf = LeafFor(t.data());
-  for (size_t i = leaf.lo; i < leaf.hi; ++i) {
-    if (points_[i] == t) return true;
-  }
-  return false;
-}
-
-namespace {
-
-// Emits the dyadic complement of `tuples` within the dyadic `cell`.
-void ComplementRec(const DyadicBox& cell,
-                   const std::vector<const Tuple*>& tuples, int k, int d,
-                   BoxSink sink) {
-  if (tuples.empty()) {
-    sink(cell);
-    return;
-  }
-  int dim = -1;
-  for (int i = 0; i < k; ++i) {
-    if (cell[i].len < d && (dim < 0 || cell[i].len < cell[dim].len)) {
-      dim = i;
-    }
-  }
-  if (dim < 0) return;  // unit cell holding a tuple
-  const int bit_pos = d - cell[dim].len - 1;
-  DyadicBox halves[2] = {cell, cell};
-  halves[0][dim] = cell[dim].Child(0);
-  halves[1][dim] = cell[dim].Child(1);
-  for (int side = 0; side < 2; ++side) {
-    std::vector<const Tuple*> sub;
-    for (const Tuple* t : tuples) {
-      if ((((*t)[dim] >> bit_pos) & 1) == static_cast<uint64_t>(side)) {
-        sub.push_back(t);
-      }
-    }
-    ComplementRec(halves[side], sub, k, d, sink);
-  }
-}
-
-}  // namespace
-
-void KdTreeIndex::EmitLeafGaps(const Node& node, BoxSink sink) const {
-  std::vector<const Tuple*> tuples;
-  for (size_t i = node.lo; i < node.hi; ++i) tuples.push_back(&points_[i]);
-  ComplementRec(node.cell, tuples, k_, d_, sink);
-}
-
-void KdTreeIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
-  const Node& leaf = LeafFor(t);
-  if (leaf.lo == leaf.hi) {
-    sink(leaf.cell);  // empty leaf: the whole cell is one gap
-    return;
-  }
-  // Occupied leaf: descend the complement decomposition toward t until
-  // the region holds no tuple.
-  DyadicBox region = leaf.cell;
-  std::vector<const Tuple*> inside;
-  for (size_t i = leaf.lo; i < leaf.hi; ++i) inside.push_back(&points_[i]);
-  for (;;) {
-    if (inside.empty()) {
-      sink(region);
-      return;
-    }
-    int dim = -1;
-    for (int i = 0; i < k_; ++i) {
-      if (region[i].len < d_) {
-        dim = i;
-        break;
-      }
-    }
-    if (dim < 0) return;  // region is exactly the (present) tuple t
-    const int bit_pos = d_ - region[dim].len - 1;
-    const int side = static_cast<int>((t[dim] >> bit_pos) & 1);
-    region[dim] = region[dim].Child(side);
-    std::vector<const Tuple*> sub;
-    for (const Tuple* p : inside) {
-      if ((((*p)[dim] >> bit_pos) & 1) == static_cast<uint64_t>(side)) {
-        sub.push_back(p);
-      }
-    }
-    inside = std::move(sub);
-  }
-}
-
-void KdTreeIndex::AllGapsRec(int32_t id, BoxSink sink) const {
+void KdTreeIndex::GapsRec(int32_t id, const DyadicBox& box,
+                          BoxSink sink) const {
   const Node& n = nodes_[id];
+  if (!n.cell.Intersects(box)) return;
   if (n.split_dim < 0) {
-    EmitLeafGaps(n, sink);
+    std::vector<const uint64_t*> tuples;
+    for (size_t i = n.lo; i < n.hi; ++i) tuples.push_back(points_[i].data());
+    ForEachComplementBox(n.cell, tuples.data(), tuples.data() + tuples.size(),
+                         box, d_, sink);
     return;
   }
-  AllGapsRec(n.child[0], sink);
-  AllGapsRec(n.child[1], sink);
+  GapsRec(n.child[0], box, sink);
+  GapsRec(n.child[1], box, sink);
 }
 
-void KdTreeIndex::AllGaps(BoxSink sink) const { AllGapsRec(root_, sink); }
+void KdTreeIndex::GapsIntersecting(const DyadicBox& box, BoxSink sink) const {
+  GapsRec(root_, box, sink);
+}
 
 }  // namespace tetris

@@ -24,10 +24,9 @@ class KdTreeIndex : public Index {
 
   int arity() const override { return k_; }
   int depth() const override { return d_; }
-  bool Contains(const Tuple& t) const override;
-  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
-  /// Leaf by leaf, low child first; a leaf's gaps in complement order.
-  void AllGaps(BoxSink sink) const override;
+  /// Leaf by leaf, low child first, skipping cells disjoint from `box`;
+  /// a leaf's gaps in ForEachComplementBox order.
+  void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
   size_t MemoryBytes() const override {
     return nodes_.size() * sizeof(Node) +
            points_.size() *
@@ -49,12 +48,9 @@ class KdTreeIndex : public Index {
   };
 
   int32_t Build(DyadicBox cell, size_t lo, size_t hi, int next_dim);
-  // Emits gaps for a leaf cell: the parts of the cell not equal to any
-  // tuple (dyadic decomposition per free dimension).
-  void EmitLeafGaps(const Node& node, BoxSink sink) const;
-  void AllGapsRec(int32_t id, BoxSink sink) const;
-  // Finds the leaf whose cell contains the point `t` (k_ values).
-  const Node& LeafFor(const uint64_t* t) const;
+  // The gaps meeting `box` under node `id`: a leaf's are the parts of its
+  // cell holding no tuple.
+  void GapsRec(int32_t id, const DyadicBox& box, BoxSink sink) const;
 
   int k_;
   int d_;

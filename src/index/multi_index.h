@@ -23,17 +23,14 @@ class MultiIndex : public Index {
   int arity() const override { return indexes_.front()->arity(); }
   int depth() const override { return indexes_.front()->depth(); }
 
-  bool Contains(const Tuple& t) const override {
-    return indexes_.front()->Contains(t);
+  /// Each index's gaps in turn, in bundle order.
+  void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override {
+    for (const auto& ix : indexes_) ix->GapsIntersecting(box, sink);
   }
 
-  /// Each index's gaps in turn, in bundle order.
+  /// Each index's probe in turn, in bundle order.
   void GapsContaining(const uint64_t* t, BoxSink sink) const override {
     for (const auto& ix : indexes_) ix->GapsContaining(t, sink);
-  }
-
-  void AllGaps(BoxSink sink) const override {
-    for (const auto& ix : indexes_) ix->AllGaps(sink);
   }
 
   size_t MemoryBytes() const override {

@@ -1,7 +1,8 @@
 #include "index/rtree_index.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "geometry/decompose.h"
 
 namespace tetris {
 
@@ -10,13 +11,6 @@ bool RTreeIndex::Leaf::IntersectsCell(const DyadicBox& cell, int d) const {
     uint64_t c_lo = cell[static_cast<int>(i)].Low(d);
     uint64_t c_hi = cell[static_cast<int>(i)].High(d);
     if (hi[i] < c_lo || lo[i] > c_hi) return false;
-  }
-  return true;
-}
-
-bool RTreeIndex::Leaf::ContainsPoint(const Tuple& t) const {
-  for (size_t i = 0; i < lo.size(); ++i) {
-    if (t[i] < lo[i] || t[i] > hi[i]) return false;
   }
   return true;
 }
@@ -55,57 +49,9 @@ void RTreeIndex::Bulkload(size_t lo, size_t hi, int dim) {
   Bulkload(mid, hi, (dim + 1) % k_);
 }
 
-bool RTreeIndex::Contains(const Tuple& t) const {
-  for (const Leaf& leaf : leaves_) {
-    if (!leaf.ContainsPoint(t)) continue;
-    for (size_t i = leaf.begin; i < leaf.end; ++i) {
-      if (points_[i] == t) return true;
-    }
-  }
-  return false;
-}
-
-namespace {
-
-// Exact dyadic complement of `tuples` within `cell` (the kd-tree leaf
-// logic; duplicated locally to keep the index self-contained).
-void ComplementRec(const DyadicBox& cell,
-                   const std::vector<const Tuple*>& tuples, int k, int d,
-                   const uint64_t* probe, BoxSink sink) {
-  if (tuples.empty()) {
-    sink(cell);
-    return;
-  }
-  int dim = -1;
-  for (int i = 0; i < k; ++i) {
-    if (cell[i].len < d && (dim < 0 || cell[i].len < cell[dim].len)) {
-      dim = i;
-    }
-  }
-  if (dim < 0) return;  // unit cell holding a tuple
-  const int bit_pos = d - cell[dim].len - 1;
-  for (int side = 0; side < 2; ++side) {
-    if (probe != nullptr &&
-        static_cast<int>((probe[dim] >> bit_pos) & 1) != side) {
-      continue;
-    }
-    DyadicBox half = cell;
-    half[dim] = cell[dim].Child(side);
-    std::vector<const Tuple*> sub;
-    for (const Tuple* t : tuples) {
-      if ((((*t)[dim] >> bit_pos) & 1) == static_cast<uint64_t>(side)) {
-        sub.push_back(t);
-      }
-    }
-    ComplementRec(half, sub, k, d, probe, sink);
-  }
-}
-
-}  // namespace
-
 void RTreeIndex::GapsRec(const DyadicBox& cell,
                          const std::vector<const Leaf*>& active,
-                         const uint64_t* probe, BoxSink sink) const {
+                         const DyadicBox& box, BoxSink sink) const {
   std::vector<const Leaf*> live;
   for (const Leaf* leaf : active) {
     if (leaf->IntersectsCell(cell, d_)) live.push_back(leaf);
@@ -115,14 +61,17 @@ void RTreeIndex::GapsRec(const DyadicBox& cell,
     return;
   }
   // Count (and collect) the tuples of the live leaves inside the cell.
-  std::vector<const Tuple*> inside;
+  std::vector<const uint64_t*> inside;
   for (const Leaf* leaf : live) {
     for (size_t i = leaf->begin; i < leaf->end; ++i) {
-      if (cell.ContainsPoint(points_[i], d_)) inside.push_back(&points_[i]);
+      if (cell.ContainsPoint(points_[i], d_)) {
+        inside.push_back(points_[i].data());
+      }
     }
   }
   if (inside.size() <= leaf_capacity_) {
-    ComplementRec(cell, inside, k_, d_, probe, sink);
+    ForEachComplementBox(cell, inside.data(), inside.data() + inside.size(),
+                         box, d_, sink);
     return;
   }
   int dim = -1;
@@ -132,29 +81,17 @@ void RTreeIndex::GapsRec(const DyadicBox& cell,
     }
   }
   if (dim < 0) return;  // unit cell with a tuple
-  const int bit_pos = d_ - cell[dim].len - 1;
+  DyadicBox half = cell;
   for (int side = 0; side < 2; ++side) {
-    if (probe != nullptr &&
-        static_cast<int>((probe[dim] >> bit_pos) & 1) != side) {
-      continue;
-    }
-    DyadicBox half = cell;
     half[dim] = cell[dim].Child(side);
-    GapsRec(half, live, probe, sink);
+    if (half[dim].ComparableWith(box[dim])) GapsRec(half, live, box, sink);
   }
 }
 
-void RTreeIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
-  if (Contains(Tuple(t, t + k_))) return;
+void RTreeIndex::GapsIntersecting(const DyadicBox& box, BoxSink sink) const {
   std::vector<const Leaf*> all;
   for (const Leaf& leaf : leaves_) all.push_back(&leaf);
-  GapsRec(DyadicBox::Universal(k_), all, t, sink);
-}
-
-void RTreeIndex::AllGaps(BoxSink sink) const {
-  std::vector<const Leaf*> all;
-  for (const Leaf& leaf : leaves_) all.push_back(&leaf);
-  GapsRec(DyadicBox::Universal(k_), all, nullptr, sink);
+  GapsRec(DyadicBox::Universal(k_), all, box, sink);
 }
 
 }  // namespace tetris

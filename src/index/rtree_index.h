@@ -24,10 +24,9 @@ class RTreeIndex : public Index {
 
   int arity() const override { return k_; }
   int depth() const override { return d_; }
-  bool Contains(const Tuple& t) const override;
-  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
-  /// Cells in depth-first order, low half first.
-  void AllGaps(BoxSink sink) const override;
+  /// Cells in depth-first order, low half first, skipping cells disjoint
+  /// from `box`.
+  void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
   size_t MemoryBytes() const override {
     const size_t per_tuple =
         sizeof(Tuple) + static_cast<size_t>(k_) * sizeof(uint64_t);
@@ -44,14 +43,14 @@ class RTreeIndex : public Index {
     Tuple lo, hi;          // tight MBR corners
     size_t begin, end;     // range in points_
     bool IntersectsCell(const DyadicBox& cell, int d) const;
-    bool ContainsPoint(const Tuple& t) const;
   };
 
   void Bulkload(size_t lo, size_t hi, int dim);
-  // Cells disjoint from every MBR are gaps; cells with few tuples use the
-  // exact complement; everything else splits.
+  // The gaps meeting `box` inside `cell`, which meets it: a cell disjoint
+  // from every MBR is a gap; a cell with few tuples uses the exact
+  // complement; everything else splits.
   void GapsRec(const DyadicBox& cell, const std::vector<const Leaf*>& active,
-               const uint64_t* probe, BoxSink sink) const;
+               const DyadicBox& box, BoxSink sink) const;
 
   int k_;
   int d_;

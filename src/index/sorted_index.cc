@@ -135,12 +135,6 @@ size_t SortedIndex::RemovedIn(size_t lo, size_t hi) const {
   return static_cast<size_t>(e - b);
 }
 
-bool SortedIndex::IsRemoved(size_t rank) const {
-  return !removed_.empty() &&
-         std::binary_search(removed_.begin(), removed_.end(),
-                            static_cast<uint32_t>(rank));
-}
-
 size_t SortedIndex::GroupEnd(size_t lo, size_t hi, int level,
                              uint64_t v) const {
   if (lo == hi || at(lo, level) > v) return lo;
@@ -210,17 +204,6 @@ size_t SortedIndex::AddedLowerBoundFull(const uint64_t* key) const {
     }
   }
   return lo;
-}
-
-bool SortedIndex::Contains(const Tuple& t) const {
-  uint64_t p[kMaxDims];
-  for (int level = 0; level < k_; ++level) p[level] = t[ord_[level]];
-  size_t rank;
-  if (FindBaseRank(p, &rank)) return !IsRemoved(rank);
-  if (added_.empty()) return false;
-  const size_t a = AddedLowerBoundFull(p);
-  const size_t k = static_cast<size_t>(k_);
-  return a < added_count() && std::equal(p, p + k, added_.data() + a * k);
 }
 
 bool SortedIndex::PredLiveValue(size_t lo, size_t bpos, size_t alo,
@@ -341,52 +324,6 @@ void SortedIndex::GapsContaining(const uint64_t* t, BoxSink sink) const {
   // Probe present: no gap.
 }
 
-void SortedIndex::AllGapsRec(size_t lo, size_t hi, size_t alo, size_t ahi,
-                             int level, DyadicBox* slot, BoxSink sink) const {
-  if (level == k_) return;
-  const uint64_t dom_max = (uint64_t{1} << d_) - 1;
-  uint64_t next_free = 0;  // lowest value not yet covered by key or gap
-  size_t i = lo, a = alo;
-  // Merged walk over the distinct values of the base range and the
-  // overlay range; a fully-tombstoned group is skipped WITHOUT advancing
-  // next_free, so the surrounding band absorbs it.
-  while (i < hi || a < ahi) {
-    uint64_t v;
-    if (i < hi && a < ahi) {
-      v = std::min(at(i, level), added_at(a, level));
-    } else if (i < hi) {
-      v = at(i, level);
-    } else {
-      v = added_at(a, level);
-    }
-    size_t j = i;
-    while (j < hi && at(j, level) == v) ++j;
-    size_t b = a;
-    while (b < ahi && added_at(b, level) == v) ++b;
-    const size_t live = (j - i) - RemovedIn(i, j) + (b - a);
-    if (live > 0) {
-      if (v > next_free) {
-        EmitBand(slot, level, next_free, v - 1, nullptr, sink);
-      }
-      (*slot)[order_[level]] = DyadicInterval::Unit(v, d_);
-      AllGapsRec(i, j, a, b, level + 1, slot, sink);
-      (*slot)[order_[level]] = DyadicInterval::Lambda();
-      next_free = v + 1;
-    }
-    i = j;
-    a = b;
-  }
-  if (next_free <= dom_max) {
-    EmitBand(slot, level, next_free, dom_max, nullptr, sink);
-  }
-}
-
-void SortedIndex::AllGaps(BoxSink sink) const {
-  if (k_ == 0) return NullaryGap(sink);
-  DyadicBox slot = DyadicBox::Universal(k_);
-  AllGapsRec(0, rows_, 0, added_count(), 0, &slot, sink);
-}
-
 void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
                                       size_t ahi, int level,
                                       const DyadicBox& box, DyadicBox* slot,
@@ -397,17 +334,26 @@ void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
   // groups entirely outside it produce gaps whose component is disjoint
   // from the box, so the scan starts at the last live key below the
   // range (which bounds the band overlapping its left edge) and stops
-  // past its right edge.
+  // past its right edge. A λ component spans the domain: the scan takes
+  // the whole range and emits every band unclipped.
   const DyadicInterval& comp = box[order_[level]];
-  const int shift = comp.len >= d_ ? 0 : d_ - comp.len;
-  const uint64_t blo = comp.bits << shift;
-  const uint64_t bhi = blo + ((uint64_t{1} << shift) - 1);
-
-  size_t i = LowerBound(lo, hi, level, blo);
-  size_t a = AddedLowerBound(alo, ahi, level, blo);
-  uint64_t next_free = 0;
+  const DyadicInterval* clip = nullptr;
+  size_t i = lo, a = alo;
+  uint64_t next_free = 0;  // lowest value not yet covered by key or gap
+  uint64_t bhi = dom_max;
   uint64_t nb;
-  if (PredLiveValue(lo, i, alo, a, level, &nb)) next_free = nb + 1;
+  if (comp.len > 0) {
+    const int shift = comp.len >= d_ ? 0 : d_ - comp.len;
+    const uint64_t blo = comp.bits << shift;
+    bhi = blo + ((uint64_t{1} << shift) - 1);
+    i = LowerBound(lo, hi, level, blo);
+    a = AddedLowerBound(alo, ahi, level, blo);
+    if (PredLiveValue(lo, i, alo, a, level, &nb)) next_free = nb + 1;
+    clip = &comp;
+  }
+  // Merged walk over the distinct values of the base range and the
+  // overlay range; a fully-tombstoned group is skipped WITHOUT advancing
+  // next_free, so the surrounding band absorbs it.
   while (i < hi || a < ahi) {
     uint64_t v;
     if (i < hi && a < ahi) {
@@ -425,7 +371,7 @@ void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
     const size_t live = (j - i) - RemovedIn(i, j) + (b - a);
     if (live > 0) {
       if (v > next_free) {
-        EmitBand(slot, level, next_free, v - 1, &comp, sink);
+        EmitBand(slot, level, next_free, v - 1, clip, sink);
       }
       (*slot)[order_[level]] = DyadicInterval::Unit(v, d_);
       GapsIntersectingRec(i, j, a, b, level + 1, box, slot, sink);
@@ -442,7 +388,7 @@ void SortedIndex::GapsIntersectingRec(size_t lo, size_t hi, size_t alo,
     uint64_t band_hi = dom_max;
     if (SuccLiveValue(i, hi, a, ahi, level, &nb)) band_hi = nb - 1;
     if (band_hi >= next_free) {
-      EmitBand(slot, level, next_free, band_hi, &comp, sink);
+      EmitBand(slot, level, next_free, band_hi, clip, sink);
     }
   }
 }

@@ -64,19 +64,17 @@ class SortedIndex : public Index {
 
   int arity() const override { return k_; }
   int depth() const override { return d_; }
-  bool Contains(const Tuple& t) const override;
-  /// The one band at the first level where `t` has no live key.
-  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
   /// Trie order: at each level, left to right, the band below each live
   /// key, then that key's subtree; the trailing band last. A band's
   /// cover intervals arrive left to right (ForEachDyadicCover), all
-  /// through one reused box.
-  void AllGaps(BoxSink sink) const override;
-  /// Pruned enumeration: descends only into key groups whose value lies
-  /// in `box`'s component at that level and emits only the bands meeting
-  /// it, so the cost tracks the keys under the subcube, not the whole
-  /// relation.
+  /// through one reused box. Pruned: descends only into key groups whose
+  /// value lies in `box`'s component at that level and emits only the
+  /// band intervals meeting it, so the cost tracks the keys under the
+  /// subcube, not the whole relation.
   void GapsIntersecting(const DyadicBox& box, BoxSink sink) const override;
+  /// The whole band at the first level where `t` has no live key
+  /// (Minesweeper's probe), cover intervals not containing `t` included.
+  void GapsContaining(const uint64_t* t, BoxSink sink) const override;
   std::string Describe() const override;
 
   /// Permutation (rows·4) plus fence (8 bytes per kFenceStride rows)
@@ -152,7 +150,6 @@ class SortedIndex : public Index {
   size_t AddedLowerBound(size_t alo, size_t ahi, int level, uint64_t v) const;
   // Tombstoned base ranks within [lo, hi).
   size_t RemovedIn(size_t lo, size_t hi) const;
-  bool IsRemoved(size_t rank) const;
   // Base rank of the permuted key, if present: a full-row search within
   // the key's level-0 group.
   bool FindBaseRank(const uint64_t* key, size_t* rank) const;
@@ -176,8 +173,6 @@ class SortedIndex : public Index {
   // emitted.
   void EmitBand(DyadicBox* slot, int level, uint64_t lo_val, uint64_t hi_val,
                 const DyadicInterval* clip, BoxSink sink) const;
-  void AllGapsRec(size_t lo, size_t hi, size_t alo, size_t ahi, int level,
-                  DyadicBox* slot, BoxSink sink) const;
   void GapsIntersectingRec(size_t lo, size_t hi, size_t alo, size_t ahi,
                            int level, const DyadicBox& box, DyadicBox* slot,
                            BoxSink sink) const;

@@ -1,5 +1,6 @@
 // Collects what a sink-form gap or probe call (index/index.h,
-// kb/box_oracle.h) emits, for tests that compare box lists.
+// kb/box_oracle.h) emits, for tests that compare box lists or check a
+// probe's emptiness.
 #ifndef TETRIS_TESTS_BOX_COLLECT_H_
 #define TETRIS_TESTS_BOX_COLLECT_H_
 
@@ -13,6 +14,15 @@ namespace tetris {
 /// `ix.AllGaps(AppendTo(&gaps))`.
 inline auto AppendTo(std::vector<DyadicBox>* out) {
   return [out](const DyadicBox& b) { out->push_back(b); };
+}
+
+/// True iff probing `ix` at `t` emits no gap: by the probe contract
+/// (index/index.h), iff `t` is in the indexed relation.
+template <typename Ix>
+bool ProbeFindsNoGap(const Ix& ix, const std::vector<uint64_t>& t) {
+  bool none = true;
+  ix.GapsContaining(t.data(), [&none](const DyadicBox&) { none = false; });
+  return none;
 }
 
 }  // namespace tetris

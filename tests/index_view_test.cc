@@ -1,10 +1,10 @@
 // The zero-copy restriction views: for every index type, an IndexView
 // over a dyadic box must answer probes exactly like a freshly built index
-// over the materialized restricted relation — same membership, same
-// probe-emptiness, and gap sets that cover exactly the restricted
-// complement without ever touching a restricted tuple. These are the
-// invariants the sharded executor leans on when it swaps restricted
-// copies for views.
+// over the materialized restricted relation — the same probe-emptiness
+// (no gap iff the point is in the restriction), and gap sets that cover
+// exactly the restricted complement without ever touching a restricted
+// tuple. These are the invariants the sharded executor leans on when it
+// swaps restricted copies for views.
 #include "index/index_view.h"
 
 #include <gtest/gtest.h>
@@ -60,9 +60,10 @@ using IndexFactory =
     std::function<std::unique_ptr<Index>(const Relation&, int)>;
 
 // The view over `base` and a fresh same-type index over the materialized
-// restriction must agree on every point of the domain: membership, probe
-// emptiness, probe soundness (gaps contain the probe, never a restricted
-// tuple), and AllGaps covering exactly the restricted complement.
+// restriction must agree on every point of the domain: probe emptiness
+// (no gap iff the point is in the restriction), probe soundness (gaps
+// contain the probe, never a restricted tuple), and AllGaps covering
+// exactly the restricted complement.
 void ExpectViewMatchesMaterialized(const IndexFactory& make,
                                    const std::string& label,
                                    uint64_t seed) {
@@ -90,8 +91,6 @@ void ExpectViewMatchesMaterialized(const IndexFactory& make,
       t[0] = a;
       t[1] = b;
       const bool in_restriction = restricted.Contains(t);
-      EXPECT_EQ(view.Contains(t), copy->Contains(t)) << a << "," << b;
-      EXPECT_EQ(view.Contains(t), in_restriction) << a << "," << b;
 
       std::vector<DyadicBox> view_gaps;
       view.GapsContaining(t.data(), AppendTo(&view_gaps));
@@ -194,7 +193,9 @@ TEST(IndexViewTest, UniversalBoxViewIsTransparent) {
   base.AllGaps(AppendTo(&base_all));
   // No complement slabs, no clipping: the view is the base.
   EXPECT_EQ(view_all.size(), base_all.size());
-  for (TupleRef t : rel.rows()) EXPECT_TRUE(view.Contains(t.ToTuple()));
+  for (TupleRef t : rel.rows()) {
+    EXPECT_TRUE(ProbeFindsNoGap(view, t.ToTuple()));
+  }
 }
 
 // The patch path re-runs DyadicHull of its touched boxes: it must be the

@@ -1,7 +1,7 @@
 // Differential suite for the SortedIndex permutation view + delta
 // overlay (index/sorted_index.h): a promoted index must answer every
-// probe entry point — Contains, GapsContaining, AllGaps,
-// GapsIntersecting — exactly like a fresh rebuild over the mutated
+// probe entry point — GapsContaining, AllGaps, GapsIntersecting —
+// exactly like a fresh rebuild over the mutated
 // relation, across layouts, insert+delete mixes, chained promotions,
 // and the compaction boundary. TSan runs this suite in CI (promotion
 // races with in-flight probes).
@@ -98,19 +98,17 @@ void ExpectIndexesAgree(const SortedIndex& overlay, const SortedIndex& fresh,
   EXPECT_EQ(overlay.rows(), new_rel.size());
   EXPECT_EQ(fresh.rows(), new_rel.size());
 
-  // Contains + GapsContaining: every live tuple, every delta tuple, and
-  // random probes.
+  // GapsContaining: every live tuple, every delta tuple, and random
+  // probes; no gap iff the probe is a live row.
   std::vector<Tuple> probes = interesting_probes;
   for (TupleRef t : new_rel.rows()) probes.push_back(t.ToTuple());
   for (int i = 0; i < 32; ++i) probes.push_back(RandomTupleOf(rng, k, d));
   for (const Tuple& t : probes) {
-    EXPECT_EQ(overlay.Contains(t), fresh.Contains(t))
-        << overlay.Describe() << " t=" << t[0];
-    EXPECT_EQ(overlay.Contains(t), new_rel.Contains(t));
     std::vector<DyadicBox> og, fg;
     overlay.GapsContaining(t.data(), AppendTo(&og));
     fresh.GapsContaining(t.data(), AppendTo(&fg));
-    EXPECT_EQ(BoxKeys(og), BoxKeys(fg)) << overlay.Describe();
+    EXPECT_EQ(BoxKeys(og), BoxKeys(fg))
+        << overlay.Describe() << " t=" << t[0];
     EXPECT_EQ(og.empty(), new_rel.Contains(t));
   }
 
@@ -302,8 +300,8 @@ TEST(SortedOverlayTest, OverlayBookkeepingSemantics) {
   EXPECT_EQ(p->MemoryBytes(), 3 * sizeof(uint32_t) + sizeof(uint64_t) +
                                   2 * sizeof(uint64_t) + sizeof(uint32_t));
   EXPECT_EQ(p->Describe(), "btree(c0,c1)+ovl{1a,1r}");
-  EXPECT_FALSE(p->Contains({2, 2}));
-  EXPECT_TRUE(p->Contains({5, 5}));
+  EXPECT_FALSE(ProbeFindsNoGap(*p, {2, 2}));
+  EXPECT_TRUE(ProbeFindsNoGap(*p, {5, 5}));
 
   // Re-adding the tombstoned row un-removes; removing the overlay row
   // un-adds — the overlay cancels back to empty.
@@ -312,8 +310,8 @@ TEST(SortedOverlayTest, OverlayBookkeepingSemantics) {
   auto q = SortedIndex::Promote(p, v2p, v3, {{2, 2}}, {{5, 5}});
   EXPECT_EQ(q->overlay_rows(), 0u);
   EXPECT_EQ(q->rows(), 3u);
-  EXPECT_TRUE(q->Contains({2, 2}));
-  EXPECT_FALSE(q->Contains({5, 5}));
+  EXPECT_TRUE(ProbeFindsNoGap(*q, {2, 2}));
+  EXPECT_FALSE(ProbeFindsNoGap(*q, {5, 5}));
   EXPECT_EQ(q->Describe(), "btree(c0,c1)");
 }
 
@@ -329,14 +327,14 @@ TEST(SortedOverlayTest, NullaryPromotionRebuilds) {
   auto filled = SortedIndex::Promote(base, empty, *full, {Tuple{}}, {},
                                      &compacted);
   EXPECT_TRUE(compacted);
-  EXPECT_TRUE(filled->Contains(Tuple{}));
+  EXPECT_TRUE(ProbeFindsNoGap(*filled, Tuple{}));
   std::vector<DyadicBox> gaps;
   filled->AllGaps(AppendTo(&gaps));
   EXPECT_TRUE(gaps.empty());
   auto emptied = SortedIndex::Promote(filled, full, *empty, {}, {Tuple{}},
                                       &compacted);
   EXPECT_TRUE(compacted);
-  EXPECT_FALSE(emptied->Contains(Tuple{}));
+  EXPECT_FALSE(ProbeFindsNoGap(*emptied, Tuple{}));
   emptied->GapsContaining(nullptr, AppendTo(&gaps));
   EXPECT_EQ(gaps, std::vector<DyadicBox>{DyadicBox::Universal(0)});
 }
@@ -400,8 +398,8 @@ std::vector<std::string> BoxSequence(const std::vector<DyadicBox>& boxes) {
   return keys;
 }
 
-// Every GapsContaining box sequence equals the reference band, and
-// Contains agrees with the rows.
+// Every GapsContaining box sequence equals the reference band, which is
+// empty iff the probe is a row.
 void ExpectReferenceBands(const SortedIndex& index, const Relation& rel,
                           const std::vector<int>& order, int d,
                           const std::vector<Tuple>& probes) {
@@ -418,7 +416,7 @@ void ExpectReferenceBands(const SortedIndex& index, const Relation& rel,
     const std::vector<DyadicBox> want = ReferenceBand(sorted, order, d, t);
     ASSERT_EQ(BoxSequence(got), BoxSequence(want))
         << index.Describe() << " probe " << DyadicBox::Point(t, d).ToString();
-    ASSERT_EQ(index.Contains(t), rel.Contains(t)) << index.Describe();
+    ASSERT_EQ(got.empty(), rel.Contains(t)) << index.Describe();
   }
 }
 
@@ -555,16 +553,14 @@ TEST(SortedOverlayTest, ConcurrentProbesDuringPromotionChain) {
 
   std::vector<std::thread> probers;
   for (int t = 0; t < 2; ++t) {
-    probers.emplace_back([index, d, t]() {
+    probers.emplace_back([index, version, d, t]() {
       Rng prng(1000 + static_cast<uint64_t>(t));
       for (int i = 0; i < 200; ++i) {
         Tuple probe{prng.Below(uint64_t{1} << d),
                     prng.Below(uint64_t{1} << d)};
         std::vector<DyadicBox> gaps;
         index->GapsContaining(probe.data(), AppendTo(&gaps));
-        if (index->Contains(probe)) {
-          EXPECT_TRUE(gaps.empty());
-        }
+        EXPECT_EQ(gaps.empty(), version->Contains(probe));
         std::vector<DyadicBox> all;
         index->AllGaps(AppendTo(&all));
       }
